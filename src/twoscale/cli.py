@@ -13,6 +13,7 @@ import concurrent.futures
 import csv
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -372,17 +373,17 @@ def _saddle_diagnostics(P, traj, out_dir: Path, diag_cfg: dict) -> None:
     apt_dt = float(diag_cfg.get("apt_dt", 0.005))
     k_terms = int(diag_cfg.get("K_terms", 4))
     ts = traj.t_slow
-    gaps = interpolation_gap(traj, l=1, T=T_w, n_windows=n_windows)
     last_start_t = ts[-1] - max(T_w, apt_T)
-    starts = np.linspace(0.0, max(last_start_t, 0.0), len(gaps))
+    starts = np.unique(np.linspace(0.0, max(last_start_t, 0.0), n_windows))
+    gaps = interpolation_gap(traj, l=1, T=T_w, starts=starts)
     fld = dual_ode_field(P)
     rows = []
     for w, (t0, gap) in enumerate(zip(starts, gaps)):
         y0 = interpolate(traj, "slow", t0)
         path = di_solve(fld, y0, T=apt_T, dt=apt_dt)
-        sampled = np.array(
-            [interpolate(traj, "slow", min(t0 + q, ts[-1])) for q in path.times]
-        )
+        # No envelope check follows, so the field's minimizers are not kept.
+        P.clear_lambda_record()
+        sampled = interpolate(traj, "slow", np.minimum(t0 + path.times, ts[-1]))
         apt = apt_metric(path.times, sampled, path.states, K_terms=k_terms)
         n_idx = min(int(np.searchsorted(ts, t0)), traj.n_steps)
         lam = lambda_min(P, traj.Y[n_idx])
@@ -453,6 +454,14 @@ def _replica_worker(cfg_json: str, seed: int, out_dir: str) -> int:
     return _run_single(cfg, seed, Path(out_dir))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all of them where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def cmd_run(cfg: dict, out_dir: Path, replicas: int) -> int:
     seed = int(cfg.get("seed", 0))
     if replicas <= 1:
@@ -463,7 +472,8 @@ def cmd_run(cfg: dict, out_dir: Path, replicas: int) -> int:
         (seed + i, out_dir / f"replica_{i:03d}") for i in range(replicas)
     ]
     codes = []
-    with concurrent.futures.ProcessPoolExecutor(max_workers=min(replicas, 8)) as pool:
+    workers = min(replicas, 8, _usable_cpus())
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(_replica_worker, cfg_json, s, str(d)) for s, d in jobs
         ]

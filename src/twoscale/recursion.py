@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -160,12 +161,14 @@ class Trajectory:
     def n_steps(self) -> int:
         return len(self.M1)
 
-    @property
+    # The clocks are computed on first use and kept: a Trajectory is not
+    # mutated after construction.
+    @cached_property
     def t_fast(self) -> np.ndarray:
         n = np.arange(self.n_steps + 1)
         return np.concatenate([[0.0], np.cumsum(self.schedule.a(n[:-1]))])
 
-    @property
+    @cached_property
     def t_slow(self) -> np.ndarray:
         n = np.arange(self.n_steps + 1)
         return np.concatenate([[0.0], np.cumsum(self.schedule.b(n[:-1]))])
@@ -307,24 +310,34 @@ def run(
     )
 
 
-def _interp(clock: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
-    if t < clock[0] - 1e-12 or t > clock[-1] + 1e-12:
-        raise ValueError(f"t={t} outside the clock range [0, {clock[-1]}]")
+def _interp(clock: np.ndarray, values: np.ndarray, t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    outside = (t < clock[0] - 1e-12) | (t > clock[-1] + 1e-12)
+    if np.any(outside):
+        raise ValueError(
+            f"t={t[outside].flat[0]} outside the clock range [0, {clock[-1]}]"
+        )
     if len(clock) == 1:
-        return values[0]
-    t = min(max(t, clock[0]), clock[-1])
-    i = min(int(np.searchsorted(clock, t, side="right")) - 1, len(clock) - 2)
-    w = (t - clock[i]) / (clock[i + 1] - clock[i])
+        return values[np.zeros(t.shape, dtype=int)]
+    t = np.minimum(np.maximum(t, clock[0]), clock[-1])
+    i = np.minimum(np.searchsorted(clock, t, side="right") - 1, len(clock) - 2)
+    w = ((t - clock[i]) / (clock[i + 1] - clock[i]))[..., None]
     return (1 - w) * values[i] + w * values[i + 1]
 
 
-def interpolate(traj: Trajectory, scale: str, t: float) -> np.ndarray:
+def interpolate(traj: Trajectory, scale: str, t) -> np.ndarray:
     """Piecewise-linear sample path value at elapsed clock time ``t``.
 
     ``fast`` interpolates X on the fast clock, ``slow`` interpolates Y on
     the slow clock, and ``joint`` interpolates the stacked pair (X, Y) on
     the fast clock (the object whose shifts the fast-timescale theory
     compares against its inclusion).
+
+    ``t`` is a scalar, giving one value of shape ``(d,)``, or an array of
+    times, giving one row per time (shape ``t.shape + (d,)``); each row
+    equals the scalar call at that time.  Times up to 1e-12 outside the
+    clock are clamped to its ends; any time further out raises
+    ``ValueError``.
     """
     if scale == "fast":
         return _interp(traj.t_fast, traj.X, t)
@@ -335,8 +348,38 @@ def interpolate(traj: Trajectory, scale: str, t: float) -> np.ndarray:
     raise ValueError(f"unknown scale {scale!r}")
 
 
+def _window_sups(traj: Trajectory, T: float, n_windows: int, starts, deviation):
+    """Supremum of the row norms of ``deviation(n0, end)`` per slow window.
+
+    A window from slow time t holds the knots n0..end-1 whose time lies in
+    [t, t + T], at least two while the clock lasts.  By default up to
+    ``n_windows`` windows start at knots spaced evenly in step index over
+    the knots a whole window can follow; given slow-clock ``starts``, each
+    window starts at the first knot at or after its time (the last knot for
+    times past the end).
+    """
+    ts = traj.t_slow
+    if T > ts[-1]:
+        raise ValueError(f"window T={T} exceeds the slow clock span {ts[-1]}")
+    if starts is None:
+        last_start = int(np.searchsorted(ts, ts[-1] - T, side="right")) - 1
+        n0s = np.unique(
+            np.linspace(0, last_start, min(n_windows, last_start + 1)).astype(int)
+        )
+        t0s = ts[n0s]
+    else:
+        t0s = np.asarray(starts, dtype=float)
+        n0s = np.minimum(np.searchsorted(ts, t0s), len(ts) - 1)
+    sups = np.empty(len(n0s))
+    for w, (n0, t_end) in enumerate(zip(n0s, t0s + T)):
+        end = int(np.searchsorted(ts, t_end, side="right"))
+        end = min(max(end, n0 + 2), len(ts))
+        sups[w] = np.linalg.norm(deviation(n0, end), axis=1).max()
+    return sups
+
+
 def interpolation_gap(
-    traj: Trajectory, l: int, T: float, n_windows: int = 64
+    traj: Trajectory, l: int, T: float, n_windows: int = 64, starts=None
 ) -> np.ndarray:
     """Window suprema of ||slow path - noise-free re-integration||.
 
@@ -345,56 +388,37 @@ def interpolation_gap(
     parametrized drift, so the result does not depend on ``l``); the
     supremum of the gap to the logged path over a window of clock length
     ``T`` is returned per window, for trend testing against the noise
-    partial-sum bound.
+    partial-sum bound.  A window from slow time t holds the knots whose time
+    lies in [t, t + T] (at least two) and is re-integrated from the first of
+    them.  Up to ``n_windows`` windows start at knots spaced evenly in step
+    index, or, when ``starts`` is given, one window starts at each of these
+    slow-clock times.
     """
     if l < 1:
         raise ValueError("level must be >= 1")
-    ts = traj.t_slow
-    if T > ts[-1]:
-        raise ValueError(f"window T={T} exceeds the slow clock span {ts[-1]}")
-    N = traj.n_steps
-    b = traj.schedule.b(np.arange(N))[:, None]
+    b = traj.schedule.b(np.arange(traj.n_steps))[:, None]
     drift_prefix = np.vstack(
         [np.zeros((1, traj.Y.shape[1])), np.cumsum(b * traj.V2, axis=0)]
     )
-    last_start = int(np.searchsorted(ts, ts[-1] - T, side="right")) - 1
-    if last_start < 0:
-        raise ValueError("trajectory too short for the window")
-    starts = np.unique(
-        np.linspace(0, last_start, min(n_windows, last_start + 1)).astype(int)
-    )
-    sups = np.empty(len(starts))
-    for w, n0 in enumerate(starts):
-        end = int(np.searchsorted(ts, ts[n0] + T, side="right"))
-        end = min(max(end, n0 + 2), N + 1)
+
+    def deviation(n0, end):
         tilde = traj.Y[n0] + (drift_prefix[n0:end] - drift_prefix[n0])
-        gaps = np.linalg.norm(traj.Y[n0:end] - tilde, axis=1)
-        sups[w] = gaps.max()
-    return sups
+        return traj.Y[n0:end] - tilde
+
+    return _window_sups(traj, T, n_windows, starts, deviation)
 
 
 def noise_partial_sup(traj: Trajectory, T: float, n_windows: int = 64) -> np.ndarray:
     """Window suprema of the slow-timescale noise partial sums (the
     independent bound the interpolation gap is tested against)."""
-    ts = traj.t_slow
-    if T > ts[-1]:
-        raise ValueError(f"window T={T} exceeds the slow clock span {ts[-1]}")
-    N = traj.n_steps
-    b = traj.schedule.b(np.arange(N))[:, None]
+    b = traj.schedule.b(np.arange(traj.n_steps))[:, None]
     noise_prefix = np.vstack(
         [np.zeros((1, traj.Y.shape[1])), np.cumsum(b * traj.M2, axis=0)]
     )
-    last_start = int(np.searchsorted(ts, ts[-1] - T, side="right")) - 1
-    starts = np.unique(
-        np.linspace(0, max(last_start, 0), min(n_windows, last_start + 1)).astype(int)
+    return _window_sups(
+        traj, T, n_windows, None,
+        lambda n0, end: noise_prefix[n0:end] - noise_prefix[n0],
     )
-    sups = np.empty(len(starts))
-    for w, n0 in enumerate(starts):
-        end = int(np.searchsorted(ts, ts[n0] + T, side="right"))
-        end = min(max(end, n0 + 2), N + 1)
-        gaps = np.linalg.norm(noise_prefix[n0:end] - noise_prefix[n0], axis=1)
-        sups[w] = gaps.max()
-    return sups
 
 
 @dataclass

@@ -118,6 +118,15 @@ class SaddleProblem:
         # verify_envelope pops the entries it reuses.
         self._lambda_record: dict[bytes, np.ndarray] = {}
 
+    def clear_lambda_record(self) -> None:
+        """Drop the minimizers the latest ``dual_ode_field`` has recorded.
+
+        For callers that integrate the dual flow without checking the
+        envelope afterwards; the field keeps recording into the same, now
+        empty, record.
+        """
+        self._lambda_record.clear()
+
     def _validate(self) -> None:
         for s in range(self.alphabet):
             x_s = self.feasible_points[s]
@@ -463,7 +472,8 @@ def dual_ode_field(P: SaddleProblem) -> MeanField:
     kept), so that ``verify_envelope`` on the path just integrated reuses it
     instead of solving again.  Building a new field replaces that record and
     ``verify_envelope`` removes every entry it takes, so the record holds at
-    most the states this field evaluated that no envelope check has used.
+    most the states this field evaluated that no envelope check has used;
+    ``P.clear_lambda_record()`` drops them when no check will.
     """
     C_mu, w_mu = P.C_mu, P.w_mu
     growth = float(np.linalg.norm(C_mu, 2)) * P.K_prime() + float(

@@ -1,8 +1,14 @@
+import concurrent.futures
 import json
+import os
 
 import numpy as np
+import pytest
 
-from twoscale.cli import main
+from twoscale import cli
+from twoscale.cli import build_problem, main
+from twoscale.recursion import NoiseModel, StepSchedule
+from twoscale.saddle import run_primal_dual
 
 CANONICAL = {
     "kind": "saddle",
@@ -179,6 +185,38 @@ class TestRun:
         assert (tmp_path / "out" / "replica_001" / "trajectory.csv").exists()
         assert (tmp_path / "out" / "replicas.csv").exists()
 
+    def test_replica_workers_capped_at_usable_cpus(self, tmp_path, monkeypatch):
+        seen = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        cfg = json.loads(json.dumps(CANONICAL))
+        cfg["steps"] = 20
+        cfg["out"] = str(tmp_path / "out")
+        path = str(write_config(tmp_path, cfg))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert main(["run", "--config", path, "--replicas", "5"]) == 0
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert main(["run", "--config", path, "--replicas", "5"]) == 0
+        assert main(["run", "--config", path, "--replicas", "2"]) == 0
+        assert seen == [2, 3, 2]
+        assert (tmp_path / "out" / "replica_004" / "trajectory.csv").exists()
+
     def test_seed_override(self, tmp_path):
         cfg = json.loads(json.dumps(CANONICAL))
         cfg["steps"] = 20
@@ -315,3 +353,30 @@ class TestNamedKernel:
         code = main(["run", "--config", str(write_config(tmp_path, cfg))])
         assert code == 1
         assert "kernel_fast" in capsys.readouterr().err
+
+
+class TestSaddleDiagnostics:
+    def test_gap_rows_cover_their_labelled_windows(self, tmp_path):
+        # Slow noise makes the gap column nonzero, so a window that does not
+        # start at its row's label shows.
+        P = build_problem(CANONICAL["problem"])
+        schedule = StepSchedule(alpha=0.6, beta=0.9, a0=0.5, b0=1.0)
+        noise = NoiseModel(kind="uniform", fast_scale=0.1, slow_scale=0.1)
+        traj = run_primal_dual(P, schedule, N=20000, seed=101, noise=noise)
+        diag = {"window_T": 1.0, "n_windows": 16, "apt_horizon": 1.0, "apt_dt": 0.005}
+        cli._saddle_diagnostics(P, traj, tmp_path, diag)
+        _, data = read_csv(tmp_path / "diagnostics.csv")
+        assert len(data) == 16
+        ts = traj.t_slow
+        b = schedule.b(np.arange(traj.n_steps))
+        for row in data:
+            t0, gap = float(row[1]), float(row[2])
+            n0, *rest = np.flatnonzero((ts >= t0) & (ts <= t0 + 1.0))
+            y, worst = traj.Y[n0].copy(), 0.0
+            for n in rest:
+                y += b[n - 1] * traj.V2[n - 1]
+                worst = max(worst, float(np.linalg.norm(traj.Y[n] - y)))
+            assert worst > 0.0
+            assert gap == pytest.approx(worst, rel=1e-9)
+        # No envelope check follows, so no dual-flow minimizer is kept.
+        assert not P._lambda_record

@@ -163,6 +163,46 @@ class TestInterpolate:
         with pytest.raises(ValueError):
             interpolate(traj, "slow", traj.t_slow[-1] + 1.0)
 
+    @pytest.mark.parametrize("scale", ["fast", "slow", "joint"])
+    def test_array_matches_scalar_calls(self, scale):
+        noise = NoiseModel(fast_scale=0.2, slow_scale=0.2)
+        H1, H2, K = decay_pair()
+        traj = run(H1, H2, K, K, SCHED, [1.0], [2.0], 0, 0, N=100, seed=3, noise=noise)
+        clock = traj.t_slow if scale == "slow" else traj.t_fast
+        rng = np.random.default_rng(0)
+        times = np.concatenate([
+            clock[[0, 1, 7, 50, 99, 100]],
+            [clock[0] - 5e-13, clock[-1] + 5e-13, clock[-1] - 1e-13],
+            rng.uniform(clock[0], clock[-1], 40),
+        ])
+        got = interpolate(traj, scale, times)
+        expect = np.stack([interpolate(traj, scale, t) for t in times])
+        assert got.shape == expect.shape == (len(times), 1 if scale != "joint" else 2)
+        assert np.array_equal(got, expect)
+        knot_rows = traj.Y if scale == "slow" else traj.X
+        assert np.array_equal(got[:6, :1], knot_rows[[0, 1, 7, 50, 99, 100]])
+
+    def test_array_out_of_range(self):
+        traj = self.make_traj()
+        ts = traj.t_slow
+        for bad in ([0.0, ts[-1] + 1e-9], [-1e-9, 0.5], [[0.0], [ts[-1] + 1.0]]):
+            with pytest.raises(ValueError, match="outside the clock range"):
+                interpolate(traj, "slow", np.array(bad))
+
+    def test_array_zero_steps_repeats_first_row(self):
+        H1, H2, K = decay_pair()
+        traj = run(H1, H2, K, K, SCHED, [1.0], [2.0], 0, 0, N=0, seed=0)
+        got = interpolate(traj, "joint", np.array([0.0, 1e-13, 0.0]))
+        assert np.array_equal(got, np.tile([1.0, 2.0], (3, 1)))
+
+    def test_clocks_computed_once(self):
+        traj = self.make_traj()
+        assert traj.t_slow is traj.t_slow
+        assert traj.t_fast is traj.t_fast
+        steps = np.arange(traj.n_steps)
+        for clock, step in ((traj.t_fast, SCHED.a), (traj.t_slow, SCHED.b)):
+            assert np.array_equal(clock, np.concatenate([[0.0], np.cumsum(step(steps))]))
+
 
 class TestInterpolationGap:
     def test_zero_noise_zero_gap(self):
@@ -191,6 +231,35 @@ class TestInterpolationGap:
         bound = noise_partial_sup(traj, T=1.0, n_windows=16)
         assert gaps.shape == bound.shape
         np.testing.assert_allclose(gaps, bound, atol=1e-10)
+
+    def test_start_times_on_knots_match_default_windows(self):
+        H1, H2, K = decay_pair()
+        noise = NoiseModel(fast_scale=0.1, slow_scale=0.1)
+        traj = run(H1, H2, K, K, SCHED, [1.0], [1.0], 0, 0, N=3000, seed=8, noise=noise)
+        default = interpolation_gap(traj, l=1, T=1.0, n_windows=16)
+        last = int(np.searchsorted(traj.t_slow, traj.t_slow[-1] - 1.0, side="right")) - 1
+        knots = np.linspace(0, last, 16).astype(int)
+        by_time = interpolation_gap(traj, l=1, T=1.0, starts=traj.t_slow[knots])
+        assert np.array_equal(by_time, default)
+
+    def test_start_times_off_knots(self):
+        H1, H2, K = decay_pair()
+        noise = NoiseModel(fast_scale=0.0, slow_scale=0.3)
+        traj = run(H1, H2, K, K, SCHED, [1.0], [1.0], 0, 0, N=400, seed=4, noise=noise)
+        ts = traj.t_slow
+        b = SCHED.b(np.arange(traj.n_steps))
+        t0s = np.array([2.5, 4.0, ts[-1] - 0.5])
+        gaps = interpolation_gap(traj, l=1, T=0.75, starts=t0s)
+        for t0, gap in zip(t0s, gaps):
+            n0, *rest = np.flatnonzero((ts >= t0) & (ts <= t0 + 0.75))
+            assert rest
+            y, worst = traj.Y[n0].copy(), 0.0
+            for n in rest:
+                y += b[n - 1] * traj.V2[n - 1]
+                worst = max(worst, float(np.linalg.norm(traj.Y[n] - y)))
+            assert gap == pytest.approx(worst, rel=1e-9, abs=1e-15)
+        past_end = interpolation_gap(traj, l=1, T=0.75, starts=[ts[-1] + 3.0])
+        assert past_end.tolist() == [0.0]
 
     def test_noise_partial_sums_decay_in_thirds(self):
         H1, H2, K = decay_pair()
