@@ -22,7 +22,7 @@ import numpy as np
 from .convex import ConvexSet
 from .dynamics import apt_metric, di_solve
 from .markov import FiniteKernel
-from .meanfield import check_marchaud
+from .meanfield import MeanField, check_marchaud
 from .recursion import (
     DivergenceError,
     NoiseModel,
@@ -43,7 +43,7 @@ from .saddle import (
     run_primal_dual,
     verify_envelope,
 )
-from .svmaps import validate_sam
+from .svmaps import SetValuedMap, validate_sam
 
 __all__ = ["main", "load_config", "build_problem", "ConfigError"]
 
@@ -67,6 +67,16 @@ def _get(cfg: dict, key: str, path: str, required: bool = True, default=None):
     return cfg[key]
 
 
+def _number(cfg: dict, key: str, path: str, default=None, kind=float):
+    """A numeric field as ``kind``, required when it has no default; a
+    non-numeric value is a ``ConfigError`` naming the field."""
+    value = _get(cfg, key, path, required=default is None, default=default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}") from None
+
+
 def _matrix(value, path: str) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
@@ -77,60 +87,40 @@ def _matrix(value, path: str) -> np.ndarray:
 
 # -- registries of named built-ins ----------------------------------------
 
-def _drift_negate_x(d1, d2, alphabet):
-    return dict(
-        dims=(d1, d2, d1), alphabet=alphabet,
-        evaluate=lambda x, y, s: ConvexSet.singleton(-x), growth_K=1.0,
-    )
+def _zmap_sign(dim):
+    neg = ConvexSet.singleton(-np.ones(dim))
+    pos = ConvexSet.singleton(np.ones(dim))
+    both = ConvexSet(np.vstack([-np.ones(dim), np.ones(dim)]))
+    return lambda z: neg if z[0] > 0 else pos if z[0] < 0 else both
 
 
-def _drift_negate_y(d1, d2, alphabet):
-    return dict(
-        dims=(d1, d2, d2), alphabet=alphabet,
-        evaluate=lambda x, y, s: ConvexSet.singleton(-y), growth_K=1.0,
-    )
+def _zmap_zero(dim):
+    zero = ConvexSet.singleton(np.zeros(dim))
+    return lambda z: zero
 
 
-def _drift_zero_fast(d1, d2, alphabet):
-    return dict(
-        dims=(d1, d2, d1), alphabet=alphabet,
-        evaluate=lambda x, y, s: ConvexSet.singleton(np.zeros(d1)), growth_K=1.0,
-    )
-
-
-def _drift_zero_slow(d1, d2, alphabet):
-    return dict(
-        dims=(d1, d2, d2), alphabet=alphabet,
-        evaluate=lambda x, y, s: ConvexSet.singleton(np.zeros(d2)), growth_K=1.0,
-    )
-
-
-def _drift_expand_x(d1, d2, alphabet):
-    return dict(
-        dims=(d1, d2, d1), alphabet=alphabet,
-        evaluate=lambda x, y, s: ConvexSet.singleton(x), growth_K=1.0,
-    )
-
-
-def _drift_sign_fast(d1, d2, alphabet):
-    def evaluate(x, y, s):
-        if x[0] > 0:
-            return ConvexSet.singleton(-np.ones(d1))
-        if x[0] < 0:
-            return ConvexSet.singleton(np.ones(d1))
-        return ConvexSet(np.vstack([-np.ones(d1), np.ones(d1)]))
-
-    return dict(dims=(d1, d2, d1), alphabet=alphabet, evaluate=evaluate, growth_K=1.0)
-
-
-DRIFTS = {
-    "negate_x": _drift_negate_x,
-    "negate_y": _drift_negate_y,
-    "zero_fast": _drift_zero_fast,
-    "zero_slow": _drift_zero_slow,
-    "expand_x": _drift_expand_x,
-    "sign_fast": _drift_sign_fast,
+# z-maps by name: dim -> (z -> ConvexSet in R^dim); constant sets are built
+# once per map.
+ZMAPS = {
+    "negate": lambda dim: lambda z: ConvexSet.singleton(-z),
+    "zero": _zmap_zero,
+    "identity": lambda dim: lambda z: ConvexSet.singleton(z),
+    "sign": _zmap_sign,
 }
+
+# Drift name -> (iterate the z-map reads, z-map); the value lives in that
+# iterate's space.
+DRIFTS = {
+    "negate_x": ("x", "negate"),
+    "negate_y": ("y", "negate"),
+    "zero_fast": ("x", "zero"),
+    "zero_slow": ("y", "zero"),
+    "expand_x": ("x", "identity"),
+    "sign_fast": ("x", "sign"),
+}
+
+# Field name of a ``di`` config -> z-map.
+FIELDS = {"sign": "sign", "linear_decay": "negate"}
 
 
 def _kernel_x_threshold(alphabet):
@@ -170,13 +160,12 @@ def _build_kernel(spec, alphabet: int, path: str) -> FiniteKernel:
 
 
 def _build_schedule(cfg: dict, path: str = "schedule") -> StepSchedule:
+    alpha = _number(cfg, "alpha", path)
+    beta = _number(cfg, "beta", path)
+    a0 = _number(cfg, "a0", path, 1.0)
+    b0 = _number(cfg, "b0", path, 1.0)
     try:
-        return StepSchedule(
-            alpha=float(_get(cfg, "alpha", path)),
-            beta=float(_get(cfg, "beta", path)),
-            a0=float(_get(cfg, "a0", path, required=False, default=1.0)),
-            b0=float(_get(cfg, "b0", path, required=False, default=1.0)),
-        )
+        return StepSchedule(alpha=alpha, beta=beta, a0=a0, b0=b0)
     except ValueError as err:
         raise ConfigError(f"{path}: {err}") from None
 
@@ -184,11 +173,13 @@ def _build_schedule(cfg: dict, path: str = "schedule") -> StepSchedule:
 def _build_noise(cfg, path: str = "noise") -> NoiseModel:
     if cfg is None:
         return NoiseModel()
+    fast = _number(cfg, "fast_scale", path, 0.0)
+    slow = _number(cfg, "slow_scale", path, 0.0)
     try:
         return NoiseModel(
             kind=_get(cfg, "kind", path, required=False, default="uniform"),
-            fast_scale=float(_get(cfg, "fast_scale", path, required=False, default=0.0)),
-            slow_scale=float(_get(cfg, "slow_scale", path, required=False, default=0.0)),
+            fast_scale=fast,
+            slow_scale=slow,
         )
     except ValueError as err:
         raise ConfigError(f"{path}: {err}") from None
@@ -206,17 +197,18 @@ def build_problem(cfg: dict, path: str = "problem") -> SaddleProblem:
         )
     kernel = _build_kernel(_get(cfg, "kernel", path), C.shape[0], f"{path}.kernel")
     feas = _get(cfg, "feasible_points", path, required=False)
+    epsilon = _number(cfg, "epsilon", path)
+    radius = _number(cfg, "radius", path)
+    growth = _number(cfg, "growth", path) if "growth" in cfg else None
     try:
         return quadratic_problem(
             theta=theta,
             C=C,
             w=w,
             kernel=kernel,
-            epsilon=float(_get(cfg, "epsilon", path)),
-            radius=float(_get(cfg, "radius", path)),
-            growth_K=(
-                float(cfg["growth"]) if "growth" in cfg else None
-            ),
+            epsilon=epsilon,
+            radius=radius,
+            growth_K=growth,
             feasible_points=feas,
         )
     except ValueError as err:
@@ -242,10 +234,10 @@ def _apply_overrides(cfg: dict, args) -> dict:
         cfg["steps"] = args.steps
     if args.out is not None:
         cfg["out"] = args.out
-    seed = int(_get(cfg, "seed", "config", required=False, default=0))
+    seed = _number(cfg, "seed", "config", 0, int)
     if not 0 <= seed < 2**64:
         raise ConfigError("config.seed: must be an unsigned 64-bit value")
-    steps = int(_get(cfg, "steps", "config", required=False, default=1))
+    steps = _number(cfg, "steps", "config", 1, int)
     if steps < 1:
         raise ConfigError("config.steps: must be >= 1")
     return cfg
@@ -258,30 +250,33 @@ def _config_hash(cfg: dict) -> str:
 
 
 def _build_generic(cfg: dict):
-    from .svmaps import SetValuedMap
+    d1 = _number(cfg, "d1", "config", kind=int)
+    d2 = _number(cfg, "d2", "config", kind=int)
+    alphabet = _number(cfg, "alphabet", "config", 1, int)
 
-    d1 = int(_get(cfg, "d1", "config"))
-    d2 = int(_get(cfg, "d2", "config"))
-    alphabet = int(_get(cfg, "alphabet", "config", required=False, default=1))
-
-    def drift(key, registry_path):
-        spec = _get(cfg, key, "config")
-        name = _get(spec, "name", registry_path)
+    def drift(key):
+        path = f"config.{key}"
+        name = _get(_get(cfg, key, "config"), "name", path)
         if name not in DRIFTS:
             raise ConfigError(
-                f"{registry_path}.name: unknown drift {name!r}; have {sorted(DRIFTS)}"
+                f"{path}.name: unknown drift {name!r}; have {sorted(DRIFTS)}"
             )
-        return SetValuedMap(**DRIFTS[name](d1, d2, alphabet))
+        read, zmap = DRIFTS[name]
+        k = d1 if read == "x" else d2
+        f = ZMAPS[zmap](k)
+        evaluate = (lambda x, y, s: f(x)) if read == "x" else (lambda x, y, s: f(y))
+        return SetValuedMap(
+            dims=(d1, d2, k), alphabet=alphabet, evaluate=evaluate, growth_K=1.0
+        )
 
-    H1 = drift("drift_fast", "config.drift_fast")
-    H2 = drift("drift_slow", "config.drift_slow")
-    default_kernel = np.eye(alphabet)
-    K1 = _build_kernel(
-        cfg.get("kernel_fast", default_kernel.tolist()), alphabet, "config.kernel_fast"
-    )
-    K2 = _build_kernel(
-        cfg.get("kernel_slow", default_kernel.tolist()), alphabet, "config.kernel_slow"
-    )
+    H1 = drift("drift_fast")
+    H2 = drift("drift_slow")
+
+    def kernel(key):
+        spec = cfg.get(key, np.eye(alphabet).tolist())
+        return _build_kernel(spec, alphabet, f"config.{key}")
+
+    K1, K2 = kernel("kernel_fast"), kernel("kernel_slow")
     x0 = _matrix(cfg.get("x0", [0.0] * d1), "config.x0")
     y0 = _matrix(cfg.get("y0", [0.0] * d2), "config.y0")
     return H1, H2, K1, K2, x0, y0
@@ -292,6 +287,9 @@ def _build_generic(cfg: dict):
 def cmd_validate(cfg: dict, out_dir: Path) -> int:
     kind = _get(cfg, "kind", "config")
     checks: list[tuple[str, bool, str]] = []
+
+    def contract(name, rep):
+        checks.append((name, rep.ok, "ok" if rep.ok else "failed"))
 
     schedule_cfg = _get(cfg, "schedule", "config")
     try:
@@ -311,25 +309,18 @@ def cmd_validate(cfg: dict, out_dir: Path) -> int:
                 for yv in (-1.0, 1.0)
                 for s in range(P.alphabet)
             ]
-            rep1 = validate_sam(primal_drift(P), grid)
-            checks.append(("primal drift SAM", rep1.ok, "ok" if rep1.ok else "failed"))
-            rep2 = validate_sam(dual_drift(P), grid)
-            checks.append(("dual drift SAM", rep2.ok, "ok" if rep2.ok else "failed"))
-            fld = dual_ode_field(P)
-            repm = check_marchaud(
-                fld, [np.full(P.d2, v) for v in (-1.0, 0.0, 1.0)]
-            )
-            checks.append(("dual mean field Marchaud", repm.ok, "ok" if repm.ok else "failed"))
+            contract("primal drift SAM", validate_sam(primal_drift(P), grid))
+            contract("dual drift SAM", validate_sam(dual_drift(P), grid))
+            zs = [np.full(P.d2, v) for v in (-1.0, 0.0, 1.0)]
+            contract("dual mean field Marchaud", check_marchaud(dual_ode_field(P), zs))
         except ConfigError as err:
             checks.append(("problem construction", False, str(err)))
     elif kind == "two_timescale":
         try:
             H1, H2, K1, K2, x0, y0 = _build_generic(cfg)
             grid = [(x0, y0, s) for s in range(H1.alphabet)]
-            rep1 = validate_sam(H1, grid)
-            rep2 = validate_sam(H2, grid)
-            checks.append(("fast drift SAM", rep1.ok, "ok" if rep1.ok else "failed"))
-            checks.append(("slow drift SAM", rep2.ok, "ok" if rep2.ok else "failed"))
+            contract("fast drift SAM", validate_sam(H1, grid))
+            contract("slow drift SAM", validate_sam(H2, grid))
         except ConfigError as err:
             checks.append(("drift construction", False, str(err)))
     elif kind == "di":
@@ -366,12 +357,34 @@ def _write_manifest(out_dir: Path, cfg: dict, seed: int, extra=None) -> None:
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+def _write_table(path: Path, columns, rows) -> None:
+    """Stream ``rows`` (any iterable) to a CSV after a ``# columns:`` comment
+    and a header row; floats are written with 17 significant digits."""
+    with open(path, "w", newline="") as fh:
+        fh.write("# columns: " + ", ".join(columns) + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([f"{c:.17g}" if isinstance(c, float) else c for c in row])
+
+
+def _window_settings(traj, diag_cfg) -> tuple[float, int]:
+    """Window length and count of the diagnostics, checked against the run."""
+    path = "config.diagnostics"
+    T_w = _number(diag_cfg, "window_T", path, 1.0)
+    span = traj.t_slow[-1]
+    if T_w > span:
+        raise ConfigError(
+            f"{path}.window_T: {T_w} exceeds the slow clock span {span} of the run"
+        )
+    return T_w, _number(diag_cfg, "n_windows", path, 16, int)
+
+
 def _saddle_diagnostics(P, traj, out_dir: Path, diag_cfg: dict) -> None:
-    T_w = float(diag_cfg.get("window_T", 1.0))
-    n_windows = int(diag_cfg.get("n_windows", 16))
-    apt_T = float(diag_cfg.get("apt_horizon", 2.0))
-    apt_dt = float(diag_cfg.get("apt_dt", 0.005))
-    k_terms = int(diag_cfg.get("K_terms", 4))
+    T_w, n_windows = _window_settings(traj, diag_cfg)
+    apt_T = _number(diag_cfg, "apt_horizon", "config.diagnostics", 2.0)
+    apt_dt = _number(diag_cfg, "apt_dt", "config.diagnostics", 0.005)
+    k_terms = _number(diag_cfg, "K_terms", "config.diagnostics", 4, int)
     ts = traj.t_slow
     last_start_t = ts[-1] - max(T_w, apt_T)
     starts = np.unique(np.linspace(0.0, max(last_start_t, 0.0), n_windows))
@@ -389,26 +402,21 @@ def _saddle_diagnostics(P, traj, out_dir: Path, diag_cfg: dict) -> None:
         lam = lambda_min(P, traj.Y[n_idx])
         dist = float(np.linalg.norm(traj.X[n_idx] - lam))
         rows.append((w, t0, gap, apt, dist))
-    with open(out_dir / "diagnostics.csv", "w", newline="") as fh:
-        fh.write("# columns: window, t_slow_start, interpolation_gap, apt_metric, dist_to_lambda\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["window", "t_slow_start", "interpolation_gap", "apt_metric", "dist_to_lambda"]
-        )
-        for row in rows:
-            writer.writerow([row[0]] + [f"{v:.17g}" for v in row[1:]])
+    _write_table(
+        out_dir / "diagnostics.csv",
+        ["window", "t_slow_start", "interpolation_gap", "apt_metric", "dist_to_lambda"],
+        rows,
+    )
 
 
 def _generic_diagnostics(traj, out_dir: Path, diag_cfg: dict) -> None:
-    T_w = float(diag_cfg.get("window_T", 1.0))
-    n_windows = int(diag_cfg.get("n_windows", 16))
+    T_w, n_windows = _window_settings(traj, diag_cfg)
     gaps = interpolation_gap(traj, l=1, T=T_w, n_windows=n_windows)
-    with open(out_dir / "diagnostics.csv", "w", newline="") as fh:
-        fh.write("# columns: window, interpolation_gap, apt_metric, dist_to_lambda\n")
-        writer = csv.writer(fh)
-        writer.writerow(["window", "interpolation_gap", "apt_metric", "dist_to_lambda"])
-        for w, gap in enumerate(gaps):
-            writer.writerow([w, f"{gap:.17g}", "nan", "nan"])
+    _write_table(
+        out_dir / "diagnostics.csv",
+        ["window", "interpolation_gap", "apt_metric", "dist_to_lambda"],
+        ((w, gap, "nan", "nan") for w, gap in enumerate(gaps)),
+    )
 
 
 def _run_single(cfg: dict, seed: int, out_dir: Path) -> int:
@@ -429,7 +437,8 @@ def _run_single(cfg: dict, seed: int, out_dir: Path) -> int:
             H1, H2, K1, K2, x0, y0 = _build_generic(cfg)
             traj = run(
                 H1, H2, K1, K2, schedule, x0, y0,
-                int(cfg.get("s1_0", 0)), int(cfg.get("s2_0", 0)),
+                _number(cfg, "s1_0", "config", 0, int),
+                _number(cfg, "s2_0", "config", 0, int),
                 steps, seed, noise=noise,
             )
         else:
@@ -441,7 +450,8 @@ def _run_single(cfg: dict, seed: int, out_dir: Path) -> int:
     traj.to_csv(out_dir / "trajectory.csv")
     if kind == "saddle":
         _saddle_diagnostics(P, traj, out_dir, diag_cfg)
-        rep = optimality_report(P, traj, tail_fraction=float(cfg.get("tail_fraction", 0.1)))
+        tail = _number(cfg, "tail_fraction", "config", 0.1)
+        rep = optimality_report(P, traj, tail_fraction=tail)
         (out_dir / "report.txt").write_text("\n".join(rep.lines()) + "\n")
     else:
         _generic_diagnostics(traj, out_dir, diag_cfg)
@@ -471,55 +481,37 @@ def cmd_run(cfg: dict, out_dir: Path, replicas: int) -> int:
     jobs = [
         (seed + i, out_dir / f"replica_{i:03d}") for i in range(replicas)
     ]
-    codes = []
     workers = min(replicas, 8, _usable_cpus())
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(_replica_worker, cfg_json, s, str(d)) for s, d in jobs
         ]
         codes = [f.result() for f in futures]
-    with open(out_dir / "replicas.csv", "w", newline="") as fh:
-        fh.write("# columns: replica, seed, exit_code\n")
-        writer = csv.writer(fh)
-        writer.writerow(["replica", "seed", "exit_code"])
-        for i, ((s, _), code) in enumerate(zip(jobs, codes)):
-            writer.writerow([i, s, code])
+    _write_table(
+        out_dir / "replicas.csv",
+        ["replica", "seed", "exit_code"],
+        [(i, s, code) for i, ((s, _), code) in enumerate(zip(jobs, codes))],
+    )
     return max(codes)
 
 
 def _build_di_field(cfg: dict):
-    from .meanfield import MeanField
-
     spec = _get(cfg, "field", "config")
     if "saddle_dual" in spec:
         P = build_problem(spec["saddle_dual"], path="config.field.saddle_dual")
         return dual_ode_field(P), P
     name = _get(spec, "name", "config.field")
-    dim = int(_get(cfg, "dim", "config", required=False, default=1))
-    if name == "sign":
-        def evaluate(z):
-            if z[0] > 0:
-                return ConvexSet.singleton(-np.ones(dim))
-            if z[0] < 0:
-                return ConvexSet.singleton(np.ones(dim))
-            return ConvexSet(np.vstack([-np.ones(dim), np.ones(dim)]))
-
-        return MeanField(evaluate=evaluate, dim=dim, growth_K=1.0), None
-    if name == "linear_decay":
-        return (
-            MeanField(
-                evaluate=lambda z: ConvexSet.singleton(-z), dim=dim, growth_K=1.0
-            ),
-            None,
-        )
-    raise ConfigError(f"config.field.name: unknown field {name!r}")
+    if name not in FIELDS:
+        raise ConfigError(f"config.field.name: unknown field {name!r}")
+    dim = _number(cfg, "dim", "config", 1, int)
+    return MeanField(evaluate=ZMAPS[FIELDS[name]](dim), dim=dim, growth_K=1.0), None
 
 
 def cmd_solve_di(cfg: dict, out_dir: Path, envelope: bool) -> int:
     field, P = _build_di_field(cfg)
     z0 = _matrix(_get(cfg, "z0", "config"), "config.z0")
-    T = float(_get(cfg, "T", "config"))
-    dt = float(_get(cfg, "dt", "config"))
+    T = _number(cfg, "T", "config")
+    dt = _number(cfg, "dt", "config")
     selection = cfg.get("selection", "least_norm")
     try:
         path = di_solve(field, z0, T=T, dt=dt, selection=selection)
@@ -533,19 +525,14 @@ def cmd_solve_di(cfg: dict, out_dir: Path, envelope: bool) -> int:
                 "config.field: --envelope needs a saddle_dual field"
             )
         rep = verify_envelope(P, path)
-        with open(out_dir / "envelope.csv", "w", newline="") as fh:
-            fh.write("# columns: t, V, V0_plus_integral, discrepancy\n")
-            writer = csv.writer(fh)
-            writer.writerow(["t", "V", "V0_plus_integral", "discrepancy"])
-            for t, v, integ in zip(rep.times, rep.V, rep.integral):
-                writer.writerow(
-                    [
-                        f"{t:.17g}",
-                        f"{v:.17g}",
-                        f"{rep.V[0] + integ:.17g}",
-                        f"{v - rep.V[0] - integ:.17g}",
-                    ]
-                )
+        _write_table(
+            out_dir / "envelope.csv",
+            ["t", "V", "V0_plus_integral", "discrepancy"],
+            (
+                (t, v, rep.V[0] + integ, v - rep.V[0] - integ)
+                for t, v, integ in zip(rep.times, rep.V, rep.integral)
+            ),
+        )
         print(
             f"envelope max discrepancy {rep.max_discrepancy:.3e}, "
             f"monotone={rep.monotone_ok}"

@@ -29,7 +29,23 @@ __all__ = [
     "select_velocity",
 ]
 
-MEMBERSHIP_TOL = 1e-8
+
+def _interp(clock: np.ndarray, values: np.ndarray, t) -> np.ndarray:
+    """Piecewise-linear value of knot ``values`` on ``clock`` at scalar or array
+    ``t``; times up to 1e-12 outside the clock are clamped to its ends."""
+    t = np.asarray(t, dtype=float)
+    outside = (t < clock[0] - 1e-12) | (t > clock[-1] + 1e-12)
+    if np.any(outside):
+        raise ValueError(
+            f"t={t[outside].flat[0]} outside the clock range "
+            f"[{clock[0]:g}, {clock[-1]}]"
+        )
+    if len(clock) == 1:
+        return values[np.zeros(t.shape, dtype=int)]
+    t = np.minimum(np.maximum(t, clock[0]), clock[-1])
+    i = np.minimum(np.searchsorted(clock, t, side="right") - 1, len(clock) - 2)
+    w = ((t - clock[i]) / (clock[i + 1] - clock[i]))[..., None]
+    return (1 - w) * values[i] + w * values[i + 1]
 
 
 @dataclass
@@ -61,16 +77,7 @@ class DIPath:
 
     def at(self, t: float) -> np.ndarray:
         """Piecewise-linear state at time ``t``."""
-        if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
-            raise ValueError(f"t={t} outside [{self.times[0]}, {self.times[-1]}]")
-        if len(self.times) == 1:
-            return self.states[0]
-        t = min(max(t, self.times[0]), self.times[-1])
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
-        i = min(i, len(self.times) - 2)
-        dt = self.times[i + 1] - self.times[i]
-        a = (t - self.times[i]) / dt
-        return (1 - a) * self.states[i] + a * self.states[i + 1]
+        return _interp(self.times, self.states, t)
 
     def euler_residual(self) -> float:
         dt = np.diff(self.times)[:, None]

@@ -195,7 +195,12 @@ def sample_next(K: FiniteKernel, x, y, s: int, rng: np.random.Generator) -> int:
 
 @dataclass
 class SlowMeasure:
-    """Finite product measure delta_{x*} (x) nu on iterate-state pairs."""
+    """Finite probability measure on (fast iterate, noise state) pairs.
+
+    The slow averaging family is generated by the products delta_{x*} (x) nu
+    of ``slow_measure_family``; the occupation measures of the recursion
+    (``recursion.occupation``) are measures of the same kind.
+    """
 
     xs: np.ndarray      # (n_atoms, d1)
     states: np.ndarray  # (n_atoms,)
@@ -214,6 +219,15 @@ class SlowMeasure:
         out = np.zeros(alphabet)
         np.add.at(out, self.states, self.weights)
         return out
+
+    def x_mass_within(self, centers, radius: float) -> float:
+        """Mass of the atoms whose iterate lies within ``radius`` of a center."""
+        centers = np.atleast_2d(np.asarray(centers, dtype=float))
+        mass = 0.0
+        for xa, w in zip(self.xs, self.weights):
+            if np.linalg.norm(centers - xa, axis=1).min() <= radius:
+                mass += w
+        return float(mass)
 
     def mix(self, other: "SlowMeasure", t: float) -> "SlowMeasure":
         if not 0.0 <= t <= 1.0:

@@ -11,18 +11,17 @@ over the whole family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .convex import ConvexSet, distance, minkowski_combine
+from .convex import ConvexSet, minkowski_combine
 from .markov import FiniteKernel, SlowMeasure, slow_measure_family, stationary_set
-from .svmaps import ApproxLevel, SetValuedMap, upper_approx
+from .svmaps import ApproxLevel, SamReport, SetValuedMap, _check_contract, upper_approx
 
 __all__ = [
     "MeanField",
-    "MarchaudReport",
     "aumann",
     "h1_hat",
     "h2_hat",
@@ -30,7 +29,6 @@ __all__ = [
     "fast_field",
     "slow_field",
     "approx_fast_field",
-    "approx_slow_field",
 ]
 
 
@@ -38,14 +36,12 @@ __all__ = [
 class MeanField:
     """Set-valued vector field z -> ConvexSet with linear growth.
 
-    ``kind`` tags which timescale the field averages; ``growth_K`` is the
-    Marchaud bound sup ||v|| <= growth_K * (1 + ||z||).
+    ``growth_K`` is the Marchaud bound sup ||v|| <= growth_K * (1 + ||z||).
     """
 
     evaluate: Callable
     dim: int
     growth_K: float
-    kind: str = "fast"
 
     def __call__(self, z) -> ConvexSet:
         z = np.asarray(z, dtype=float)
@@ -100,50 +96,15 @@ def h2_hat(H2: SetValuedMap, family: list[SlowMeasure], y) -> ConvexSet:
     return _hull_of_union(pieces)
 
 
-@dataclass
-class MarchaudReport:
-    convex_compact: bool = True
-    growth_ok: bool = True
-    closed_graph_ok: bool = True
-    growth_violations: list = field(default_factory=list)
-    closed_graph_failures: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.convex_compact and self.growth_ok and self.closed_graph_ok
-
-
-def check_marchaud(M: MeanField, grid, seq_probes=(), tol: float = 1e-8) -> MarchaudReport:
+def check_marchaud(M: MeanField, grid, seq_probes=(), tol: float = 1e-8) -> SamReport:
     """Sampled Marchaud-map check: structure, growth, closed-graph witnesses.
 
-    ``seq_probes`` entries are (points, values, limit_point, limit_value)
-    tuples with single-argument points.
+    ``seq_probes`` entries are ``SeqProbe``s, or (points, values,
+    limit_point, limit_value) tuples, with single-argument points.
     """
-    grid = list(grid)
-    if not grid:
-        raise ValueError("probe grid must be nonempty")
-    report = MarchaudReport()
-    for z in grid:
-        K = M(z)
-        bound = M.growth_bound(z)
-        worst = K.max_norm()
-        if worst > bound + 1e-12:
-            report.growth_ok = False
-            report.growth_violations.append((np.asarray(z), worst, bound))
-    for points, values, limit_point, limit_value in seq_probes:
-        for z, v in zip(points, values):
-            if distance(M(z), v) > tol:
-                report.closed_graph_ok = False
-                report.closed_graph_failures.append(
-                    (np.asarray(z), np.asarray(v), "value outside field")
-                )
-        gap = distance(M(limit_point), limit_value)
-        if gap > tol:
-            report.closed_graph_ok = False
-            report.closed_graph_failures.append(
-                (np.asarray(limit_point), np.asarray(limit_value), gap)
-            )
-    return report
+    return _check_contract(
+        M, M.growth_bound, np.asarray, grid, seq_probes, tol, "value outside field"
+    )
 
 
 def fast_field(H1: SetValuedMap, K1: FiniteKernel, y) -> MeanField:
@@ -155,7 +116,6 @@ def fast_field(H1: SetValuedMap, K1: FiniteKernel, y) -> MeanField:
         evaluate=lambda x: h1_hat(H1, K1, x, y),
         dim=d1,
         growth_K=growth,
-        kind="fast",
     )
 
 
@@ -174,31 +134,17 @@ def slow_field(
         family = slow_measure_family(y, lam, K2)
         return h2_hat(H2, family, y)
 
-    return MeanField(evaluate=evaluate, dim=d2, growth_K=growth_K, kind="slow")
-
-
-def _approx_wrapper(H: SetValuedMap, level: ApproxLevel) -> SetValuedMap:
-    return SetValuedMap(
-        dims=H.dims,
-        alphabet=H.alphabet,
-        evaluate=lambda x, y, s: upper_approx(H, level, x, y, s),
-        growth_K=level.growth_Kl,
-    )
+    return MeanField(evaluate=evaluate, dim=d2, growth_K=growth_K)
 
 
 def approx_fast_field(
     H1: SetValuedMap, K1: FiniteKernel, y, level: ApproxLevel
 ) -> MeanField:
     """Level-l fast mean field, averaging the upper approximant of the drift."""
-    return fast_field(_approx_wrapper(H1, level), K1, y)
-
-
-def approx_slow_field(
-    H2: SetValuedMap,
-    K2: FiniteKernel,
-    lambda_fn: Callable,
-    growth_K: float,
-    level: ApproxLevel,
-) -> MeanField:
-    """Level-l slow mean field, averaging the upper approximant of the drift."""
-    return slow_field(_approx_wrapper(H2, level), K2, lambda_fn, growth_K)
+    H1l = SetValuedMap(
+        dims=H1.dims,
+        alphabet=H1.alphabet,
+        evaluate=lambda x, y, s: upper_approx(H1, level, x, y, s),
+        growth_K=level.growth_Kl,
+    )
+    return fast_field(H1l, K1, y)

@@ -10,18 +10,15 @@ noise-free re-integrations, and occupation measures over windows.
 from __future__ import annotations
 
 import csv
-import hashlib
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 from scipy.special import zeta
 
 from .convex import distance
-from .dynamics import select_velocity
-from .markov import FiniteKernel, sample_next
+from .dynamics import _interp, select_velocity
+from .markov import FiniteKernel, SlowMeasure, sample_next
 from .svmaps import SetValuedMap
 
 __all__ = [
@@ -29,7 +26,6 @@ __all__ = [
     "ScheduleReport",
     "NoiseModel",
     "Trajectory",
-    "EmpiricalMeasure",
     "DivergenceError",
     "validate_schedule",
     "run",
@@ -226,18 +222,6 @@ class Trajectory:
                 )
                 writer.writerow(row)
 
-    def manifest(self, config: Optional[dict] = None) -> dict:
-        from . import __version__
-
-        payload = json.dumps(config, sort_keys=True) if config else ""
-        return {
-            "seed": int(self.seed),
-            "steps": self.n_steps,
-            "config_sha256": hashlib.sha256(payload.encode()).hexdigest(),
-            "twoscale_version": __version__,
-            "numpy_version": np.__version__,
-        }
-
 
 def run(
     H1: SetValuedMap,
@@ -310,28 +294,11 @@ def run(
     )
 
 
-def _interp(clock: np.ndarray, values: np.ndarray, t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    outside = (t < clock[0] - 1e-12) | (t > clock[-1] + 1e-12)
-    if np.any(outside):
-        raise ValueError(
-            f"t={t[outside].flat[0]} outside the clock range [0, {clock[-1]}]"
-        )
-    if len(clock) == 1:
-        return values[np.zeros(t.shape, dtype=int)]
-    t = np.minimum(np.maximum(t, clock[0]), clock[-1])
-    i = np.minimum(np.searchsorted(clock, t, side="right") - 1, len(clock) - 2)
-    w = ((t - clock[i]) / (clock[i + 1] - clock[i]))[..., None]
-    return (1 - w) * values[i] + w * values[i + 1]
-
-
 def interpolate(traj: Trajectory, scale: str, t) -> np.ndarray:
     """Piecewise-linear sample path value at elapsed clock time ``t``.
 
-    ``fast`` interpolates X on the fast clock, ``slow`` interpolates Y on
-    the slow clock, and ``joint`` interpolates the stacked pair (X, Y) on
-    the fast clock (the object whose shifts the fast-timescale theory
-    compares against its inclusion).
+    ``fast`` interpolates X on the fast clock and ``slow`` interpolates Y
+    on the slow clock.
 
     ``t`` is a scalar, giving one value of shape ``(d,)``, or an array of
     times, giving one row per time (shape ``t.shape + (d,)``); each row
@@ -343,8 +310,6 @@ def interpolate(traj: Trajectory, scale: str, t) -> np.ndarray:
         return _interp(traj.t_fast, traj.X, t)
     if scale == "slow":
         return _interp(traj.t_slow, traj.Y, t)
-    if scale == "joint":
-        return _interp(traj.t_fast, np.hstack([traj.X, traj.Y]), t)
     raise ValueError(f"unknown scale {scale!r}")
 
 
@@ -421,37 +386,12 @@ def noise_partial_sup(traj: Trajectory, T: float, n_windows: int = 64) -> np.nda
     )
 
 
-@dataclass
-class EmpiricalMeasure:
-    """Uniform occupation measure of (fast iterate, slow noise state) pairs."""
-
-    xs: np.ndarray       # (n, d1)
-    states: np.ndarray   # (n,)
-    weights: np.ndarray  # (n,)
-
-    def __post_init__(self):
-        if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be a probability vector")
-
-    def s_marginal(self, alphabet: int) -> np.ndarray:
-        out = np.zeros(alphabet)
-        np.add.at(out, self.states, self.weights)
-        return out
-
-    def x_mass_within(self, centers, radius: float) -> float:
-        centers = np.atleast_2d(np.asarray(centers, dtype=float))
-        mass = 0.0
-        for xa, w in zip(self.xs, self.weights):
-            if np.linalg.norm(centers - xa, axis=1).min() <= radius:
-                mass += w
-        return float(mass)
-
-
-def occupation(traj: Trajectory, window: slice) -> EmpiricalMeasure:
-    """Occupation measure of the trajectory over an index window."""
+def occupation(traj: Trajectory, window: slice) -> SlowMeasure:
+    """Uniform occupation measure of (fast iterate, slow noise state) pairs
+    over an index window."""
     xs = traj.X[window]
     states = traj.S2[window]
     if len(xs) == 0:
         raise ValueError("empty window")
     w = np.full(len(xs), 1.0 / len(xs))
-    return EmpiricalMeasure(xs=xs, states=states, weights=w)
+    return SlowMeasure(xs=xs, states=states, weights=w)

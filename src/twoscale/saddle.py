@@ -489,7 +489,7 @@ def dual_ode_field(P: SaddleProblem) -> MeanField:
         record.setdefault(y.tobytes(), lam)
         return ConvexSet.singleton(C_mu @ lam - w_mu)
 
-    return MeanField(evaluate=evaluate, dim=P.d2, growth_K=growth, kind="slow")
+    return MeanField(evaluate=evaluate, dim=P.d2, growth_K=growth)
 
 
 def averaged_slow_field(P: SaddleProblem) -> MeanField:

@@ -15,19 +15,11 @@ and returns a convex compact set.  Three facilities live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .convex import (
-    ConvexSet,
-    direction_net,
-    distance,
-    minkowski_combine,
-    project,
-    support,
-    unit_ball_set,
-)
+from .convex import ConvexSet, distance, minkowski_combine, project, unit_ball_set
 
 __all__ = [
     "SetValuedMap",
@@ -121,12 +113,13 @@ class ApproxLevel:
         return 2 ** min(self.l + 3, 8)
 
 
-@dataclass
-class SeqProbe:
+class SeqProbe(NamedTuple):
     """A convergent witness sequence for the closed-graph check.
 
-    ``points`` and ``values`` sample (x_n, y_n, s_n) and z_n in F(x_n,y_n,s_n);
-    ``limit_point``/``limit_value`` are the declared limits.
+    ``points`` and ``values`` sample probe points p_n and z_n in F(p_n);
+    ``limit_point``/``limit_value`` are the declared limits.  A probe point
+    is (x, y, s) for a drift map and z for a mean field; plain 4-tuples in
+    this field order are accepted wherever a ``SeqProbe`` is.
     """
 
     points: list
@@ -137,6 +130,9 @@ class SeqProbe:
 
 @dataclass
 class SamReport:
+    """Outcome of a sampled Marchaud-contract check of a drift map or a
+    mean field: convex compact values, linear growth, closed graph."""
+
     convex_compact: bool = True
     growth_ok: bool = True
     closed_graph_ok: bool = True
@@ -148,45 +144,58 @@ class SamReport:
         return self.convex_compact and self.growth_ok and self.closed_graph_ok
 
 
+def _check_contract(
+    value: Callable, bound: Callable, record: Callable, grid, seq_probes, tol: float,
+    outside: str,
+) -> SamReport:
+    """Growth and closed-graph loops shared by every map contract check.
+
+    ``value(p)`` is the map's set at probe point p, ``bound(p)`` its declared
+    growth bound there, and ``record(p)`` the form p is recorded in.
+    Violations are (point, worst norm, bound); closed-graph failures are
+    (point, value, ``outside`` or the limit gap).
+    """
+    grid = list(grid)
+    if not grid:
+        raise ValueError("probe grid must be nonempty")
+    report = SamReport()
+    for p in grid:
+        worst = value(p).max_norm()
+        b = bound(p)
+        if worst > b + 1e-12:
+            report.growth_ok = False
+            report.growth_violations.append((record(p), worst, b))
+    for points, values, limit_point, limit_value in seq_probes:
+        for p, z in zip(points, values):
+            if distance(value(p), z) > tol:
+                report.closed_graph_ok = False
+                report.closed_graph_failures.append((record(p), np.asarray(z), outside))
+        gap = distance(value(limit_point), limit_value)
+        if gap > tol:
+            report.closed_graph_ok = False
+            report.closed_graph_failures.append(
+                (record(limit_point), np.asarray(limit_value), gap)
+            )
+    return report
+
+
 def validate_sam(
     F: SetValuedMap,
     grid,
     seq_probes=(),
     tol: float = CLOSED_GRAPH_TOL,
 ) -> SamReport:
-    """Check the drift-map contract at finitely many probes.
+    """Check the drift-map contract at finitely many (x, y, s) probes.
 
     Convexity and compactness hold by representation (finite generator
     hulls) and are recorded as such.  The growth declaration is evaluated at
     every grid probe; each witness sequence must keep its values inside the
     map and land its limit value inside the limit set.
     """
-    grid = list(grid)
-    if not grid:
-        raise ValueError("probe grid must be nonempty")
-    report = SamReport()
-    for x, y, s in grid:
-        K = F(x, y, s)
-        bound = F.growth_bound(x, y)
-        worst = K.max_norm()
-        if worst > bound + 1e-12:
-            report.growth_ok = False
-            report.growth_violations.append(((x, y, s), worst, bound))
-    for probe in seq_probes:
-        for (x, y, s), z in zip(probe.points, probe.values):
-            if distance(F(x, y, s), z) > tol:
-                report.closed_graph_ok = False
-                report.closed_graph_failures.append(
-                    ((x, y, s), np.asarray(z), "value outside map along sequence")
-                )
-        x, y, s = probe.limit_point
-        gap = distance(F(x, y, s), probe.limit_value)
-        if gap > tol:
-            report.closed_graph_ok = False
-            report.closed_graph_failures.append(
-                (probe.limit_point, np.asarray(probe.limit_value), gap)
-            )
-    return report
+    return _check_contract(
+        lambda p: F(*p), lambda p: F.growth_bound(p[0], p[1]), tuple,
+        grid, seq_probes, tol, "value outside map along sequence",
+    )
 
 
 _BALL_NET_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -263,13 +272,3 @@ def parametrize(F_l_value: ConvexSet, u, R: float) -> np.ndarray:
         )
     return project(F_l_value, c + R * u)
 
-
-def approx_support_gap(F: SetValuedMap, level: ApproxLevel, x, y, s: int):
-    """Support values of F and its level-l approximant on the direction net."""
-    k = F.dims[2]
-    net = direction_net(k)
-    K = F(x, y, s)
-    Kl = upper_approx(F, level, x, y, s)
-    sF = np.array([support(K, d) for d in net])
-    sFl = np.array([support(Kl, d) for d in net])
-    return sF, sFl

@@ -380,3 +380,108 @@ class TestSaddleDiagnostics:
             assert gap == pytest.approx(worst, rel=1e-9)
         # No envelope check follows, so no dual-flow minimizer is kept.
         assert not P._lambda_record
+
+
+GENERIC = {
+    "kind": "two_timescale",
+    "d1": 1,
+    "d2": 1,
+    "drift_fast": {"name": "negate_x"},
+    "drift_slow": {"name": "negate_y"},
+    "schedule": {"alpha": 0.6, "beta": 0.9},
+    "steps": 50,
+    "seed": 0,
+    "x0": [1.0],
+    "y0": [1.0],
+}
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "command, base", [("saddle", CANONICAL), ("run", GENERIC)], ids=["saddle", "run"]
+    )
+    def test_window_longer_than_run_named(self, tmp_path, capsys, command, base):
+        cfg = json.loads(json.dumps(base))
+        cfg["diagnostics"] = dict(cfg.get("diagnostics", {}), window_T=2.0)
+        cfg["out"] = str(tmp_path / "out")
+        path = write_config(tmp_path, cfg)
+        # One step: the slow clock spans b(0) = 1.0 < window_T.
+        assert main([command, "--config", str(path), "--steps", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "config.diagnostics.window_T" in err and "1.0" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "field, patch",
+        [
+            ("config.seed", {"seed": "abc"}),
+            ("config.d1", {"d1": "two"}),
+            ("config.diagnostics.window_T", {"diagnostics": {"window_T": "x"}}),
+        ],
+        ids=["seed", "d1", "window_T"],
+    )
+    def test_non_numeric_field_named(self, tmp_path, capsys, field, patch):
+        cfg = dict(json.loads(json.dumps(GENERIC)), **patch)
+        cfg["out"] = str(tmp_path / "out")
+        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 1
+        err = capsys.readouterr().err
+        assert field in err and "expected a number" in err
+        assert "Traceback" not in err
+
+
+def _sign(v):
+    if v[0] > 0:
+        return [-np.ones(len(v))]
+    if v[0] < 0:
+        return [np.ones(len(v))]
+    return [-np.ones(len(v)), np.ones(len(v))]
+
+
+# Generator rows of each built-in drift at (x, y), in closed form.
+DRIFT_FORMS = {
+    "negate_x": lambda x, y: [-x],
+    "negate_y": lambda x, y: [-y],
+    "zero_fast": lambda x, y: [np.zeros_like(x)],
+    "zero_slow": lambda x, y: [np.zeros_like(y)],
+    "expand_x": lambda x, y: [x],
+    "sign_fast": lambda x, y: _sign(x),
+}
+FIELD_FORMS = {"sign": _sign, "linear_decay": lambda z: [-z]}
+POINTS = [np.array([0.0, 2.0]), np.array([1.5, -1.0]), np.array([-0.5, 3.0])]
+
+
+class TestBuiltins:
+    def test_tables_covered(self):
+        assert set(DRIFT_FORMS) == set(cli.DRIFTS)
+        assert set(FIELD_FORMS) == set(cli.FIELDS)
+
+    @pytest.mark.parametrize("name", sorted(DRIFT_FORMS))
+    def test_drift_closed_form(self, name):
+        cfg = dict(GENERIC, d1=2, d2=3, alphabet=2)
+        cfg["drift_fast"] = cfg["drift_slow"] = {"name": name}
+        H1, H2, *_ = cli._build_generic(cfg)
+        for x in POINTS:
+            y = np.array([-x[0], 0.5, 1.0])
+            expect = np.array(DRIFT_FORMS[name](x, y))
+            for H in (H1, H2):
+                assert H.dims == (2, 3, expect.shape[1])
+                for s in (0, 1):
+                    assert np.array_equal(H(x, y, s).points, expect)
+
+    @pytest.mark.parametrize("name", sorted(FIELD_FORMS))
+    def test_field_closed_form(self, name):
+        field, P = cli._build_di_field({"field": {"name": name}, "dim": 2})
+        assert P is None and field.dim == 2
+        for z in POINTS:
+            for _ in range(2):  # constant sets are shared across calls
+                got = field(z).points
+                assert np.array_equal(got, np.array(FIELD_FORMS[name](z)))
+
+    def test_unknown_names_keep_messages(self, tmp_path, capsys):
+        cfg = dict(GENERIC, drift_fast={"name": "nope"}, out=str(tmp_path / "o"))
+        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 1
+        assert "unknown drift 'nope'; have [" in capsys.readouterr().err
+        cfg = {"kind": "di", "field": {"name": "nope"}, "z0": [0.0], "T": 1.0,
+               "dt": 0.1, "out": str(tmp_path / "o")}
+        assert main(["solve-di", "--config", str(write_config(tmp_path, cfg))]) == 1
+        assert "config.field.name: unknown field 'nope'" in capsys.readouterr().err

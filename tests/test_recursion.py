@@ -163,7 +163,7 @@ class TestInterpolate:
         with pytest.raises(ValueError):
             interpolate(traj, "slow", traj.t_slow[-1] + 1.0)
 
-    @pytest.mark.parametrize("scale", ["fast", "slow", "joint"])
+    @pytest.mark.parametrize("scale", ["fast", "slow"])
     def test_array_matches_scalar_calls(self, scale):
         noise = NoiseModel(fast_scale=0.2, slow_scale=0.2)
         H1, H2, K = decay_pair()
@@ -177,7 +177,7 @@ class TestInterpolate:
         ])
         got = interpolate(traj, scale, times)
         expect = np.stack([interpolate(traj, scale, t) for t in times])
-        assert got.shape == expect.shape == (len(times), 1 if scale != "joint" else 2)
+        assert got.shape == expect.shape == (len(times), 1)
         assert np.array_equal(got, expect)
         knot_rows = traj.Y if scale == "slow" else traj.X
         assert np.array_equal(got[:6, :1], knot_rows[[0, 1, 7, 50, 99, 100]])
@@ -192,8 +192,8 @@ class TestInterpolate:
     def test_array_zero_steps_repeats_first_row(self):
         H1, H2, K = decay_pair()
         traj = run(H1, H2, K, K, SCHED, [1.0], [2.0], 0, 0, N=0, seed=0)
-        got = interpolate(traj, "joint", np.array([0.0, 1e-13, 0.0]))
-        assert np.array_equal(got, np.tile([1.0, 2.0], (3, 1)))
+        got = interpolate(traj, "slow", np.array([0.0, 1e-13, 0.0]))
+        assert np.array_equal(got, np.tile([2.0], (3, 1)))
 
     def test_clocks_computed_once(self):
         traj = self.make_traj()
@@ -319,25 +319,8 @@ class TestCsvAndManifest:
         lines = out1.read_text().splitlines()
         assert len(lines) == 2 + 26
 
-    def test_manifest_hash_tracks_config(self):
-        H1, H2, K = decay_pair()
-        traj = run(H1, H2, K, K, SCHED, [1.0], [1.0], 0, 0, N=5, seed=0)
-        m1 = traj.manifest({"steps": 5})
-        m2 = traj.manifest({"steps": 6})
-        assert m1["config_sha256"] != m2["config_sha256"]
-        assert m1 == traj.manifest({"steps": 5})
-
 
 class TestMoreRunPaths:
-    def test_joint_interpolation_knots(self):
-        H1, H2, K = decay_pair()
-        traj = run(H1, H2, K, K, SCHED, [1.0], [2.0], 0, 0, N=30, seed=0)
-        for n in (0, 5, 30):
-            expect = np.concatenate([traj.X[n], traj.Y[n]])
-            np.testing.assert_array_equal(
-                interpolate(traj, "joint", traj.t_fast[n]), expect
-            )
-
     def test_interpolate_zero_steps(self):
         H1, H2, K = decay_pair()
         traj = run(H1, H2, K, K, SCHED, [1.0], [2.0], 0, 0, N=0, seed=0)
