@@ -291,13 +291,13 @@ def cmd_validate(cfg: dict, out_dir: Path) -> int:
     def contract(name, rep):
         checks.append((name, rep.ok, "ok" if rep.ok else "failed"))
 
-    schedule_cfg = _get(cfg, "schedule", "config")
-    try:
-        schedule = _build_schedule(schedule_cfg)
-        rep = validate_schedule(schedule, max(int(cfg.get("steps", 1000)), 2))
-        checks.append(("schedule", rep.ok, "; ".join(rep.messages) or "ok"))
-    except ConfigError as err:
-        checks.append(("schedule", False, str(err)))
+    if kind in ("saddle", "two_timescale"):
+        try:
+            schedule = _build_schedule(_get(cfg, "schedule", "config"))
+            rep = validate_schedule(schedule, max(int(cfg.get("steps", 1000)), 2))
+            checks.append(("schedule", rep.ok, "; ".join(rep.messages) or "ok"))
+        except ConfigError as err:
+            checks.append(("schedule", False, str(err)))
 
     if kind == "saddle":
         try:
@@ -389,18 +389,18 @@ def _saddle_diagnostics(P, traj, out_dir: Path, diag_cfg: dict) -> None:
     last_start_t = ts[-1] - max(T_w, apt_T)
     starts = np.unique(np.linspace(0.0, max(last_start_t, 0.0), n_windows))
     gaps = interpolation_gap(traj, l=1, T=T_w, starts=starts)
-    fld = dual_ode_field(P)
+    # Every window's dual flow in one batched integration, and every
+    # window's minimizer in one batched solve.
+    flows = di_solve(
+        dual_ode_field(P), interpolate(traj, "slow", starts), T=apt_T, dt=apt_dt
+    )
+    n_idx = np.minimum(np.searchsorted(ts, starts), traj.n_steps)
+    lams = lambda_min(P, traj.Y[n_idx])
     rows = []
     for w, (t0, gap) in enumerate(zip(starts, gaps)):
-        y0 = interpolate(traj, "slow", t0)
-        path = di_solve(fld, y0, T=apt_T, dt=apt_dt)
-        # No envelope check follows, so the field's minimizers are not kept.
-        P.clear_lambda_record()
-        sampled = interpolate(traj, "slow", np.minimum(t0 + path.times, ts[-1]))
-        apt = apt_metric(path.times, sampled, path.states, K_terms=k_terms)
-        n_idx = min(int(np.searchsorted(ts, t0)), traj.n_steps)
-        lam = lambda_min(P, traj.Y[n_idx])
-        dist = float(np.linalg.norm(traj.X[n_idx] - lam))
+        sampled = interpolate(traj, "slow", np.minimum(t0 + flows.times, ts[-1]))
+        apt = apt_metric(flows.times, sampled, flows.states[:, w], K_terms=k_terms)
+        dist = float(np.linalg.norm(traj.X[n_idx[w]] - lams[w]))
         rows.append((w, t0, gap, apt, dist))
     _write_table(
         out_dir / "diagnostics.csv",

@@ -32,7 +32,11 @@ __all__ = [
 
 def _interp(clock: np.ndarray, values: np.ndarray, t) -> np.ndarray:
     """Piecewise-linear value of knot ``values`` on ``clock`` at scalar or array
-    ``t``; times up to 1e-12 outside the clock are clamped to its ends."""
+    ``t``; times up to 1e-12 outside the clock are clamped to its ends.
+
+    ``values`` has one entry per knot of any shape; the result has shape
+    ``t.shape + values.shape[1:]``.
+    """
     t = np.asarray(t, dtype=float)
     outside = (t < clock[0] - 1e-12) | (t > clock[-1] + 1e-12)
     if np.any(outside):
@@ -44,7 +48,8 @@ def _interp(clock: np.ndarray, values: np.ndarray, t) -> np.ndarray:
         return values[np.zeros(t.shape, dtype=int)]
     t = np.minimum(np.maximum(t, clock[0]), clock[-1])
     i = np.minimum(np.searchsorted(clock, t, side="right") - 1, len(clock) - 2)
-    w = ((t - clock[i]) / (clock[i + 1] - clock[i]))[..., None]
+    w = (t - clock[i]) / (clock[i + 1] - clock[i])
+    w = w.reshape(w.shape + (1,) * (values.ndim - 1))
     return (1 - w) * values[i] + w * values[i + 1]
 
 
@@ -54,11 +59,14 @@ class DIPath:
 
     states[i+1] = states[i] + (times[i+1] - times[i]) * selections[i] holds
     exactly; every selection lies in the field at its state within tolerance.
+    A batched path, from ``di_solve`` on a block of starts, carries one
+    column of states and selections per start: ``states[:, r]`` is the path
+    of start r.
     """
 
     times: np.ndarray       # (N+1,)
-    states: np.ndarray      # (N+1, k)
-    selections: np.ndarray  # (N, k)
+    states: np.ndarray      # (N+1, k), or (N+1, R, k) when batched
+    selections: np.ndarray  # (N, k), or (N, R, k) when batched
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -75,22 +83,28 @@ class DIPath:
     def horizon(self) -> float:
         return float(self.times[-1])
 
-    def at(self, t: float) -> np.ndarray:
-        """Piecewise-linear state at time ``t``."""
+    def _single(self, what: str) -> None:
+        if self.states.ndim == 3:
+            raise ValueError(f"{what} needs a single path; slice states[:, r] first")
+
+    def at(self, t) -> np.ndarray:
+        """Piecewise-linear state at scalar or array time ``t``."""
         return _interp(self.times, self.states, t)
 
     def euler_residual(self) -> float:
-        dt = np.diff(self.times)[:, None]
+        dt = np.diff(self.times).reshape((-1,) + (1,) * (self.states.ndim - 1))
         pred = self.states[:-1] + dt * self.selections
         return float(np.abs(pred - self.states[1:]).max())
 
     def membership_residual(self, field: MeanField) -> float:
+        self._single("membership_residual")
         worst = 0.0
         for z, v in zip(self.states[:-1], self.selections):
             worst = max(worst, distance(field(z), v))
         return worst
 
     def to_csv(self, path) -> None:
+        self._single("to_csv")
         k = self.states.shape[1]
         with open(path, "w", newline="") as fh:
             fh.write(
@@ -155,23 +169,33 @@ def di_solve(
     u: Optional[np.ndarray] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> DIPath:
-    """Explicit Euler integration of dz/dt in H(z) with a selection rule."""
+    """Explicit Euler integration of dz/dt in H(z) with a selection rule.
+
+    A 2-d ``z0`` of shape ``(R, dim)`` steps R starts at once through
+    ``H.evaluate_rows``, which a single-valued field provides (the selection
+    rule is then moot); the result is one batched ``DIPath`` whose column r
+    is the path from ``z0[r]``.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if T < dt:
         raise ValueError("horizon must be at least one step")
     z0 = np.asarray(z0, dtype=float)
     n = int(round(T / dt))
-    states = np.empty((n + 1, H.dim))
-    sels = np.empty((n, H.dim))
-    states[0] = z0
-    max_norm = float(np.linalg.norm(z0))
-    for i in range(n):
-        K = H(states[i])
-        v = select_velocity(K, selection, states[i], dt, target=target, u=u, rng=rng)
-        sels[i] = v
-        states[i + 1] = states[i] + dt * v
-        max_norm = max(max_norm, float(np.linalg.norm(states[i + 1])))
+    if z0.ndim == 2:
+        states, sels = _euler_rows(H, z0, n, dt)
+    else:
+        states = np.empty((n + 1, H.dim))
+        sels = np.empty((n, H.dim))
+        states[0] = z0
+        for i in range(n):
+            K = H(states[i])
+            v = select_velocity(
+                K, selection, states[i], dt, target=target, u=u, rng=rng
+            )
+            sels[i] = v
+            states[i + 1] = states[i] + dt * v
+    max_norm = float(np.linalg.norm(states, axis=-1).max())
     if dt * H.growth_K * (1.0 + max_norm) > 0.1:
         warnings.warn(
             f"Euler step dt={dt} is coarse for growth {H.growth_K} at "
@@ -183,12 +207,28 @@ def di_solve(
     return DIPath(times=times, states=states, selections=sels)
 
 
+def _euler_rows(H: MeanField, Z0: np.ndarray, n: int, dt: float):
+    """States and selections of Euler steps from every row of Z0 at once."""
+    if H.evaluate_rows is None:
+        raise ValueError("a block of starts needs a field with evaluate_rows")
+    if Z0.shape[1] != H.dim:
+        raise ValueError(f"starts have shape {Z0.shape}, field has dim {H.dim}")
+    states = np.empty((n + 1,) + Z0.shape)
+    sels = np.empty((n,) + Z0.shape)
+    states[0] = Z0
+    for i in range(n):
+        sels[i] = H.evaluate_rows(states[i])
+        states[i + 1] = states[i] + dt * sels[i]
+    return states, sels
+
+
 def limit_set(path: DIPath, burn_in: float, tol: float = 1e-3) -> np.ndarray:
     """Representatives of the path's tail after ``burn_in``.
 
     Greedy clustering with radius tol/2, approximating the omega-limit set
     of the sampled trajectory.
     """
+    path._single("limit_set")
     if burn_in >= path.horizon:
         raise ValueError("burn_in must be below the path horizon")
     tail = path.states[path.times >= burn_in]

@@ -37,6 +37,8 @@ class FiniteKernel:
             raise ValueError("alphabet size must be >= 1")
         self.alphabet = int(alphabet)
         self._row = row
+        self.matrix = None  # set by ``constant``
+        self._stationary = None
 
     @classmethod
     def constant(cls, matrix) -> "FiniteKernel":
@@ -59,6 +61,18 @@ class FiniteKernel:
     def frozen(self, x, y) -> np.ndarray:
         """Transition matrix with the iterates held fixed."""
         return np.array([self.row(x, y, s) for s in range(self.alphabet)])
+
+    def stationary(self, x, y) -> "StationarySet":
+        """Stationary set of the kernel frozen at ``(x, y)``.
+
+        A constant kernel's set is solved once and kept; it is read-only.
+        """
+        if self._stationary is not None:
+            return self._stationary
+        stat = stationary_set(self.frozen(x, y))
+        if self.matrix is not None:
+            self._stationary = stat
+        return stat
 
 
 def _check_stochastic(P: np.ndarray, tol: float = ROW_TOL) -> None:
@@ -276,9 +290,7 @@ def slow_measure_family(
         raise ValueError("lambda_points must be nonempty")
     out = []
     for x_star in lam:
-        P = K2.frozen(x_star, y)
-        stat = stationary_set(P)
-        for nu in stat.vertices:
+        for nu in K2.stationary(x_star, y).vertices:
             keep = nu > 0.0
             out.append(
                 SlowMeasure(

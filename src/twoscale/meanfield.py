@@ -12,12 +12,12 @@ over the whole family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from .convex import ConvexSet, minkowski_combine
-from .markov import FiniteKernel, SlowMeasure, slow_measure_family, stationary_set
+from .markov import FiniteKernel, SlowMeasure, slow_measure_family
 from .svmaps import ApproxLevel, SamReport, SetValuedMap, _check_contract, upper_approx
 
 __all__ = [
@@ -37,11 +37,15 @@ class MeanField:
     """Set-valued vector field z -> ConvexSet with linear growth.
 
     ``growth_K`` is the Marchaud bound sup ||v|| <= growth_K * (1 + ||z||).
+    A single-valued field may also give ``evaluate_rows``, mapping a block
+    of states ``(R, dim)`` to their velocities ``(R, dim)``; ``di_solve``
+    uses it to step many starts at once.
     """
 
     evaluate: Callable
     dim: int
     growth_K: float
+    evaluate_rows: Optional[Callable] = None
 
     def __call__(self, z) -> ConvexSet:
         z = np.asarray(z, dtype=float)
@@ -78,8 +82,7 @@ def h1_hat(H1: SetValuedMap, K1: FiniteKernel, x, y) -> ConvexSet:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     slices = [H1(x, y, s) for s in range(H1.alphabet)]
-    P = K1.frozen(x, y)
-    stat = stationary_set(P)
+    stat = K1.stationary(x, y)
     pieces = [aumann(slices, mu) for mu in stat.vertices]
     return _hull_of_union(pieces)
 

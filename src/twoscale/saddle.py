@@ -22,7 +22,7 @@ import numpy as np
 
 from .convex import ConvexSet, direction_net, minkowski_combine, project
 from .dynamics import DIPath
-from .markov import FiniteKernel, stationary_set
+from .markov import FiniteKernel
 from .meanfield import MeanField, slow_field
 from .recursion import NoiseModel, StepSchedule, Trajectory, run
 from .svmaps import SetValuedMap
@@ -76,6 +76,12 @@ class SaddleProblem:
     must enclose the witnesses and clear the sampled coercivity check;
     ``epsilon`` sets both the strong-convexity term and the optimality slack
     the penalized solution is allowed versus the original problem.
+
+    ``objective_rows(X, s) -> (R,)`` and ``subgrad_rows(X, s) -> (R, d1)``
+    are optional array forms over a leading batch axis, used by
+    ``lambda_min`` on a block of multipliers.  Row r of each must equal the
+    scalar oracle at ``X[r]``; a ``subgrad_rows`` row of NaN marks a
+    subdifferential with more than one point.
     """
 
     def __init__(
@@ -89,9 +95,13 @@ class SaddleProblem:
         radius: float,
         growth_K: float,
         feasible_points,
+        objective_rows: Optional[Callable] = None,
+        subgrad_rows: Optional[Callable] = None,
     ):
         self.objective = objective
         self.subgrad = subgrad
+        self.objective_rows = objective_rows
+        self.subgrad_rows = subgrad_rows
         self.C = np.asarray(C, dtype=float)
         self.w = np.asarray(w, dtype=float)
         if self.C.ndim != 3 or self.w.ndim != 2:
@@ -117,15 +127,6 @@ class SaddleProblem:
         # lambda(y) found by the latest dual_ode_field, keyed on y.tobytes();
         # verify_envelope pops the entries it reuses.
         self._lambda_record: dict[bytes, np.ndarray] = {}
-
-    def clear_lambda_record(self) -> None:
-        """Drop the minimizers the latest ``dual_ode_field`` has recorded.
-
-        For callers that integrate the dual flow without checking the
-        envelope afterwards; the field keeps recording into the same, now
-        empty, record.
-        """
-        self._lambda_record.clear()
 
     def _validate(self) -> None:
         for s in range(self.alphabet):
@@ -170,8 +171,7 @@ class SaddleProblem:
     def mu(self) -> np.ndarray:
         """Unique stationary row of the kernel frozen at the reference point."""
         if self._mu is None:
-            P = self.kernel.frozen(self.reference_point(), np.zeros(self.d2))
-            stat = stationary_set(P)
+            stat = self.kernel.stationary(self.reference_point(), np.zeros(self.d2))
             if stat.n_vertices != 1:
                 raise ValueError(
                     f"the chain has {stat.n_vertices} stationary vertices; "
@@ -227,6 +227,13 @@ def quadratic_problem(
     def subgrad(x, s):
         return ConvexSet._trusted((np.asarray(x, dtype=float) - theta[s])[None, :])
 
+    def objective_rows(X, s):
+        D = X - theta[s]
+        return 0.5 * (D * D).sum(axis=1)
+
+    def subgrad_rows(X, s):
+        return X - theta[s]
+
     if growth_K is None:
         # ||x - theta_s|| <= (1 + max||theta||)(1 + ||x||).
         growth_K = 1.0 + float(np.linalg.norm(theta, axis=1).max())
@@ -244,6 +251,8 @@ def quadratic_problem(
         radius=radius,
         growth_K=growth_K,
         feasible_points=feasible_points,
+        objective_rows=objective_rows,
+        subgrad_rows=subgrad_rows,
     )
 
 
@@ -363,8 +372,15 @@ def lambda_min(
     While every per-state subgradient is a single point the iteration runs
     on plain arrays; a set-valued subgradient is handled by projecting the
     averaged generator cloud.
+
+    A 2-d ``y`` of shape ``(R, d2)`` is a block of multipliers, with ``x0``
+    None or of shape ``(R, d1)``; the result has shape ``(R, d1)`` and row r
+    equals the call on ``y[r]`` from ``x0[r]`` bit for bit (see
+    ``_lambda_min_rows``).
     """
     y = np.asarray(y, dtype=float)
+    if y.ndim == 2:
+        return _lambda_min_rows(P, y, x0, grad_tol, max_iter)
     cy = P.C_mu.T @ y
     x = np.array(x0, dtype=float) if x0 is not None else P.reference_point().copy()
     mu, objective = P.mu, P.objective
@@ -428,6 +444,139 @@ def lambda_min(
     return x
 
 
+def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row-wise inner products, each computed as the 1-d ``a @ b`` would be."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+
+
+def _prox_penalty_rows(P: SaddleProblem, V: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """``_prox_penalty`` applied to each row of V with its own step; a zero
+    row divides by zero, under the caller's ``np.errstate``."""
+    nv = np.sqrt(_rowdot(V, V))
+    a = gamma * P.epsilon / P.radius**2
+    rho = nv / (1.0 + a)
+    rho_out = nv / (1.0 + a + gamma * (P.growth_K + 1))
+    rho = np.where(rho > P.radius, np.maximum(rho_out, P.radius), rho)
+    out = (rho / nv)[:, None] * V
+    out[nv == 0.0] = 0.0
+    return out
+
+
+def _lambda_min_rows(
+    P: SaddleProblem, Y: np.ndarray, X0, grad_tol: float, max_iter: int
+) -> np.ndarray:
+    """``lambda_min`` on every row of Y at once, under masks.
+
+    Each row takes the scalar solver's steps (spectral step, Armijo halving,
+    radial prox, residual test, support-function certificate) on plain
+    arrays, with every inner product formed as the scalar code forms it, so
+    the rows are bit-identical to scalar calls.  A row that leaves this path
+    (a stall, a set-valued subgradient, a minimizer on the barrier band or a
+    failed certificate) is solved again by the scalar ``lambda_min`` from
+    its own start, which raises or projects exactly as a scalar call would.
+    A problem without row oracles has every row solved that way.
+    """
+    R = Y.shape[0]
+    if Y.shape[1] != P.d2:
+        raise ValueError(f"multipliers have shape {Y.shape}, need (R, {P.d2})")
+    if X0 is None:
+        X0 = P.reference_point()
+    start = np.array(np.broadcast_to(np.asarray(X0, dtype=float), (R, P.d1)))
+    if P.objective_rows is None or P.subgrad_rows is None:
+        X, redo = start.copy(), np.ones(R, dtype=bool)
+    else:
+        X, redo = _batched_steps(P, Y, start, grad_tol, max_iter)
+    for r in np.flatnonzero(redo):
+        X[r] = lambda_min(P, Y[r], x0=start[r], grad_tol=grad_tol, max_iter=max_iter)
+    return X
+
+
+def _batched_steps(P, Y, X, grad_tol, max_iter):
+    """Run the scalar iteration on the rows of X; return where the rows end
+    and a mask of the rows the scalar solver must take over.
+
+    Every row is computed at every pass and masks decide which results a
+    row keeps, which on a few rows is cheaper than gathering the live ones.
+    """
+    mu = P.mu
+    weighted = [(s, mu[s]) for s in range(P.alphabet) if mu[s] != 0.0]
+    CY = np.matmul(P.C_mu.T, Y[:, :, None])[:, :, 0]
+    r2 = P.radius**2
+    c_strong, c_outer = P.epsilon / (2 * r2), 0.5 * (P.growth_K + 1)
+
+    def value(Z):
+        J = 0
+        for s, m in weighted:
+            J = J + m * P.objective_rows(Z, s)
+        n2 = _rowdot(Z, Z)
+        return J + (c_strong * n2 + c_outer * np.maximum(n2 - r2, 0.0)) + _rowdot(CY, Z)
+
+    def subgrad_mu(Z, shift=None):
+        acc = 0.0
+        for s, m in weighted:
+            G = P.subgrad_rows(Z, s)
+            acc = acc + m * (G if shift is None else G + shift)
+        return acc
+
+    F = value(X)
+    G = subgrad_mu(X) + CY
+    live = np.isfinite(G).all(axis=1)
+    redo = ~live
+    gamma = np.ones(len(X))
+    prev_X, prev_G = X, G  # arrays here are replaced, never written in place
+    eps8 = 8 * np.finfo(float).eps
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for it in range(max_iter):
+            if not live.any():
+                break
+            if it > 0:
+                dX, dG = X - prev_X, G - prev_G
+                denom = _rowdot(dG, dG)
+                bb = np.minimum(np.maximum(_rowdot(dX, dG) / denom, 1e-12), 1e3)
+                gamma = np.where(live & (denom > 0), bb, gamma)
+            step = gamma
+            slack = eps8 * (1.0 + np.abs(F))
+            trying = live.copy()
+            for tries in range(60):
+                xn = _prox_penalty_rows(P, X - step[:, None] * G, step)
+                fn = value(xn)
+                dx = xn - X
+                ok = trying & (fn <= F - (0.25 / step) * (dx * dx).sum(axis=1) + slack)
+                if tries == 0:
+                    # Rows that fail here are overwritten when they pass.
+                    X_new, F_new, move = xn, fn, dx
+                else:
+                    X_new[ok], F_new[ok], move[ok] = xn[ok], fn[ok], dx[ok]
+                trying &= ~ok
+                if not trying.any():
+                    break
+                step = np.where(trying, step * 0.5, step)
+            # Rows still trying stalled; the scalar solver raises for them.
+            live &= ~trying
+            redo |= trying
+            residual = np.sqrt(_rowdot(move, move)) / step
+            moved = live[:, None]
+            prev_X, prev_G = np.where(moved, X, prev_X), np.where(moved, G, prev_G)
+            X, F = np.where(moved, X_new, X), np.where(live, F_new, F)
+            live &= ~(residual <= grad_tol)
+            if live.any():
+                G = np.where(live[:, None], subgrad_mu(X) + CY, G)
+                bad = live & ~np.isfinite(G).all(axis=1)
+                live &= ~bad
+                redo |= bad
+        redo |= live
+        # 0 in d_x L(x, y) via support functions, as in the scalar solver.
+        shift = (P.epsilon / r2) * X
+        nrm = np.sqrt(_rowdot(X, X))
+        band = 1e-9 * max(1.0, P.radius)
+        outer = nrm > P.radius + band
+        shift[outer] = shift[outer] + (P.growth_K + 1) * X[outer]
+        on_band = ~(nrm < P.radius - band) & ~outer
+        g = subgrad_mu(X, shift) + CY
+        worst = np.matmul(g[:, None, :], direction_net(P.d1).T)[:, 0, :].min(axis=1)
+    return X, redo | on_band | ~(worst >= -MEMBERSHIP_TOL)
+
+
 def dual_value(P: SaddleProblem, y, x0=None) -> float:
     """Dual objective Q_mu(y) = min_x L(x, y)."""
     lam = lambda_min(P, y, x0=x0)
@@ -472,8 +621,11 @@ def dual_ode_field(P: SaddleProblem) -> MeanField:
     kept), so that ``verify_envelope`` on the path just integrated reuses it
     instead of solving again.  Building a new field replaces that record and
     ``verify_envelope`` removes every entry it takes, so the record holds at
-    most the states this field evaluated that no envelope check has used;
-    ``P.clear_lambda_record()`` drops them when no check will.
+    most the states this field evaluated that no envelope check has used.
+
+    ``evaluate_rows`` maps a block of multipliers ``(R, d2)`` to its block of
+    velocities through the batched ``lambda_min``; each row warm-starts from
+    its own previous minimizer, and nothing is recorded.
     """
     C_mu, w_mu = P.C_mu, P.w_mu
     growth = float(np.linalg.norm(C_mu, 2)) * P.K_prime() + float(
@@ -489,7 +641,20 @@ def dual_ode_field(P: SaddleProblem) -> MeanField:
         record.setdefault(y.tobytes(), lam)
         return ConvexSet.singleton(C_mu @ lam - w_mu)
 
-    return MeanField(evaluate=evaluate, dim=P.d2, growth_K=growth)
+    warm_rows = {"X": None}
+
+    def evaluate_rows(Y):
+        X0 = warm_rows["X"]
+        if X0 is not None and X0.shape[0] != Y.shape[0]:
+            X0 = None
+        lam = lambda_min(P, Y, x0=X0)
+        warm_rows["X"] = lam
+        # Stacked matrix-vector products, so each row equals C_mu @ lam[r].
+        return np.matmul(C_mu, lam[:, :, None])[:, :, 0] - w_mu
+
+    return MeanField(
+        evaluate=evaluate, dim=P.d2, growth_K=growth, evaluate_rows=evaluate_rows
+    )
 
 
 def averaged_slow_field(P: SaddleProblem) -> MeanField:

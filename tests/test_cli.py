@@ -80,6 +80,15 @@ class TestValidate:
         assert code == 1
         assert "invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["sign_di", "dual_envelope"])
+    def test_di_config_needs_no_schedule(self, tmp_path, name):
+        config = os.path.join(os.path.dirname(__file__), "..", "configs", f"{name}.json")
+        code = main(["validate", "--config", config, "--out", str(tmp_path)])
+        assert code == 0
+        report = (tmp_path / "validation_report.txt").read_text()
+        assert "[PASS] field construction" in report
+        assert "[FAIL]" not in report
+
 
 class TestRun:
     def test_two_row_trajectory(self, tmp_path):

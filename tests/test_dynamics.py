@@ -239,3 +239,45 @@ class TestCsv:
         )
         np.testing.assert_allclose(data[:, 0], path.times)
         np.testing.assert_allclose(data[:, 1], path.states[:, 0])
+
+
+class TestBatchedPath:
+    def test_block_start_needs_evaluate_rows(self):
+        with pytest.raises(ValueError, match="evaluate_rows"):
+            di_solve(decay_field(), [[1.0], [2.0]], T=1.0, dt=0.01)
+
+    def test_rows_solve_as_single_paths(self):
+        field = MeanField(
+            evaluate=lambda z: ConvexSet.singleton(-z), dim=1, growth_K=1.0,
+            evaluate_rows=lambda Z: -Z,
+        )
+        Z0 = np.array([[1.0], [-0.5], [3.0]])
+        batched = di_solve(field, Z0, T=1.0, dt=0.01)
+        residuals = []
+        for r, z0 in enumerate(Z0):
+            single = di_solve(decay_field(), z0, T=1.0, dt=0.01)
+            assert np.array_equal(batched.states[:, r], single.states)
+            residuals.append(single.euler_residual())
+        assert batched.euler_residual() == max(residuals)
+
+    def test_at_matches_row_paths(self):
+        rng = np.random.default_rng(3)
+        times = np.cumsum(rng.uniform(0.1, 0.5, 9))
+        states = rng.standard_normal((9, 3, 2))
+        batched = DIPath(times=times, states=states, selections=np.zeros((8, 3, 2)))
+        # As many query times as rows, so a misaligned weight would broadcast.
+        t_array = np.array([times[0], 0.5 * (times[3] + times[4]), times[-1]])
+        for r in range(3):
+            row = DIPath(times=times, states=states[:, r], selections=np.zeros((8, 2)))
+            for t in (times[2], 0.3 * times[5] + 0.7 * times[6]):
+                assert np.array_equal(batched.at(t)[r], row.at(t))
+            assert np.array_equal(batched.at(t_array)[:, r], row.at(t_array))
+
+    def test_single_path_methods_refuse_batches(self, tmp_path):
+        path = DIPath(
+            times=[0.0, 1.0], states=np.zeros((2, 2, 1)), selections=np.zeros((1, 2, 1))
+        )
+        with pytest.raises(ValueError, match="single path"):
+            path.to_csv(tmp_path / "p.csv")
+        with pytest.raises(ValueError, match="single path"):
+            path.membership_residual(decay_field())

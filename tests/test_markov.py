@@ -148,3 +148,34 @@ class TestSlowMeasureFamily:
         K = FiniteKernel.constant([[0.5, 0.5], [0.25, 0.75]])
         m = SlowMeasure(xs=np.array([[0.0], [0.0]]), states=[0, 1], weights=[0.9, 0.1])
         assert not m.validate(K, Y, np.array([[0.0]]))
+
+
+class TestKernelStationary:
+    def test_constant_kernel_solves_once(self, monkeypatch):
+        import twoscale.markov as markov
+
+        P = np.array([[0.5, 0.5], [0.25, 0.75]])
+        K = FiniteKernel.constant(P)
+        solves = []
+        real = markov.stationary_set
+        monkeypatch.setattr(
+            markov, "stationary_set", lambda M: solves.append(1) or real(M)
+        )
+        first = K.stationary(Y, Y)
+        assert K.stationary(np.ones(1), -Y) is first
+        for _ in slow_measure_family(Y, np.array([[1.0], [2.0]]), K):
+            pass
+        assert solves == [1]
+        assert np.array_equal(first.vertices, real(P).vertices)
+        assert not first.vertices.flags.writeable
+
+    def test_iterate_dependent_kernel_is_solved_at_each_point(self):
+        def row(x, y, s):
+            return np.array([0.9, 0.1]) if x[0] >= 0 else np.array([0.1, 0.9])
+
+        K = FiniteKernel(2, row)
+        up = K.stationary(np.ones(1), Y).vertices[0]
+        down = K.stationary(-np.ones(1), Y).vertices[0]
+        assert np.array_equal(up, stationary_set(K.frozen(np.ones(1), Y)).vertices[0])
+        assert np.array_equal(down, stationary_set(K.frozen(-np.ones(1), Y)).vertices[0])
+        assert not np.array_equal(up, down)

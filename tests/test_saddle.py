@@ -445,3 +445,157 @@ class TestEnvelope:
         assert np.array_equal(rep.V, fresh.V)
         assert np.array_equal(rep.integral, fresh.integral)
         assert len(P._lambda_record) == recorded
+
+
+def three_state():
+    """Random three-state instance with d1 = 3 and two constraints."""
+    rng = np.random.default_rng(5)
+    return quadratic_problem(
+        theta=rng.standard_normal((3, 3)),
+        C=rng.standard_normal((3, 2, 3)),
+        w=rng.standard_normal((3, 2)),
+        kernel=FiniteKernel.constant([[0.2, 0.5, 0.3], [0.4, 0.4, 0.2], [0.3, 0.3, 0.4]]),
+        epsilon=EPS,
+        radius=10.0,
+    )
+
+
+def anisotropic():
+    """J(x, s) = 0.5 sum_i a_si (x_i - theta_si)^2 with curvature up to 20, so
+    the first unit step overshoots and the Armijo search halves it."""
+    rng = np.random.default_rng(8)
+    a = rng.uniform(0.5, 20.0, (3, 4))
+    theta = rng.standard_normal((3, 4))
+    C = rng.standard_normal((3, 2, 4))
+    w = rng.standard_normal((3, 2))
+
+    def objective(x, s):
+        d = np.asarray(x, dtype=float) - theta[s]
+        return 0.5 * float((a[s] * d * d).sum())
+
+    def subgrad(x, s):
+        return ConvexSet.singleton(a[s] * (np.asarray(x, dtype=float) - theta[s]))
+
+    def objective_rows(X, s):
+        D = X - theta[s]
+        return 0.5 * (a[s] * D * D).sum(axis=1)
+
+    def subgrad_rows(X, s):
+        return a[s] * (X - theta[s])
+
+    return SaddleProblem(
+        objective=objective, subgrad=subgrad, C=C, w=w,
+        kernel=FiniteKernel.constant([[0.2, 0.5, 0.3], [0.4, 0.4, 0.2], [0.3, 0.3, 0.4]]),
+        epsilon=EPS, radius=10.0, growth_K=21.0,
+        feasible_points=[np.linalg.lstsq(C[s], w[s], rcond=None)[0] for s in range(3)],
+        objective_rows=objective_rows, subgrad_rows=subgrad_rows,
+    )
+
+
+def without_row_oracles(P):
+    return SaddleProblem(
+        objective=P.objective, subgrad=P.subgrad, C=P.C, w=P.w, kernel=P.kernel,
+        epsilon=P.epsilon, radius=P.radius, growth_K=P.growth_K,
+        feasible_points=P.feasible_points,
+    )
+
+
+def kink_problem(row_oracles):
+    """J(x) = |x_0| + 0.5 (x_1 - 1)^2 with x_1 = 0.5: the solver stalls at the kink."""
+    def objective(x, s):
+        return abs(x[0]) + 0.5 * (x[1] - 1.0) ** 2
+
+    def subgrad(x, s):
+        if x[0] == 0.0:
+            return ConvexSet([[-1.0, x[1] - 1.0], [1.0, x[1] - 1.0]])
+        return ConvexSet.singleton([np.sign(x[0]), x[1] - 1.0])
+
+    def objective_rows(X, s):
+        return np.abs(X[:, 0]) + 0.5 * (X[:, 1] - 1.0) ** 2
+
+    def subgrad_rows(X, s):
+        G = np.stack([np.sign(X[:, 0]), X[:, 1] - 1.0], axis=1)
+        G[X[:, 0] == 0.0] = np.nan
+        return G
+
+    rows = {"objective_rows": objective_rows, "subgrad_rows": subgrad_rows}
+    return SaddleProblem(
+        objective=objective, subgrad=subgrad, C=[[[0.0, 1.0]]], w=[[0.5]],
+        kernel=FiniteKernel.constant([[1.0]]), epsilon=EPS, radius=R,
+        growth_K=2.0, feasible_points=[[0.0, 0.5]], **(rows if row_oracles else {}),
+    )
+
+
+class TestBatchedLambdaMin:
+    @pytest.mark.parametrize("make", [canonical, three_state, anisotropic])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_rows_equal_scalar_calls(self, make, warm):
+        P = make()
+        rng = np.random.default_rng(11)
+        # Multipliers from 0.1 to 300 in size push some minimizers out of
+        # the radius ball.
+        Y = rng.standard_normal((24, P.d2)) * np.logspace(-1, 2.5, 24)[:, None]
+        X0 = rng.uniform(-6.0, 6.0, (24, P.d1)) if warm else None
+        batched = lambda_min(P, Y, x0=X0)
+        stacked = np.array([
+            lambda_min(P, Y[r], x0=None if X0 is None else X0[r])
+            for r in range(len(Y))
+        ])
+        assert batched.shape == (24, P.d1)
+        assert np.array_equal(batched, stacked)
+        norms = np.linalg.norm(batched, axis=1)
+        assert (norms > P.radius).any() and (norms < P.radius).any()
+
+    def test_problem_without_row_oracles(self, monkeypatch):
+        P = without_row_oracles(canonical())
+        Y = np.linspace(-30.0, 30.0, 7)[:, None]
+        calls = []
+        real = saddle.lambda_min
+        monkeypatch.setattr(
+            saddle, "lambda_min", lambda P, y, **kw: calls.append(np.ndim(y)) or real(P, y, **kw)
+        )
+        batched = real(P, Y)
+        assert calls == [1] * len(Y)
+        assert np.array_equal(batched, np.array([real(P, y) for y in Y]))
+
+    def test_failed_certificate_goes_to_scalar_solver(self):
+        # A loose residual target stops every row short of the minimizer, so
+        # the certificate fails and the scalar solver raises for the row.
+        P = anisotropic()
+        with pytest.raises(saddle.SolverStallError):
+            lambda_min(P, np.array([[0.3, -0.2], [1.0, 2.0]]), grad_tol=0.1)
+
+    def test_prox_rows_match_scalar_prox(self):
+        P = canonical()
+        rng = np.random.default_rng(2)
+        # A zero row, rows inside the ball, near the sphere and far outside.
+        scales = np.repeat([0.5, 4.0, 40.0], 4)[:, None]
+        V = np.vstack([np.zeros((1, 2)), rng.standard_normal((12, 2)) * scales])
+        gamma = rng.uniform(0.01, 2.0, len(V))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rows = saddle._prox_penalty_rows(P, V, gamma)
+        for v, g, row in zip(V, gamma, rows):
+            assert np.array_equal(row, saddle._prox_penalty(P, v, float(g)))
+
+    @pytest.mark.parametrize("row_oracles", [False, True])
+    def test_kink_still_stalls(self, row_oracles):
+        P = kink_problem(row_oracles)
+        with pytest.raises(saddle.SolverStallError):
+            lambda_min(P, np.array([[-1.0], [0.0], [2.0]]))
+
+
+class TestBatchedDualFlow:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rows_equal_scalar_di_solve(self):
+        P = canonical()
+        Z0 = np.array([[-2.0], [-0.5], [0.0], [0.3], [1.7]])
+        batched = di_solve(dual_ode_field(P), Z0, T=0.5, dt=1e-2)
+        assert batched.states.shape == (51, 5, 1)
+        assert batched.selections.shape == (50, 5, 1)
+        # The batched field records no minimizers.
+        assert not P._lambda_record
+        for r, z0 in enumerate(Z0):
+            single = di_solve(dual_ode_field(P), z0, T=0.5, dt=1e-2)
+            assert np.array_equal(batched.times, single.times)
+            assert np.array_equal(batched.states[:, r], single.states)
+            assert np.array_equal(batched.selections[:, r], single.selections)
