@@ -510,6 +510,10 @@ def _build_di_field(cfg: dict):
 def cmd_solve_di(cfg: dict, out_dir: Path, envelope: bool) -> int:
     field, P = _build_di_field(cfg)
     z0 = _matrix(_get(cfg, "z0", "config"), "config.z0")
+    if z0.ndim != 1:
+        raise ConfigError(
+            f"config.z0: expected a flat list of numbers, got shape {z0.shape}"
+        )
     T = _number(cfg, "T", "config")
     dt = _number(cfg, "dt", "config")
     selection = cfg.get("selection", "least_norm")

@@ -783,6 +783,7 @@ def verify_envelope(P: SaddleProblem, y_path: DIPath) -> EnvelopeReport:
     the previous knot.  Along the path the field just integrated, this is
     the same warm-start chain, so the result equals a full re-solve.
     """
+    y_path._single("verify_envelope")
     C_mu, w_mu = P.C_mu, P.w_mu
     record = P._lambda_record
     V = np.empty(len(y_path.times))

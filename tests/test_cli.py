@@ -299,6 +299,20 @@ class TestSolveDi:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("name", ["sign_di", "dual_envelope"])
+    def test_di_nested_z0_named(self, tmp_path, capsys, name):
+        config = os.path.join(os.path.dirname(__file__), "..", "configs", f"{name}.json")
+        with open(config) as fh:
+            cfg = json.load(fh)
+        cfg["z0"] = [cfg["z0"]]
+        cfg["out"] = str(tmp_path / "out")
+        code = main(["solve-di", "--config", str(write_config(tmp_path, cfg))])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config.z0" in err and "(1, 1)" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "di_path.csv").exists()
+
 
 class TestSaddleCommand:
     def test_requires_saddle_kind(self, tmp_path, capsys):

@@ -599,3 +599,9 @@ class TestBatchedDualFlow:
             assert np.array_equal(batched.times, single.times)
             assert np.array_equal(batched.states[:, r], single.states)
             assert np.array_equal(batched.selections[:, r], single.selections)
+
+    def test_envelope_refuses_batched_path(self):
+        P = canonical()
+        batched = di_solve(dual_ode_field(P), np.zeros((2, 1)), T=0.05, dt=1e-2)
+        with pytest.raises(ValueError, match="verify_envelope needs a single path"):
+            verify_envelope(P, batched)

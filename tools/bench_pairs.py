@@ -8,13 +8,13 @@ Usage, from anywhere:
 For each seed, ``perfbench/run.py --workload W --seed S --seconds N --trace 0``
 runs once in each checkout, from that checkout's root; the side that runs
 first alternates from pair to pair, so a slow phase of the machine falls on
-both sides alike.  The result goes to ``BENCH_<label>.json`` (in ``--out-dir``,
-the current directory by default): every result line, the seeds, the round
-settings and round walls, the Python and numpy versions and the CPU count,
-and per end-to-end metric each side's median and quartiles and the number of
-pairs the after side wins.  Each workload is one entry of the file; running
-another workload under the same label adds it, and running one again
-replaces it.
+both sides alike.  The result goes to ``BENCH_<label>.json`` at the root of
+the ``--after`` checkout: every result line, the seeds, the round settings
+and round walls, each side's commit (``-dirty`` when tracked files differ
+from it), the Python and numpy versions and the CPU count, and per
+end-to-end metric each side's median and quartiles and the number of pairs
+the after side wins.  The file keeps a list of rounds per workload; each run
+of the tool appends one, so earlier rounds stay in the record.
 """
 
 from __future__ import annotations
@@ -38,6 +38,19 @@ def parse_seeds(text: str) -> list[int]:
         lo, _, hi = part.partition("-")
         seeds += range(int(lo), int(hi or lo) + 1)
     return seeds
+
+
+def commit_of(checkout: Path) -> str | None:
+    """Short commit of a git checkout, marked ``-dirty`` if tracked files changed."""
+    def git(*args):
+        proc = subprocess.run(["git", "-C", str(checkout), *args],
+                              capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    head = git("rev-parse", "--short", "HEAD")
+    if head is None:
+        return None
+    return head + ("-dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -89,15 +102,13 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, help="e.g. 1-10 or 1,4,7")
     ap.add_argument("--seconds", type=float, default=35)
-    ap.add_argument("--before-name", help="what the before side is, e.g. its commit")
-    ap.add_argument("--after-name", help="what the after side is")
     ap.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
-    ap.add_argument("--out-dir", type=Path, default=Path("."))
     args = ap.parse_args(argv)
 
     before_dir, after_dir = args.before.resolve(), args.after.resolve()
     metrics = json.loads((after_dir / "BENCHMARK.json").read_text())["end_to_end"]
     seeds = parse_seeds(args.seeds)
+    commits = {"before": commit_of(before_dir), "after": commit_of(after_dir)}
     before, after = [], []
     for i, seed in enumerate(seeds):
         order = [("before", before_dir), ("after", after_dir)]
@@ -110,7 +121,7 @@ def main(argv=None) -> int:
             value = rec["result"]["metrics"]["run_s"]["value"] if rec["result"] else None
             print(f"seed {seed} {side}: run_s {value}", file=sys.stderr)
 
-    path = args.out_dir / f"BENCH_{args.label}.json"
+    path = after_dir / f"BENCH_{args.label}.json"
     doc = json.loads(path.read_text()) if path.exists() else {"label": args.label}
     doc["machine"] = {
         "python": platform.python_version(),
@@ -118,16 +129,15 @@ def main(argv=None) -> int:
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
     }
-    doc.setdefault("workloads", {})[args.workload] = {
+    doc.setdefault("workloads", {}).setdefault(args.workload, []).append({
         "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "before": args.before_name or before_dir.name,
-        "after": args.after_name or after_dir.name,
+        **commits,
         "seeds": seeds,
         "settings": {"seconds": args.seconds, "trace": 0,
                      "order": "alternating, before first on even pairs"},
         "summary": summarize(before, after, metrics),
         "runs": {"before": before, "after": after},
-    }
+    })
     path.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {path}", file=sys.stderr)
     failed = [r for r in before + after if r["exit_code"] != 0]
