@@ -123,15 +123,15 @@ def main(argv=None) -> int:
 
     path = after_dir / f"BENCH_{args.label}.json"
     doc = json.loads(path.read_text()) if path.exists() else {"label": args.label}
-    doc["machine"] = {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "cpu_count": os.cpu_count(),
-        "platform": platform.platform(),
-    }
     doc.setdefault("workloads", {}).setdefault(args.workload, []).append({
         "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         **commits,
+        "machine": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            "platform": platform.platform(),
+        },
         "seeds": seeds,
         "settings": {"seconds": args.seconds, "trace": 0,
                      "order": "alternating, before first on even pairs"},
