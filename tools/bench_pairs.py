@@ -10,8 +10,8 @@ runs once in each checkout, from that checkout's root; the side that runs
 first alternates from pair to pair, so a slow phase of the machine falls on
 both sides alike.  The result goes to ``BENCH_<label>.json`` at the root of
 the ``--after`` checkout: every result line, the seeds, the round settings
-and round walls, each side's commit (``-dirty`` when tracked files differ
-from it), the Python and numpy versions and the CPU count, and per
+and round walls, each side's commit (``-dirty`` when tracked files other than
+``BENCH_*.json`` differ from it), the Python and numpy versions and the CPU count, and per
 end-to-end metric each side's median and quartiles and the number of pairs
 the after side wins.  The file keeps a list of rounds per workload; each run
 of the tool appends one, so earlier rounds stay in the record.
@@ -50,7 +50,9 @@ def commit_of(checkout: Path) -> str | None:
     head = git("rev-parse", "--short", "HEAD")
     if head is None:
         return None
-    return head + ("-dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
+    # The record itself is not code, and an earlier round may have just written it.
+    changed = git("status", "--porcelain", "--untracked-files=no", "--", ".", ":!BENCH_*.json")
+    return head + ("-dirty" if changed else "")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
