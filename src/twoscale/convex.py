@@ -8,6 +8,8 @@ maps against finite-support probability measures.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -30,10 +32,13 @@ class ConvexSet:
     """Nonempty convex compact subset of R^dim, the hull of ``points``.
 
     Points are stored as an (n, dim) float array and frozen after
-    construction; all operations on the set are pure functions.
+    construction; all operations on the set are pure functions.  A 2-d set
+    keeps its hull vertices in ``_hull`` once ``project`` has needed them;
+    the slot stays unset until then, and ``points`` is read-only, so the
+    cached hull cannot go stale.
     """
 
-    __slots__ = ("points", "dim")
+    __slots__ = ("points", "dim", "_hull")
 
     def __init__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -279,15 +284,32 @@ def _min_norm_point(P: np.ndarray, tol: float, max_iter: int):
 def project(K: ConvexSet, p) -> np.ndarray:
     """Euclidean projection of ``p`` onto the hull of ``K``.
 
-    Solved as a min-norm-point problem over hull coefficients with Wolfe's
-    active-set iteration; satisfies <p - proj, q - proj> <= tol for every
-    generator q at convergence.
+    Exact in dimensions 1 and 2: an interval clip, and a sweep over the
+    edges of the set's hull polygon.  A point of the set comes back as
+    itself and a vertex answer as its generator, bit for bit.  Above
+    dimension 2 it is solved as a min-norm-point problem over hull
+    coefficients with Wolfe's active-set iteration, which satisfies
+    <p - proj, q - proj> <= tol for every generator q at convergence.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (K.dim,):
         raise ValueError(f"point has shape {p.shape}, set has dim {K.dim}")
     if K.n_points == 1:
         return K.points[0].copy()
+    if K.dim == 1:
+        return np.clip(p, K.points.min(), K.points.max())
+    if K.dim == 2:
+        try:
+            hull = K._hull
+        except AttributeError:
+            hull = K._hull = _hull_2d(K.points)
+        return _project_polygon(hull, p)
+    return _wolfe_project(K, p)
+
+
+def _wolfe_project(K: ConvexSet, p: np.ndarray) -> np.ndarray:
+    """``project`` by Wolfe's active-set loop in any dimension; ``p`` is a
+    float array of shape (K.dim,)."""
     Q = K.points - p
     scale = max(1.0, float(np.abs(Q).max()))
     x, idx, _, ok = _min_norm_point(
@@ -305,40 +327,75 @@ def project(K: ConvexSet, p) -> np.ndarray:
     return x * scale + p
 
 
+def _project_polygon(hull: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Projection onto a point, a segment, or a strictly convex polygon
+    whose vertices ``hull`` run counter-clockwise."""
+    if len(hull) == 1:
+        return hull[0].copy()
+    A, B = hull, np.roll(hull, -1, axis=0)
+    E = B - A
+    W = p - A
+    if len(hull) > 2 and np.all(E[:, 0] * W[:, 1] - E[:, 1] * W[:, 0] >= 0.0):
+        return p.copy()
+    # Outside: the nearest point of the boundary, over every edge clamped.
+    t = np.clip((W * E).sum(axis=1) / (E * E).sum(axis=1), 0.0, 1.0)
+    C = A + t[:, None] * E
+    i = int(np.argmin(((p - C) ** 2).sum(axis=1)))
+    # A + 1.0 * E need not round to B: vertex answers come from the hull.
+    if t[i] == 0.0:
+        return A[i].copy()
+    if t[i] == 1.0:
+        return B[i].copy()
+    return C[i]
+
+
 def distance(K: ConvexSet, p) -> float:
     """Euclidean distance from ``p`` to the hull of ``K``."""
     return float(np.linalg.norm(np.asarray(p, dtype=float) - project(K, p)))
 
 
 def _hull_2d(points: np.ndarray) -> np.ndarray:
-    """Andrew's monotone chain; tolerates collinear inputs."""
-    order = np.lexsort((points[:, 1], points[:, 0]))
-    pts = points[order]
+    """Hull vertices, counter-clockwise from the lowest (x, y); Andrew's
+    monotone chain.
+
+    A point within rounding of the chord past it is dropped, so collinear
+    inputs give their two end points.  The chain sorts along the longer axis
+    of the cloud: along the shorter one, rounding jitter across a nearly
+    vertical cloud would scramble the order and cut off its ends.
+    """
+    swap = bool(np.ptp(points[:, 1]) > np.ptp(points[:, 0]))
+    pts = points[:, ::-1] if swap else points
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     keep = np.ones(len(pts), dtype=bool)
     keep[1:] = np.any(np.abs(np.diff(pts, axis=0)) > 1e-15, axis=1)
     pts = pts[keep]
     if len(pts) <= 2:
-        return pts
+        hull = pts
+    else:
+        # A distance from a chord, relative to the coordinates' size.
+        eps = 1e-12 * float(np.abs(pts).max())
 
-    span = max(float(np.abs(pts).max()), 1.0)
-    eps = 1e-12 * span * span
+        def half(seq):
+            out = []
+            for q in seq:
+                while len(out) >= 2:
+                    a, b = out[-2], out[-1]
+                    cross = (b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0])
+                    if cross <= eps * math.hypot(q[0] - a[0], q[1] - a[1]):
+                        out.pop()
+                    else:
+                        break
+                out.append(q)
+            return out
 
-    def half(seq):
-        out = []
-        for q in seq:
-            while len(out) >= 2:
-                a, b = out[-2], out[-1]
-                cross = (b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0])
-                if cross <= eps:
-                    out.pop()
-                else:
-                    break
-            out.append(q)
-        return out
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    return np.array(lower[:-1] + upper[:-1])
+        lower = half(pts)
+        upper = half(pts[::-1])
+        hull = np.array(lower[:-1] + upper[:-1])
+    if swap:
+        # Swapping the axes mirrors the orientation.
+        hull = hull[::-1, ::-1]
+        hull = np.roll(hull, -int(np.lexsort((hull[:, 1], hull[:, 0]))[0]), axis=0)
+    return hull
 
 
 def _reduce_points(points: np.ndarray) -> np.ndarray:

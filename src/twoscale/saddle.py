@@ -20,7 +20,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .convex import ConvexSet, direction_net, minkowski_combine, project
+from .convex import ConvexSet, direction_net, minkowski_combine
+# The inner solver projects with Wolfe's loop in every dimension: where its
+# least-norm step stalls at a kink (tests pin the stall), the exact 2-d
+# projection would move the iterates, a change that belongs with a
+# nonsmooth step rule.
+from .convex import _wolfe_project as project
 from .dynamics import DIPath
 from .markov import FiniteKernel
 from .meanfield import MeanField, slow_field

@@ -58,12 +58,13 @@ class SetValuedMap:
         self._checked = False
 
     def __call__(self, x, y, s: int) -> ConvexSet:
-        # Full argument validation runs on the first probe only; later calls
-        # pay just for the oracle (drivers evaluate millions of times).
+        # Argument validation runs on the first probe only (drivers evaluate
+        # millions of times); the output dimension is checked on every call,
+        # so a bad oracle is named where it fails.
         if not self._checked:
             x = np.asarray(x, dtype=float)
             y = np.asarray(y, dtype=float)
-            d1, d2, k = self.dims
+            d1, d2, _ = self.dims
             if x.shape != (d1,) or y.shape != (d2,):
                 raise ValueError(
                     f"probe shapes {x.shape}, {y.shape} do not match dims {self.dims}"
@@ -72,15 +73,13 @@ class SetValuedMap:
                 raise ValueError(
                     f"state {s} outside alphabet of size {self.alphabet}"
                 )
-            K = self._evaluate(x, y, s)
-            if not isinstance(K, ConvexSet):
-                K = ConvexSet(K)
-            if K.dim != k:
-                raise ValueError(f"oracle returned dim {K.dim}, declared {k}")
             self._checked = True
-            return K
         K = self._evaluate(x, y, s)
-        return K if isinstance(K, ConvexSet) else ConvexSet(K)
+        if not isinstance(K, ConvexSet):
+            K = ConvexSet(K)
+        if K.dim != self.dims[2]:
+            raise ValueError(f"oracle returned dim {K.dim}, declared {self.dims[2]}")
+        return K
 
     def growth_bound(self, x, y) -> float:
         return self.growth_K * (

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import minimize
 
 from twoscale.convex import (
+    PROJECTION_TOL,
     ConvexSet,
     direction_net,
     distance,
     hausdorff,
     minkowski_combine,
     project,
+    _hull_2d,
     support,
     unit_ball_set,
 )
@@ -206,3 +212,213 @@ class TestNets:
     def test_unit_ball_1d(self):
         B = unit_ball_set(1)
         assert hausdorff(B, ConvexSet.interval(-1, 1)) == 0.0
+
+
+# Property tests.  Runs are derandomized, so every run draws the same examples.
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+SCALES = st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6])
+UNIT = st.floats(-1.0, 1.0, allow_subnormal=False)
+KINDS_2D = ("general", "duplicate", "collinear", "near_collinear")
+
+
+@st.composite
+def clouds(draw, dim, kinds=("general",), scale=None):
+    """A generator cloud whose largest coordinate is a drawn scale, and a
+    point to project at that scale.
+
+    In 2-d the cloud may repeat one point, lie on a line, or lie on a line
+    up to an offset below the hull's collinearity threshold (1e-12 of the
+    coordinates' size); the line's direction may be axis-aligned.
+    """
+    n = draw(st.integers(2, 8))
+    scale = draw(SCALES) if scale is None else scale
+    pts = draw(arrays(np.float64, (n, dim), elements=UNIT))
+    if np.abs(pts).max() > 0.0:
+        pts = pts / np.abs(pts).max()
+    kind = draw(st.sampled_from(kinds))
+    if kind == "duplicate":
+        pts = np.repeat(pts[:2], [1, n - 1], axis=0)
+    elif kind in ("collinear", "near_collinear"):
+        a, d = pts[0], pts[1] - pts[0]
+        ts = draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+        pts = a + ts[:, None] * d
+        if kind == "near_collinear":
+            jitter = draw(arrays(np.float64, n, elements=st.floats(-1e-13, 1e-13)))
+            pts = pts + jitter[:, None] * np.array([-d[1], d[0]])
+    p = draw(arrays(np.float64, dim, elements=st.floats(-2.0, 2.0)))
+    return scale * pts, scale * p
+
+
+def qp_projection(V, p):
+    """Independent oracle: min ||w V - p|| over hull weights w, by SLSQP."""
+    s = float(np.abs(V - p).max())
+    if s == 0.0:
+        return p.copy()
+    Q = (V - p) / s
+    n = len(V)
+    res = minimize(
+        lambda w: 0.5 * float((w @ Q) @ (w @ Q)),
+        np.full(n, 1.0 / n),
+        jac=lambda w: Q @ (w @ Q),
+        method="SLSQP",
+        bounds=[(0.0, None)] * n,
+        constraints=[{"type": "eq", "fun": lambda w: w.sum() - 1.0,
+                      "jac": lambda w: np.ones(n)}],
+        options={"ftol": 1e-16, "maxiter": 500},
+    )
+    return p + s * (res.x @ Q)
+
+
+def error_scale(V, p):
+    """Length scale of ``project``'s error at (V, p).
+
+    Dimensions 1 and 2 are exact up to rounding, relative to the cloud's
+    distance from p.  Wolfe's loop stops once no generator improves by
+    PROJECTION_TOL relative to max(1, |q - p|)^2, so below unit scale its
+    error bound is absolute.
+    """
+    s = float(np.abs(V - p).max())
+    return s if V.shape[1] <= 2 else max(1.0, s)
+
+
+def point_tol(V, p):
+    """Distance within which ``project`` must match the exact answer: in
+    1-d and 2-d the oracle's own accuracy, 1e-7 relative, and in Wolfe's
+    loop the distance error its stopping rule allows, sqrt(PROJECTION_TOL)
+    relative."""
+    e = error_scale(V, p)
+    return 1e-7 * e if V.shape[1] <= 2 else 2.0 * np.sqrt(PROJECTION_TOL) * e
+
+
+CASES = {1: clouds(1), 2: clouds(2, KINDS_2D), 3: clouds(3)}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+class TestProjectProperties:
+    @PROPERTY
+    @given(data=st.data())
+    def test_matches_qp_oracle(self, dim, data):
+        # The oracle's point lies in the hull, so the projection can be no
+        # farther from p; and the projection lies in the hull, by the
+        # oracle's distance from it.  Neither check needs the oracle's first
+        # point to be the exact projection.
+        V, p = data.draw(CASES[dim])
+        pr = project(ConvexSet(V), p)
+        tol = point_tol(V, p)
+        assert np.linalg.norm(p - pr) <= np.linalg.norm(p - qp_projection(V, p)) + tol
+        assert np.linalg.norm(qp_projection(V, pr) - pr) <= tol
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_variational_inequality(self, dim, data):
+        V, p = data.draw(CASES[dim])
+        pr = project(ConvexSet(V), p)
+        assert np.all((V - pr) @ (p - pr) <= 1e-9 * error_scale(V, p) ** 2)
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_idempotent(self, dim, data):
+        V, p = data.draw(CASES[dim])
+        K = ConvexSet(V)
+        pr = project(K, p)
+        assert np.linalg.norm(project(K, pr) - pr) <= point_tol(V, p)
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_nonexpansive(self, dim, data):
+        V, p = data.draw(CASES[dim])
+        q = data.draw(arrays(np.float64, dim, elements=st.floats(-2.0, 2.0)))
+        q = q * float(np.abs(V).max() + np.abs(p).max())
+        K = ConvexSet(V)
+        lhs = np.linalg.norm(project(K, p) - project(K, q))
+        assert lhs <= np.linalg.norm(p - q) + point_tol(V, p) + point_tol(V, q)
+
+
+class TestProjectExact:
+    def test_interior_point_bit_exact(self):
+        # A point of the set, on its boundary too, is its own projection,
+        # with no rounding.
+        cases = [
+            ([[-1.0], [1.0]], [0.3]),
+            ([[-1.0], [1.0]], [1.0]),
+            ([[0, 0], [1, 0], [0, 1]], [0.3, 0.7]),
+            ([[0.1], [0.7], [0.25]], [0.4]),
+            ([[0, 0], [1, 0], [0, 1]], [0.2, 0.3]),
+            ([[0.1, 0.7], [0.9, 0.2], [0.3, -0.4], [-0.5, 0.1]], [0.25, 0.15]),
+            ([[0.1, 0.7], [0.9, 0.2], [0.3, -0.4], [-0.5, 0.1]], [0.3, 0.1]),
+        ]
+        for V, p in cases:
+            p = np.array(p)
+            assert np.array_equal(project(ConvexSet(V), p), p)
+
+    def test_vertex_answer_is_generator(self):
+        # A generator within rounding of the vertex (0, 0), as Minkowski sums
+        # leave behind, must not stand in for it: the answer is the vertex.
+        V = np.array([[-1e-13, 0.0], [-1.0, 0.0], [0.0, -1.0], [0.0, 0.0]])
+        for p in ([1e4, 1e4], [1e4, 3e3], [3.0, 2.0]):
+            pr = project(ConvexSet(V), np.array(p))
+            assert np.array_equal(pr, V[3])
+        V1 = np.array([[0.7 - 1e-16], [0.1], [0.7]])
+        assert np.array_equal(project(ConvexSet(V1), np.array([5.0])), V1[2])
+
+    @PROPERTY
+    @given(clouds(2), st.integers(0, 7), st.floats(0.05, 0.95), st.floats(0.1, 10.0))
+    def test_vertex_normal_cone(self, case, k, mix, reach):
+        # p in the open normal cone of a hull vertex projects onto that
+        # vertex's generator, bit for bit.
+        V, _ = case
+        H = _hull_2d(V)
+        if len(H) < 3:
+            return
+        k %= len(H)
+        prev, v, nxt = H[k - 1], H[k], H[(k + 1) % len(H)]
+        out1 = np.array([(v - prev)[1], -(v - prev)[0]])
+        out2 = np.array([(nxt - v)[1], -(nxt - v)[0]])
+        d = mix * out1 / np.linalg.norm(out1) + (1 - mix) * out2 / np.linalg.norm(out2)
+        p = v + reach * float(np.abs(V).max()) * d
+        assert np.array_equal(project(ConvexSet(V), p), v)
+
+    def test_hull_cached_once(self):
+        K = ConvexSet(RNG.standard_normal((12, 2)))
+        assert not hasattr(K, "_hull")
+        project(K, np.array([5.0, 5.0]))
+        H = K._hull
+        project(K, np.array([-5.0, 5.0]))
+        assert K._hull is H
+        assert not hasattr(K.translate(np.ones(2)), "_hull")
+
+    def test_nearly_vertical_segment(self):
+        # Rounding jitter across a nearly vertical line must not cut off its
+        # ends: the hull is the whole segment.
+        u = np.spacing(0.3)
+        V = np.array([[0.3, 0.0], [0.3, -1.0], [0.3 + u, -2.0], [0.3 + u, -3.0]])
+        pr = project(ConvexSet(V), np.array([0.3, -10.0]))
+        assert np.array_equal(pr, V[3])
+        assert {tuple(h) for h in _hull_2d(V)} == {tuple(V[0]), tuple(V[3])}
+
+
+def support_sweep(V, n=20_000):
+    """Brute-force support functions on a fine grid of unit directions."""
+    ang = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    D = np.column_stack([np.cos(ang), np.sin(ang)])
+    return (V @ D.T).max(axis=0)
+
+
+@st.composite
+def cloud_pairs(draw):
+    scale = draw(SCALES)
+    return draw(clouds(2, KINDS_2D, scale))[0], draw(clouds(2, KINDS_2D, scale))[0]
+
+
+class TestHausdorffProperties:
+    @PROPERTY
+    @given(cloud_pairs())
+    def test_matches_support_sweep(self, pair):
+        # For convex sets the Hausdorff distance is the largest support
+        # function gap; the grid misses at most R * (grid step) of it.
+        V1, V2 = pair
+        d = hausdorff(ConvexSet(V1), ConvexSet(V2))
+        gap = float(np.abs(support_sweep(V1) - support_sweep(V2)).max())
+        R = float(max(np.abs(V1).max(), np.abs(V2).max()))
+        assert gap <= d + 1e-9 * R
+        assert d <= gap + R * (2.0 * np.pi / 20_000) + 1e-9 * R

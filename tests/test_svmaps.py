@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from twoscale.convex import ConvexSet, direction_net, hausdorff, support
+from twoscale.markov import FiniteKernel
+from twoscale.recursion import StepSchedule, run
 from twoscale.svmaps import (
     ApproxLevel,
     SeqProbe,
@@ -55,6 +57,33 @@ def identity_map():
 
 
 Y0 = np.zeros(0)
+
+
+class TestOracleDimension:
+    """The declared output dimension is checked on every call, not only the
+    first, so an oracle that changes dimension later is named."""
+
+    @staticmethod
+    def switching_map():
+        calls = []
+
+        def evaluate(x, y, s):
+            calls.append(1)
+            return ConvexSet.singleton(-x if len(calls) == 1 else [0.0, 0.0])
+
+        return SetValuedMap(dims=(1, 1, 1), alphabet=1, evaluate=evaluate, growth_K=1.0)
+
+    def test_second_call_named(self):
+        F = self.switching_map()
+        assert F(np.ones(1), np.ones(1), 0).dim == 1
+        with pytest.raises(ValueError, match="oracle returned dim 2, declared 1"):
+            F(np.ones(1), np.ones(1), 0)
+
+    def test_named_inside_recursion(self):
+        K = FiniteKernel.constant([[1.0]])
+        with pytest.raises(ValueError, match="oracle returned dim 2, declared 1"):
+            run(self.switching_map(), linear_map(), K, K, StepSchedule(0.6, 0.9),
+                [1.0], [1.0], 0, 0, N=5, seed=0)
 
 
 class TestValidateSam:
