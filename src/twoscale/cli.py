@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import csv
 import hashlib
 import json
 import os
@@ -20,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .convex import ConvexSet
+from .csvtable import write_table
 from .dynamics import apt_metric, di_solve
 from .markov import FiniteKernel
 from .meanfield import MeanField, check_marchaud
@@ -357,15 +357,10 @@ def _write_manifest(out_dir: Path, cfg: dict, seed: int, extra=None) -> None:
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _write_table(path: Path, columns, rows) -> None:
-    """Stream ``rows`` (any iterable) to a CSV after a ``# columns:`` comment
-    and a header row; floats are written with 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        fh.write("# columns: " + ", ".join(columns) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([f"{c:.17g}" if isinstance(c, float) else c for c in row])
+def _write_table(path: Path, columns, data) -> None:
+    """Write the column arrays ``data`` to a CSV under a ``# columns:``
+    comment and a header row (see ``csvtable.write_table``)."""
+    write_table(path, ", ".join(columns), columns, data)
 
 
 def _window_settings(traj, diag_cfg) -> tuple[float, int]:
@@ -388,7 +383,7 @@ def _saddle_diagnostics(P, traj, out_dir: Path, diag_cfg: dict) -> None:
     ts = traj.t_slow
     last_start_t = ts[-1] - max(T_w, apt_T)
     starts = np.unique(np.linspace(0.0, max(last_start_t, 0.0), n_windows))
-    gaps = interpolation_gap(traj, l=1, T=T_w, starts=starts)
+    gaps = interpolation_gap(traj, T=T_w, starts=starts)
     # Every window's dual flow in one batched integration, and every
     # window's minimizer in one batched solve.
     flows = di_solve(
@@ -396,26 +391,26 @@ def _saddle_diagnostics(P, traj, out_dir: Path, diag_cfg: dict) -> None:
     )
     n_idx = np.minimum(np.searchsorted(ts, starts), traj.n_steps)
     lams = lambda_min(P, traj.Y[n_idx])
-    rows = []
-    for w, (t0, gap) in enumerate(zip(starts, gaps)):
+    apts, dists = [], []
+    for w, t0 in enumerate(starts):
         sampled = interpolate(traj, "slow", np.minimum(t0 + flows.times, ts[-1]))
-        apt = apt_metric(flows.times, sampled, flows.states[:, w], K_terms=k_terms)
-        dist = float(np.linalg.norm(traj.X[n_idx[w]] - lams[w]))
-        rows.append((w, t0, gap, apt, dist))
+        apts.append(apt_metric(flows.times, sampled, flows.states[:, w], K_terms=k_terms))
+        dists.append(float(np.linalg.norm(traj.X[n_idx[w]] - lams[w])))
     _write_table(
         out_dir / "diagnostics.csv",
         ["window", "t_slow_start", "interpolation_gap", "apt_metric", "dist_to_lambda"],
-        rows,
+        [np.arange(len(starts)), starts, gaps, np.array(apts), np.array(dists)],
     )
 
 
 def _generic_diagnostics(traj, out_dir: Path, diag_cfg: dict) -> None:
     T_w, n_windows = _window_settings(traj, diag_cfg)
-    gaps = interpolation_gap(traj, l=1, T=T_w, n_windows=n_windows)
+    gaps = interpolation_gap(traj, T=T_w, n_windows=n_windows)
+    nan = np.full(len(gaps), np.nan)
     _write_table(
         out_dir / "diagnostics.csv",
         ["window", "interpolation_gap", "apt_metric", "dist_to_lambda"],
-        ((w, gap, "nan", "nan") for w, gap in enumerate(gaps)),
+        [np.arange(len(gaps)), gaps, nan, nan],
     )
 
 
@@ -490,7 +485,7 @@ def cmd_run(cfg: dict, out_dir: Path, replicas: int) -> int:
     _write_table(
         out_dir / "replicas.csv",
         ["replica", "seed", "exit_code"],
-        [(i, s, code) for i, ((s, _), code) in enumerate(zip(jobs, codes))],
+        [np.arange(replicas), np.array([s for s, _ in jobs]), np.array(codes)],
     )
     return max(codes)
 
@@ -532,10 +527,7 @@ def cmd_solve_di(cfg: dict, out_dir: Path, envelope: bool) -> int:
         _write_table(
             out_dir / "envelope.csv",
             ["t", "V", "V0_plus_integral", "discrepancy"],
-            (
-                (t, v, rep.V[0] + integ, v - rep.V[0] - integ)
-                for t, v, integ in zip(rep.times, rep.V, rep.integral)
-            ),
+            [rep.times, rep.V, rep.V[0] + rep.integral, rep.V - rep.V[0] - rep.integral],
         )
         print(
             f"envelope max discrepancy {rep.max_discrepancy:.3e}, "

@@ -8,7 +8,6 @@ parametrized selections probe other branches of the solution set.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -16,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .convex import ConvexSet, distance, project
+from .csvtable import write_table
 from .meanfield import MeanField
 from .svmaps import parametrize
 
@@ -106,21 +106,12 @@ class DIPath:
     def to_csv(self, path) -> None:
         self._single("to_csv")
         k = self.states.shape[1]
-        with open(path, "w", newline="") as fh:
-            fh.write(
-                "# columns: t, z[0.." + str(k) + "), v[0.." + str(k) + ")\n"
-            )
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["t"] + [f"z{i}" for i in range(k)] + [f"v{i}" for i in range(k)]
-            )
-            pad = np.vstack([self.selections, np.zeros((1, k))])
-            for t, z, v in zip(self.times, self.states, pad):
-                writer.writerow(
-                    [f"{t:.17g}"]
-                    + [f"{c:.17g}" for c in z]
-                    + [f"{c:.17g}" for c in v]
-                )
+        write_table(
+            path,
+            "t, z[0.." + str(k) + "), v[0.." + str(k) + ")",
+            ["t"] + [f"z{i}" for i in range(k)] + [f"v{i}" for i in range(k)],
+            [self.times, self.states, np.vstack([self.selections, np.zeros((1, k))])],
+        )
 
 
 def select_velocity(

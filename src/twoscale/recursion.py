@@ -9,7 +9,6 @@ noise-free re-integrations, and occupation measures over windows.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -17,6 +16,7 @@ import numpy as np
 from scipy.special import zeta
 
 from .convex import distance
+from .csvtable import write_table
 from .dynamics import _interp, select_velocity
 from .markov import FiniteKernel, SlowMeasure, sample_next
 from .svmaps import SetValuedMap
@@ -193,34 +193,23 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         d1, d2 = self.X.shape[1], self.Y.shape[1]
-        tf, ts = self.t_fast, self.t_slow
-        with open(path, "w", newline="") as fh:
-            fh.write(
-                "# columns: n, t_fast, t_slow, X[0..d1), Y[0..d2), S1, S2, "
-                "M1[0..d1), M2[0..d2); M rows hold the noise applied at "
-                "step n (last row zero)\n"
-            )
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["n", "t_fast", "t_slow"]
-                + [f"X{i}" for i in range(d1)]
-                + [f"Y{i}" for i in range(d2)]
-                + ["S1", "S2"]
-                + [f"M1_{i}" for i in range(d1)]
-                + [f"M2_{i}" for i in range(d2)]
-            )
-            M1 = np.vstack([self.M1, np.zeros((1, d1))])
-            M2 = np.vstack([self.M2, np.zeros((1, d2))])
-            for i in range(self.n_steps + 1):
-                row = (
-                    [str(i), f"{tf[i]:.17g}", f"{ts[i]:.17g}"]
-                    + [f"{c:.17g}" for c in self.X[i]]
-                    + [f"{c:.17g}" for c in self.Y[i]]
-                    + [str(int(self.S1[i])), str(int(self.S2[i]))]
-                    + [f"{c:.17g}" for c in M1[i]]
-                    + [f"{c:.17g}" for c in M2[i]]
-                )
-                writer.writerow(row)
+        write_table(
+            path,
+            "n, t_fast, t_slow, X[0..d1), Y[0..d2), S1, S2, M1[0..d1), M2[0..d2); "
+            "M rows hold the noise applied at step n (last row zero)",
+            ["n", "t_fast", "t_slow"]
+            + [f"X{i}" for i in range(d1)]
+            + [f"Y{i}" for i in range(d2)]
+            + ["S1", "S2"]
+            + [f"M1_{i}" for i in range(d1)]
+            + [f"M2_{i}" for i in range(d2)],
+            [
+                np.arange(self.n_steps + 1), self.t_fast, self.t_slow, self.X, self.Y,
+                np.asarray(self.S1, dtype=int), np.asarray(self.S2, dtype=int),
+                np.vstack([self.M1, np.zeros((1, d1))]),
+                np.vstack([self.M2, np.zeros((1, d2))]),
+            ],
+        )
 
 
 def run(
@@ -344,23 +333,20 @@ def _window_sups(traj: Trajectory, T: float, n_windows: int, starts, deviation):
 
 
 def interpolation_gap(
-    traj: Trajectory, l: int, T: float, n_windows: int = 64, starts=None
+    traj: Trajectory, T: float, n_windows: int = 64, starts=None
 ) -> np.ndarray:
     """Window suprema of ||slow path - noise-free re-integration||.
 
     From each window start the slow iterate is re-integrated using only the
     logged selected velocities (the realized values of every level's
-    parametrized drift, so the result does not depend on ``l``); the
-    supremum of the gap to the logged path over a window of clock length
-    ``T`` is returned per window, for trend testing against the noise
-    partial-sum bound.  A window from slow time t holds the knots whose time
+    parametrized drift, so no level needs choosing); the supremum of the gap
+    to the logged path over a window of clock length ``T`` is returned per
+    window, for trend testing against the noise partial-sum bound.  A window from slow time t holds the knots whose time
     lies in [t, t + T] (at least two) and is re-integrated from the first of
     them.  Up to ``n_windows`` windows start at knots spaced evenly in step
     index, or, when ``starts`` is given, one window starts at each of these
     slow-clock times.
     """
-    if l < 1:
-        raise ValueError("level must be >= 1")
     b = traj.schedule.b(np.arange(traj.n_steps))[:, None]
     drift_prefix = np.vstack(
         [np.zeros((1, traj.Y.shape[1])), np.cumsum(b * traj.V2, axis=0)]

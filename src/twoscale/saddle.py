@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -132,6 +134,10 @@ class SaddleProblem:
         # lambda(y) found by the latest dual_ode_field, keyed on y.tobytes();
         # verify_envelope pops the entries it reuses.
         self._lambda_record: dict[bytes, np.ndarray] = {}
+        # (x.tobytes(), Jhat_mu(x) over the weighted states, per-state
+        # subgradient points) at the point the latest scalar lambda_min
+        # returned; all of it is independent of y.
+        self._carried: Optional[tuple] = None
 
     def _validate(self) -> None:
         for s in range(self.alphabet):
@@ -196,6 +202,29 @@ class SaddleProblem:
         if self._w_mu is None:
             self._w_mu = self.mu @ self.w
         return self._w_mu
+
+    @cached_property
+    def _penalty(self) -> SimpleNamespace:
+        """Coefficients of the penalty terms, computed once."""
+        r2 = self.radius**2
+        return SimpleNamespace(
+            r2=r2,
+            c_strong=self.epsilon / (2 * r2),
+            c_outer=0.5 * (self.growth_K + 1),
+            c_shift=self.epsilon / r2,
+            band=1e-9 * max(1.0, self.radius),
+        )
+
+    @cached_property
+    def _solver(self) -> SimpleNamespace:
+        """Per-problem constants of ``lambda_min``, computed once: the states
+        that carry stationary weight, the Armijo rounding factor and the
+        transposed direction net of the certificate."""
+        return SimpleNamespace(
+            weighted=[(s, m) for s, m in enumerate(self.mu) if m != 0.0],
+            eps8=8 * np.finfo(float).eps,
+            net_T=direction_net(self.d1).T,
+        )
 
     def J_mu(self, x) -> float:
         mu, objective = self.mu, self.objective
@@ -262,9 +291,16 @@ def quadratic_problem(
 
 
 def _penalty_value(P: SaddleProblem, x: np.ndarray) -> float:
+    k = P._penalty
     n2 = float(x @ x)
-    r2 = P.radius**2
-    return (P.epsilon / (2 * r2)) * n2 + 0.5 * (P.growth_K + 1) * max(n2 - r2, 0.0)
+    return k.c_strong * n2 + k.c_outer * max(n2 - k.r2, 0.0)
+
+
+def _penalty_rows(P: SaddleProblem, Z: np.ndarray) -> np.ndarray:
+    """``_penalty_value`` of each row of Z."""
+    k = P._penalty
+    n2 = _rowdot(Z, Z)
+    return k.c_strong * n2 + k.c_outer * np.maximum(n2 - k.r2, 0.0)
 
 
 def penalized_objective(P: SaddleProblem, x, s: int) -> float:
@@ -293,32 +329,37 @@ def penalized_subgrad(P: SaddleProblem, x, s: int) -> ConvexSet:
 
 def _penalty_shift(P: SaddleProblem, x: np.ndarray) -> Optional[np.ndarray]:
     """Gradient of the penalty terms at x; None on the barrier sphere band."""
-    shift = (P.epsilon / P.radius**2) * x
+    k = P._penalty
+    shift = k.c_shift * x
     nrm = math.sqrt(float(x @ x))
-    band = 1e-9 * max(1.0, P.radius)
-    if nrm < P.radius - band:
+    if nrm < P.radius - k.band:
         return shift
-    if nrm > P.radius + band:
+    if nrm > P.radius + k.band:
         return shift + (P.growth_K + 1) * x
     return None
 
 
-def _point_subgrad_mu(
-    P: SaddleProblem, x: np.ndarray, weighted, shift: Optional[np.ndarray] = None
-) -> Optional[np.ndarray]:
-    """Array form of the averaged subgradient when every state gives one point.
-
-    Sums ``m * (g_s + shift)`` over the ``(s, m)`` pairs of ``weighted`` in
-    the order ``minkowski_combine`` would; returns None as soon as a state's
-    subdifferential has more than one generator.
-    """
-    acc = 0.0
-    for s, m in weighted:
+def _state_points(P: SaddleProblem, x: np.ndarray) -> Optional[list]:
+    """The subgradient point of each weighted state at x, in state order, or
+    None as soon as a state's subdifferential has more than one generator."""
+    pts = []
+    for s, _ in P._solver.weighted:
         G = P.subgrad(x, s)
-        pts = G.points if isinstance(G, ConvexSet) else ConvexSet(G).points
-        if pts.shape != (1, P.d1):
+        p = G.points if isinstance(G, ConvexSet) else ConvexSet(G).points
+        if p.shape != (1, P.d1):
             return None
-        acc = acc + m * (pts[0] if shift is None else pts[0] + shift)
+        pts.append(p[0])
+    return pts
+
+
+def _point_subgrad_mu(
+    P: SaddleProblem, pts: list, shift: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Averaged subgradient from ``_state_points``: ``m * (g_s + shift)``
+    summed over the weighted states in the order ``minkowski_combine`` would."""
+    acc = 0.0
+    for (_, m), p in zip(P._solver.weighted, pts):
+        acc = acc + m * (p if shift is None else p + shift)
     return acc
 
 
@@ -378,6 +419,13 @@ def lambda_min(
     on plain arrays; a set-valued subgradient is handled by projecting the
     averaged generator cloud.
 
+    ``P`` carries one entry from the latest scalar call: the point it
+    returned, with the y-independent parts of the value and the per-state
+    subgradient points there, all found by its last step and certificate.
+    A call that starts at that point bit for bit (a warm-start chain) takes
+    its first value and gradient from the entry instead of the oracles; the
+    result is the same.  The oracles must therefore be pure functions of x.
+
     A 2-d ``y`` of shape ``(R, d2)`` is a block of multipliers, with ``x0``
     None or of shape ``(R, d1)``; the result has shape ``(R, d1)`` and row r
     equals the call on ``y[r]`` from ``x0[r]`` bit for bit (see
@@ -388,24 +436,28 @@ def lambda_min(
         return _lambda_min_rows(P, y, x0, grad_tol, max_iter)
     cy = P.C_mu.T @ y
     x = np.array(x0, dtype=float) if x0 is not None else P.reference_point().copy()
-    mu, objective = P.mu, P.objective
-    weighted = [(s, mu[s]) for s in range(P.alphabet) if mu[s] != 0.0]
+    objective, k = P.objective, P._solver
+    weighted = k.weighted
 
-    def value(z):
-        # Jhat_mu(z) + <cy, z> over the states that carry weight.
+    def base(z):
+        # Jhat_mu(z) over the states that carry weight; the value adds <cy, z>.
         J = 0
         for s, m in weighted:
             J += m * objective(z, s)
-        return float(J) + _penalty_value(P, z) + float(cy @ z)
+        return float(J) + _penalty_value(P, z)
 
-    def smooth_grad(z):
-        g = _point_subgrad_mu(P, z, weighted)
-        if g is None:
+    def smooth_grad(z, pts):
+        if pts is None:
             return project(_raw_subgrad_mu(P, z), -cy) + cy
-        return g + cy
+        return _point_subgrad_mu(P, pts) + cy
 
-    fx = value(x)
-    g = smooth_grad(x)
+    carried = P._carried
+    if carried is not None and carried[0] == x.tobytes():
+        bx, pts = carried[1], carried[2]
+    else:
+        bx, pts = base(x), _state_points(P, x)
+    fx = bx + float(cy @ x)
+    g = smooth_grad(x, pts)
     gamma = 1.0
     prev_x = prev_g = None
     residual = np.inf
@@ -419,10 +471,11 @@ def lambda_min(
         step = gamma
         # Rounding slack keeps the sufficient-decrease test meaningful once
         # the true decrease falls below float resolution of the value.
-        slack = 8 * np.finfo(float).eps * (1.0 + abs(fx))
+        slack = k.eps8 * (1.0 + abs(fx))
         for _ in range(60):
             x_new = _prox_penalty(P, x - step * g, step)
-            f_new = value(x_new)
+            b_new = base(x_new)
+            f_new = b_new + float(cy @ x_new)
             dx = x_new - x
             move2 = float((dx * dx).sum())
             if f_new <= fx - (0.25 / step) * move2 + slack:
@@ -432,20 +485,26 @@ def lambda_min(
             raise SolverStallError(residual, it)
         residual = math.sqrt(float(dx @ dx)) / step
         prev_x, prev_g = x, g
-        x, fx = x_new, f_new
+        x, fx, bx = x_new, f_new, b_new
         if residual <= grad_tol:
             break
-        g = smooth_grad(x)
+        g = smooth_grad(x, _state_points(P, x))
     else:
         raise SolverStallError(residual, max_iter)
     # 0 in d_x L(x, y) via support functions: every direction must see a
     # nonnegative support value.
     shift = _penalty_shift(P, x)
-    g = None if shift is None else _point_subgrad_mu(P, x, weighted, shift)
-    full = _subgrad_mu(P, x).points if g is None else g[None, :]
-    worst = float(((full + cy) @ direction_net(P.d1).T).max(axis=0).min())
+    pts = None if shift is None else _state_points(P, x)
+    full = (
+        _subgrad_mu(P, x).points if pts is None
+        else _point_subgrad_mu(P, pts, shift)[None, :]
+    )
+    worst = float(((full + cy) @ k.net_T).max(axis=0).min())
     if worst < -MEMBERSHIP_TOL:
         raise SolverStallError(abs(worst), max_iter)
+    # A point on the barrier band or with a set-valued subgradient is not
+    # carried: its per-state points were not all found.
+    P._carried = None if pts is None else (x.tobytes(), bx, pts)
     return x
 
 
@@ -503,18 +562,15 @@ def _batched_steps(P, Y, X, grad_tol, max_iter):
     Every row is computed at every pass and masks decide which results a
     row keeps, which on a few rows is cheaper than gathering the live ones.
     """
-    mu = P.mu
-    weighted = [(s, mu[s]) for s in range(P.alphabet) if mu[s] != 0.0]
+    k, pen = P._solver, P._penalty
+    weighted = k.weighted
     CY = np.matmul(P.C_mu.T, Y[:, :, None])[:, :, 0]
-    r2 = P.radius**2
-    c_strong, c_outer = P.epsilon / (2 * r2), 0.5 * (P.growth_K + 1)
 
     def value(Z):
         J = 0
         for s, m in weighted:
             J = J + m * P.objective_rows(Z, s)
-        n2 = _rowdot(Z, Z)
-        return J + (c_strong * n2 + c_outer * np.maximum(n2 - r2, 0.0)) + _rowdot(CY, Z)
+        return J + _penalty_rows(P, Z) + _rowdot(CY, Z)
 
     def subgrad_mu(Z, shift=None):
         acc = 0.0
@@ -529,7 +585,6 @@ def _batched_steps(P, Y, X, grad_tol, max_iter):
     redo = ~live
     gamma = np.ones(len(X))
     prev_X, prev_G = X, G  # arrays here are replaced, never written in place
-    eps8 = 8 * np.finfo(float).eps
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for it in range(max_iter):
             if not live.any():
@@ -540,7 +595,7 @@ def _batched_steps(P, Y, X, grad_tol, max_iter):
                 bb = np.minimum(np.maximum(_rowdot(dX, dG) / denom, 1e-12), 1e3)
                 gamma = np.where(live & (denom > 0), bb, gamma)
             step = gamma
-            slack = eps8 * (1.0 + np.abs(F))
+            slack = k.eps8 * (1.0 + np.abs(F))
             trying = live.copy()
             for tries in range(60):
                 xn = _prox_penalty_rows(P, X - step[:, None] * G, step)
@@ -571,14 +626,13 @@ def _batched_steps(P, Y, X, grad_tol, max_iter):
                 redo |= bad
         redo |= live
         # 0 in d_x L(x, y) via support functions, as in the scalar solver.
-        shift = (P.epsilon / r2) * X
+        shift = pen.c_shift * X
         nrm = np.sqrt(_rowdot(X, X))
-        band = 1e-9 * max(1.0, P.radius)
-        outer = nrm > P.radius + band
+        outer = nrm > P.radius + pen.band
         shift[outer] = shift[outer] + (P.growth_K + 1) * X[outer]
-        on_band = ~(nrm < P.radius - band) & ~outer
+        on_band = ~(nrm < P.radius - pen.band) & ~outer
         g = subgrad_mu(X, shift) + CY
-        worst = np.matmul(g[:, None, :], direction_net(P.d1).T)[:, 0, :].min(axis=1)
+        worst = np.matmul(g[:, None, :], k.net_T)[:, 0, :].min(axis=1)
     return X, redo | on_band | ~(worst >= -MEMBERSHIP_TOL)
 
 
@@ -621,12 +675,16 @@ def dual_ode_field(P: SaddleProblem) -> MeanField:
 
     Each evaluation warm-starts ``lambda_min`` from the previous minimizer;
     the minimizer is unique, so the warm start only changes iteration
-    counts, not values.  Each minimizer is also recorded on the problem,
-    keyed on the exact bytes of y (the first one found for a repeated y is
-    kept), so that ``verify_envelope`` on the path just integrated reuses it
-    instead of solving again.  Building a new field replaces that record and
-    ``verify_envelope`` removes every entry it takes, so the record holds at
-    most the states this field evaluated that no envelope check has used.
+    counts, not values.  That start is the point the previous solve
+    returned, so the solve takes its first value and gradient from the
+    entry ``lambda_min`` carries on ``P`` rather than from the oracles,
+    unless another scalar solve on ``P`` came in between.  Each minimizer
+    is also recorded on the problem, keyed on the exact bytes of y (the
+    first one found for a repeated y is kept), so that ``verify_envelope``
+    on the path just integrated reuses it instead of solving again.
+    Building a new field replaces that record and ``verify_envelope``
+    removes every entry it takes, so the record holds at most the states
+    this field evaluated that no envelope check has used.
 
     ``evaluate_rows`` maps a block of multipliers ``(R, d2)`` to its block of
     velocities through the batched ``lambda_min``; each row warm-starts from
@@ -787,20 +845,26 @@ def verify_envelope(P: SaddleProblem, y_path: DIPath) -> EnvelopeReport:
     same y; every other knot is solved by ``lambda_min``, warm-started from
     the previous knot.  Along the path the field just integrated, this is
     the same warm-start chain, so the result equals a full re-solve.
+
+    V and the squared residuals are computed on blocks of knots
+    (``objective_rows`` per state where the problem has it, scalar
+    ``objective`` calls otherwise); each entry equals ``lagrangian`` and the
+    residual of its knot bit for bit.
     """
     y_path._single("verify_envelope")
-    C_mu, w_mu = P.C_mu, P.w_mu
     record = P._lambda_record
-    V = np.empty(len(y_path.times))
-    resid2 = np.empty(len(y_path.times))
+    n = len(y_path.times)
+    V, resid2 = np.empty(n), np.empty(n)
     warm = None
-    for i, y in enumerate(y_path.states):
-        lam = record.pop(y.tobytes(), None)
-        if lam is None:
-            lam = lambda_min(P, y, x0=warm)
-        warm = lam
-        V[i] = lagrangian(P, lam, y)
-        resid2[i] = float(np.sum((C_mu @ lam - w_mu) ** 2))
+    for a in range(0, n, _ENVELOPE_BLOCK):
+        Y = y_path.states[a:a + _ENVELOPE_BLOCK]
+        L = np.empty((len(Y), P.d1))
+        for i, y in enumerate(Y):
+            lam = record.pop(y.tobytes(), None)
+            if lam is None:
+                lam = lambda_min(P, y, x0=warm)
+            L[i] = warm = lam
+        V[a:a + len(Y)], resid2[a:a + len(Y)] = _dual_rows(P, L, Y)
     dt = np.diff(y_path.times)
     integral = np.concatenate(
         [[0.0], np.cumsum(0.5 * dt * (resid2[:-1] + resid2[1:]))]
@@ -811,3 +875,22 @@ def verify_envelope(P: SaddleProblem, y_path: DIPath) -> EnvelopeReport:
         times=y_path.times, V=V, integral=integral,
         max_discrepancy=disc, monotone_ok=monotone,
     )
+
+
+# Knots per block of verify_envelope: whole-path temporaries would raise
+# the peak memory of a 20,001-knot check by about 0.6 MB.
+_ENVELOPE_BLOCK = 1024
+
+
+def _dual_rows(P: SaddleProblem, L: np.ndarray, Y: np.ndarray):
+    """``lagrangian(P, L[r], Y[r])`` and ``||C_mu L[r] - w_mu||^2`` of each row."""
+    # J_mu over every state in order, as J_mu sums it.
+    J = 0
+    for s in range(P.alphabet):
+        if P.objective_rows is None:
+            rows = np.array([P.objective(x, s) for x in L], dtype=float)
+        else:
+            rows = P.objective_rows(L, s)
+        J = J + P.mu[s] * rows
+    resid = np.matmul(P.C_mu, L[:, :, None])[:, :, 0] - P.w_mu
+    return J + _penalty_rows(P, L) + _rowdot(Y, resid), (resid**2).sum(axis=1)

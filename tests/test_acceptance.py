@@ -349,7 +349,7 @@ def test_c11_interpolation_gap(canonical_problem):
         seed=301,
         noise=NoiseModel(kind="uniform", fast_scale=0.1, slow_scale=0.1),
     )
-    gaps = interpolation_gap(traj, l=1, T=1.0, n_windows=48)
+    gaps = interpolation_gap(traj, T=1.0, n_windows=48)
     bounds = noise_partial_sup(traj, T=1.0, n_windows=48)
     # Restrict to window starts in the last three quarters of the run.
     tail = gaps[len(gaps) // 4 :]

@@ -208,7 +208,7 @@ class TestInterpolationGap:
     def test_zero_noise_zero_gap(self):
         H1, H2, K = decay_pair()
         traj = run(H1, H2, K, K, SCHED, [1.0], [1.0], 0, 0, N=2000, seed=0)
-        sups = interpolation_gap(traj, l=1, T=1.0)
+        sups = interpolation_gap(traj, T=1.0)
         assert np.all(sups <= 1e-12)
 
     def test_single_step_window(self):
@@ -227,7 +227,7 @@ class TestInterpolationGap:
         H1, H2, K = decay_pair()
         noise = NoiseModel(fast_scale=0.1, slow_scale=0.1)
         traj = run(H1, H2, K, K, SCHED, [1.0], [1.0], 0, 0, N=3000, seed=8, noise=noise)
-        gaps = interpolation_gap(traj, l=2, T=1.0, n_windows=16)
+        gaps = interpolation_gap(traj, T=1.0, n_windows=16)
         bound = noise_partial_sup(traj, T=1.0, n_windows=16)
         assert gaps.shape == bound.shape
         np.testing.assert_allclose(gaps, bound, atol=1e-10)
@@ -236,10 +236,10 @@ class TestInterpolationGap:
         H1, H2, K = decay_pair()
         noise = NoiseModel(fast_scale=0.1, slow_scale=0.1)
         traj = run(H1, H2, K, K, SCHED, [1.0], [1.0], 0, 0, N=3000, seed=8, noise=noise)
-        default = interpolation_gap(traj, l=1, T=1.0, n_windows=16)
+        default = interpolation_gap(traj, T=1.0, n_windows=16)
         last = int(np.searchsorted(traj.t_slow, traj.t_slow[-1] - 1.0, side="right")) - 1
         knots = np.linspace(0, last, 16).astype(int)
-        by_time = interpolation_gap(traj, l=1, T=1.0, starts=traj.t_slow[knots])
+        by_time = interpolation_gap(traj, T=1.0, starts=traj.t_slow[knots])
         assert np.array_equal(by_time, default)
 
     def test_start_times_off_knots(self):
@@ -249,7 +249,7 @@ class TestInterpolationGap:
         ts = traj.t_slow
         b = SCHED.b(np.arange(traj.n_steps))
         t0s = np.array([2.5, 4.0, ts[-1] - 0.5])
-        gaps = interpolation_gap(traj, l=1, T=0.75, starts=t0s)
+        gaps = interpolation_gap(traj, T=0.75, starts=t0s)
         for t0, gap in zip(t0s, gaps):
             n0, *rest = np.flatnonzero((ts >= t0) & (ts <= t0 + 0.75))
             assert rest
@@ -258,7 +258,7 @@ class TestInterpolationGap:
                 y += b[n - 1] * traj.V2[n - 1]
                 worst = max(worst, float(np.linalg.norm(traj.Y[n] - y)))
             assert gap == pytest.approx(worst, rel=1e-9, abs=1e-15)
-        past_end = interpolation_gap(traj, l=1, T=0.75, starts=[ts[-1] + 3.0])
+        past_end = interpolation_gap(traj, T=0.75, starts=[ts[-1] + 3.0])
         assert past_end.tolist() == [0.0]
 
     def test_noise_partial_sums_decay_in_thirds(self):

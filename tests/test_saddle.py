@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twoscale.saddle as saddle
 from twoscale.convex import ConvexSet, hausdorff
@@ -47,6 +49,30 @@ def canonical():
 def lambda_closed_form(y):
     """First-order condition oracle in the unpenalized region."""
     return ((0.5 - 0.5 * y) / (1 + 2 * C_PEN)) * np.ones(2)
+
+
+def abs_kink_problem():
+    """J(x) = 0.5 ||x - (2, 1)||^2 + |x_0| with constraint x_1 = 0.5.
+
+    The reference point (0, 0.5) sits on the kink x_0 = 0, where the
+    subdifferential is a segment, so a solve from there must take the
+    projection branch; lambda(y) = (1, 1 - y) / (1 + 2 C_PEN).
+    """
+    def objective(x, s):
+        return 0.5 * ((x[0] - 2.0) ** 2 + (x[1] - 1.0) ** 2) + abs(x[0])
+
+    def subgrad(x, s):
+        g = [x[0] - 2.0, x[1] - 1.0]
+        if x[0] == 0.0:
+            return ConvexSet([[g[0] - 1.0, g[1]], [g[0] + 1.0, g[1]]])
+        return ConvexSet.singleton([g[0] + np.sign(x[0]), g[1]])
+
+    return SaddleProblem(
+        objective=objective, subgrad=subgrad,
+        C=[[[0.0, 1.0]]], w=[[0.5]],
+        kernel=FiniteKernel.constant([[1.0]]),
+        epsilon=EPS, radius=R, growth_K=2.0, feasible_points=[[0.0, 0.5]],
+    )
 
 
 def single_state():
@@ -199,24 +225,7 @@ class TestLambdaMin:
         np.testing.assert_allclose(cold, warm, atol=1e-7)
 
     def test_set_valued_subgradient_is_projected(self, monkeypatch):
-        # J(x) = 0.5 ||x - (2, 1)||^2 + |x_0| with constraint x_1 = 0.5. The
-        # start (0, 0.5) sits on the kink x_0 = 0, where the subdifferential
-        # is a segment, so the solver must take the projection branch there.
-        def objective(x, s):
-            return 0.5 * ((x[0] - 2.0) ** 2 + (x[1] - 1.0) ** 2) + abs(x[0])
-
-        def subgrad(x, s):
-            g = [x[0] - 2.0, x[1] - 1.0]
-            if x[0] == 0.0:
-                return ConvexSet([[g[0] - 1.0, g[1]], [g[0] + 1.0, g[1]]])
-            return ConvexSet.singleton([g[0] + np.sign(x[0]), g[1]])
-
-        P = SaddleProblem(
-            objective=objective, subgrad=subgrad,
-            C=[[[0.0, 1.0]]], w=[[0.5]],
-            kernel=FiniteKernel.constant([[1.0]]),
-            epsilon=EPS, radius=R, growth_K=2.0, feasible_points=[[0.0, 0.5]],
-        )
+        P = abs_kink_problem()
         calls = []
         real_project = saddle.project
         monkeypatch.setattr(
@@ -605,3 +614,180 @@ class TestBatchedDualFlow:
         batched = di_solve(dual_ode_field(P), np.zeros((2, 1)), T=0.05, dt=1e-2)
         with pytest.raises(ValueError, match="verify_envelope needs a single path"):
             verify_envelope(P, batched)
+
+
+# Problems the carried entry and the envelope blocks are checked on: row
+# oracles, three states in 3-d, curvature that makes the result depend on
+# the start, scalar oracles only, and a start on a kink that takes the
+# projection branch.
+CARRY_PROBLEMS = pytest.mark.parametrize(
+    "make",
+    [
+        canonical, three_state, anisotropic,
+        lambda: without_row_oracles(canonical()), abs_kink_problem,
+    ],
+    ids=["canonical", "three_state", "anisotropic", "no_row_oracles", "abs_kink"],
+)
+
+
+def counting(P):
+    """A copy of P whose scalar oracles count their calls after construction."""
+    calls = {"objective": 0, "subgrad": 0}
+
+    def objective(x, s):
+        calls["objective"] += 1
+        return P.objective(x, s)
+
+    def subgrad(x, s):
+        calls["subgrad"] += 1
+        return P.subgrad(x, s)
+
+    Q = SaddleProblem(
+        objective=objective, subgrad=subgrad, C=P.C, w=P.w, kernel=P.kernel,
+        epsilon=P.epsilon, radius=P.radius, growth_K=P.growth_K,
+        feasible_points=P.feasible_points,
+        objective_rows=P.objective_rows, subgrad_rows=P.subgrad_rows,
+    )
+    calls.update(objective=0, subgrad=0)
+    return Q, calls
+
+
+def flow_knots(P):
+    """Knots of a short dual-flow path of P, as dual_ode_field visits them."""
+    return di_solve(dual_ode_field(P), np.full(P.d2, 0.4), T=0.3, dt=1e-2)
+
+
+def solve_chain(P, ys, clear):
+    """Warm-start chain of scalar solves; ``clear`` drops the carried entry
+    before every call."""
+    warm, out = None, []
+    for y in ys:
+        if clear:
+            P._carried = None
+        warm = lambda_min(P, y, x0=warm)
+        out.append(warm)
+    return np.array(out)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestCarriedEntry:
+    @CARRY_PROBLEMS
+    def test_chain_equals_chain_without_entry(self, make):
+        ys = flow_knots(make()).states
+        carried, n_carried = counting(make())
+        cleared, n_cleared = counting(make())
+        assert np.array_equal(
+            solve_chain(carried, ys, clear=False), solve_chain(cleared, ys, clear=True)
+        )
+        # Every solve after the first starts at the point the one before
+        # returned, and takes its first value and gradient from the entry.
+        saved = (len(ys) - 1) * len(carried._solver.weighted)
+        assert n_cleared["objective"] - n_carried["objective"] == saved
+        assert n_cleared["subgrad"] - n_carried["subgrad"] == saved
+
+    @CARRY_PROBLEMS
+    def test_start_one_ulp_off_calls_the_oracles(self, make):
+        P, calls = counting(make())
+        x = lambda_min(P, np.full(P.d2, 0.3))
+        entry = P._carried
+        off = x.copy()
+        off[0] = np.nextafter(off[0], np.inf)
+
+        def solve(start, carried):
+            P._carried = carried
+            calls.update(objective=0, subgrad=0)
+            return lambda_min(P, np.full(P.d2, 0.35), x0=start), dict(calls)
+
+        lam_off, n_off = solve(off, entry)
+        lam_off_fresh, n_off_fresh = solve(off, None)
+        assert np.array_equal(lam_off, lam_off_fresh)
+        assert n_off == n_off_fresh
+        lam, n = solve(x, entry)
+        lam_fresh, n_fresh = solve(x, None)
+        assert np.array_equal(lam, lam_fresh)
+        weighted = len(P._solver.weighted)
+        assert n_fresh["objective"] - n["objective"] == weighted
+        assert n_fresh["subgrad"] - n["subgrad"] == weighted
+
+    def test_kink_start_takes_projection_branch(self, monkeypatch):
+        calls = []
+        real_project = saddle.project
+        monkeypatch.setattr(
+            saddle, "project", lambda K, z: calls.append(K.n_points) or real_project(K, z)
+        )
+        P = abs_kink_problem()
+        solve_chain(P, flow_knots(abs_kink_problem()).states, clear=False)
+        assert calls and max(calls) >= 2
+
+
+def envelope_by_knots(P, path):
+    """verify_envelope as a per-knot loop over ``lagrangian``, every knot solved."""
+    V, resid2, warm = [], [], None
+    for y in path.states:
+        warm = lambda_min(P, y, x0=warm)
+        V.append(lagrangian(P, warm, y))
+        resid2.append(float(np.sum((P.C_mu @ warm - P.w_mu) ** 2)))
+    V, resid2 = np.array(V), np.array(resid2)
+    dt = np.diff(path.times)
+    integral = np.concatenate([[0.0], np.cumsum(0.5 * dt * (resid2[:-1] + resid2[1:]))])
+    return V, integral, float(np.abs(V - V[0] - integral).max())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestEnvelopeBlocks:
+    @CARRY_PROBLEMS
+    @pytest.mark.parametrize("block", [1, 7, saddle._ENVELOPE_BLOCK])
+    def test_matches_per_knot_lagrangian(self, make, block, monkeypatch):
+        P = make()
+        path = flow_knots(P)
+        V, integral, disc = envelope_by_knots(make(), path)
+        monkeypatch.setattr(saddle, "_ENVELOPE_BLOCK", block)
+        rep = verify_envelope(P, path)
+        assert np.array_equal(rep.V, V)
+        assert np.array_equal(rep.integral, integral)
+        assert rep.max_discrepancy == disc
+        assert not P._lambda_record
+
+
+def random_quadratic(seed, n_states, d1, d2):
+    """A random quadratic problem with a unique stationary law and a radius
+    that clears the witnesses and the coercivity check."""
+    rng = np.random.default_rng(seed)
+    theta = rng.standard_normal((n_states, d1))
+    C = rng.standard_normal((n_states, d2, d1))
+    w = rng.standard_normal((n_states, d2))
+    K = rng.uniform(0.1, 1.0, (n_states, n_states))
+    K /= K.sum(axis=1, keepdims=True)
+    witnesses = [np.linalg.lstsq(C[s], w[s], rcond=None)[0] for s in range(n_states)]
+    # J(r u, s) >= (r - |theta_s|)^2 / 2 exceeds every witness value once
+    # r > |x_s| + 2 |theta|.
+    radius = 1.0 + max(np.linalg.norm(witnesses, axis=1)) + 2 * max(
+        np.linalg.norm(theta, axis=1)
+    )
+    P = quadratic_problem(
+        theta, C, w, FiniteKernel.constant(K), epsilon=0.05, radius=radius,
+        feasible_points=witnesses,
+    )
+    return P, theta, rng
+
+
+class TestLambdaMinClosedForm:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_states=st.integers(1, 3),
+        d1=st.integers(1, 3),
+        d2=st.integers(1, 3),
+    )
+    def test_matches_closed_form_inside_ball(self, seed, n_states, d1, d2):
+        P, theta, rng = random_quadratic(seed, n_states, d1, min(d1, d2))
+        Y = rng.standard_normal((6, P.d2)) * np.logspace(-1, 1, 6)[:, None]
+        # Stationarity of the Lagrangian inside the ball:
+        # x - theta_bar + (eps / r^2) x + C_mu^T y = 0.
+        closed = (P.mu @ theta - Y @ P.C_mu) / (1 + P.epsilon / P.radius**2)
+        inside = np.linalg.norm(closed, axis=1) < P.radius - 1e-6
+        scalar = np.array([lambda_min(P, y) for y in Y])
+        batched = lambda_min(P, Y)
+        tol = 1e-7 * (1 + np.abs(closed[inside]))
+        assert np.all(np.abs(scalar[inside] - closed[inside]) <= tol)
+        assert np.all(np.abs(batched[inside] - closed[inside]) <= tol)
