@@ -674,8 +674,8 @@ def dual_ode_field(P: SaddleProblem) -> MeanField:
     """Singleton dual flow field y -> {C_mu lambda(y) - w_mu}.
 
     Each evaluation warm-starts ``lambda_min`` from the previous minimizer;
-    the minimizer is unique, so the warm start only changes iteration
-    counts, not values.  That start is the point the previous solve
+    the minimizer is unique, so the warm start changes iteration counts
+    and, within the solver's residual target, the last digits.  That start is the point the previous solve
     returned, so the solve takes its first value and gradient from the
     entry ``lambda_min`` carries on ``P`` rather than from the oracles,
     unless another scalar solve on ``P`` came in between.  Each minimizer
