@@ -12,6 +12,7 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -88,25 +89,41 @@ def _matrix(value, path: str) -> np.ndarray:
 # -- registries of named built-ins ----------------------------------------
 
 def _zmap_sign(dim):
-    neg = ConvexSet.singleton(-np.ones(dim))
-    pos = ConvexSet.singleton(np.ones(dim))
-    both = ConvexSet(np.vstack([-np.ones(dim), np.ones(dim)]))
-    return lambda z: neg if z[0] > 0 else pos if z[0] < 0 else both
+    neg, pos = -np.ones(dim), np.ones(dim)
+    neg.flags.writeable = pos.flags.writeable = False
+    both = ConvexSet(np.vstack([neg, pos]))
+    return (lambda z: neg if z[0] > 0 else pos if z[0] < 0 else None), lambda z: both
 
 
 def _zmap_zero(dim):
-    zero = ConvexSet.singleton(np.zeros(dim))
-    return lambda z: zero
+    zero = np.zeros(dim)
+    zero.flags.writeable = False
+    return (lambda z: zero), None
 
 
-# z-maps by name: dim -> (z -> ConvexSet in R^dim); constant sets are built
-# once per map.
+# z-maps by name: dim -> (point, kink).  ``point(z)`` is the value's single
+# generator as a (dim,) array, or None where the value has more; ``kink(z)``
+# is the value there (None for a map single-valued everywhere).  Constant
+# values are built once per map.
 ZMAPS = {
-    "negate": lambda dim: lambda z: ConvexSet.singleton(-z),
+    "negate": lambda dim: ((lambda z: -z), None),
     "zero": _zmap_zero,
-    "identity": lambda dim: lambda z: ConvexSet.singleton(z),
+    "identity": lambda dim: ((lambda z: z.copy()), None),
     "sign": _zmap_sign,
 }
+
+
+def zmap(name: str, dim: int):
+    """Point form and set form of a built-in z-map; the set form is the
+    singleton of the point form wherever that is defined."""
+    point, kink = ZMAPS[name](dim)
+
+    def value(z):
+        p = point(z)
+        return kink(z) if p is None else ConvexSet.singleton(p)
+
+    return point, value
+
 
 # Drift name -> (iterate the z-map reads, z-map); the value lives in that
 # iterate's space.
@@ -249,6 +266,23 @@ def _config_hash(cfg: dict) -> str:
     ).hexdigest()
 
 
+def drift_map(name: str, d1: int, d2: int, alphabet: int) -> SetValuedMap:
+    """The built-in drift ``name`` (a ``DRIFTS`` key) with its point form."""
+    read, zname = DRIFTS[name]
+    k = d1 if read == "x" else d2
+    point, value = zmap(zname, k)
+    if read == "x":
+        evaluate, at = (lambda x, y, s: value(x)), (lambda x, y, s: point(x))
+    else:
+        evaluate, at = (lambda x, y, s: value(y)), (lambda x, y, s: point(y))
+    # The values lie in the ball of radius max(||z||, sqrt(k)) (sign's
+    # vertices have norm sqrt(k)).
+    return SetValuedMap(
+        dims=(d1, d2, k), alphabet=alphabet,
+        evaluate=evaluate, growth_K=math.sqrt(k), point=at,
+    )
+
+
 def _build_generic(cfg: dict):
     d1 = _number(cfg, "d1", "config", kind=int)
     d2 = _number(cfg, "d2", "config", kind=int)
@@ -261,13 +295,7 @@ def _build_generic(cfg: dict):
             raise ConfigError(
                 f"{path}.name: unknown drift {name!r}; have {sorted(DRIFTS)}"
             )
-        read, zmap = DRIFTS[name]
-        k = d1 if read == "x" else d2
-        f = ZMAPS[zmap](k)
-        evaluate = (lambda x, y, s: f(x)) if read == "x" else (lambda x, y, s: f(y))
-        return SetValuedMap(
-            dims=(d1, d2, k), alphabet=alphabet, evaluate=evaluate, growth_K=1.0
-        )
+        return drift_map(name, d1, d2, alphabet)
 
     H1 = drift("drift_fast")
     H2 = drift("drift_slow")
@@ -471,6 +499,11 @@ def cmd_run(cfg: dict, out_dir: Path, replicas: int) -> int:
     seed = int(cfg.get("seed", 0))
     if replicas <= 1:
         return _run_single(cfg, seed, out_dir)
+    if seed + replicas - 1 >= 2**64:
+        raise ConfigError(
+            f"config.seed: replica seeds run to seed + {replicas - 1}, "
+            "which must stay below 2^64"
+        )
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg_json = json.dumps(cfg)
     jobs = [
@@ -499,7 +532,7 @@ def _build_di_field(cfg: dict):
     if name not in FIELDS:
         raise ConfigError(f"config.field.name: unknown field {name!r}")
     dim = _number(cfg, "dim", "config", 1, int)
-    return MeanField(evaluate=ZMAPS[FIELDS[name]](dim), dim=dim, growth_K=1.0), None
+    return MeanField(evaluate=zmap(FIELDS[name], dim)[1], dim=dim, growth_K=1.0), None
 
 
 def cmd_solve_di(cfg: dict, out_dir: Path, envelope: bool) -> int:

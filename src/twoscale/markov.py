@@ -21,6 +21,8 @@ __all__ = [
     "SlowMeasure",
     "stationary_set",
     "sample_next",
+    "next_state",
+    "constant_walk",
     "slow_measure_family",
 ]
 
@@ -37,7 +39,8 @@ class FiniteKernel:
             raise ValueError("alphabet size must be >= 1")
         self.alphabet = int(alphabet)
         self._row = row
-        self.matrix = None  # set by ``constant``
+        self.matrix = None  # set by ``constant``, with its cumulative rows
+        self._cum = None
         self._stationary = None
 
     @classmethod
@@ -51,12 +54,22 @@ class FiniteKernel:
         return kern
 
     def row(self, x, y, s: int) -> np.ndarray:
-        if not 0 <= s < self.alphabet:
-            raise ValueError(f"state {s} outside alphabet of size {self.alphabet}")
+        self.check_state(s)
         r = np.asarray(self._row(x, y, s), dtype=float)
         if r.shape != (self.alphabet,):
             raise ValueError(f"row oracle returned shape {r.shape}")
         return r
+
+    def check_state(self, s: int) -> None:
+        if not 0 <= s < self.alphabet:
+            raise ValueError(f"state {s} outside alphabet of size {self.alphabet}")
+
+    def cum_row(self, x, y, s: int) -> np.ndarray:
+        """Cumulative transition row; a constant kernel's are computed once."""
+        if self._cum is None:
+            return np.cumsum(self.row(x, y, s))
+        self.check_state(s)
+        return self._cum[s]
 
     def frozen(self, x, y) -> np.ndarray:
         """Transition matrix with the iterates held fixed."""
@@ -196,15 +209,26 @@ def stationary_set(P, support_tol: float = 0.0) -> StationarySet:
 
 def sample_next(K: FiniteKernel, x, y, s: int, rng: np.random.Generator) -> int:
     """Inverse-CDF draw of the next noise state; advances ``rng`` in place."""
-    cum = getattr(K, "_cum", None)
-    if cum is None:
-        cum = np.cumsum(K.row(x, y, s))
-    else:
-        if not 0 <= s < K.alphabet:
-            raise ValueError(f"state {s} outside alphabet of size {K.alphabet}")
-        cum = cum[s]
-    u = rng.random()
-    return int(min(np.searchsorted(cum, u), K.alphabet - 1))
+    cum = K.cum_row(x, y, s)
+    return next_state(cum, rng.random())
+
+
+def next_state(cum: np.ndarray, u: float) -> int:
+    """The state whose cumulative-row interval holds the uniform ``u``."""
+    return int(min(np.searchsorted(cum, u), len(cum) - 1))
+
+
+def constant_walk(K: FiniteKernel, s: int, u: np.ndarray) -> list:
+    """States s_1..s_B of a constant kernel's chain from s_0 = ``s``, where
+    s_{i+1} = ``next_state(K.cum_row(., ., s_i), u[i])``: one vectorized
+    search per state, then a walk over plain lists."""
+    last = K.alphabet - 1
+    table = [np.minimum(np.searchsorted(c, u), last).tolist() for c in K._cum]
+    states = []
+    for row in zip(*table):
+        s = row[s]
+        states.append(s)
+    return states
 
 
 @dataclass

@@ -18,7 +18,7 @@ from scipy.special import zeta
 from .convex import distance
 from .csvtable import write_table
 from .dynamics import _interp, select_velocity
-from .markov import FiniteKernel, SlowMeasure, sample_next
+from .markov import FiniteKernel, SlowMeasure, constant_walk, next_state
 from .svmaps import SetValuedMap
 
 __all__ = [
@@ -127,15 +127,42 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("uniform", "gaussian"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.fast_scale < 0 or self.slow_scale < 0:
-            raise ValueError("noise scales must be nonnegative")
+        if not (0 <= self.fast_scale < np.inf and 0 <= self.slow_scale < np.inf):
+            raise ValueError("noise scales must be finite and nonnegative")
 
-    def draw(self, rng: np.random.Generator, scale: float, dim: int) -> np.ndarray:
-        if scale == 0.0 or dim == 0:
-            return np.zeros(dim)
+    def draw_block(
+        self, rng: np.random.Generator, steps: int, d1: int, d2: int, n_uniform: int
+    ):
+        """The randomness of ``steps`` recursion steps, in per-step order.
+
+        Each step draws its d1 fast-noise doubles, then its d2 slow-noise
+        doubles (a stream of scale 0 draws nothing), then ``n_uniform``
+        chain uniforms.  Returns the fast and slow noise blocks (``None`` for
+        a disabled stream) and the ``(steps, n_uniform)`` uniforms.  Uniform
+        noise comes from one ``rng.random`` call, mapped to -scale +
+        (2 scale) u, which is ``rng.uniform(-scale, scale)`` bit for bit;
+        gaussian noise draws step by step, as its sampler consumes a
+        variable number of raw draws.
+        """
+        w1 = d1 if self.fast_scale != 0.0 else 0
+        w2 = d2 if self.slow_scale != 0.0 else 0
         if self.kind == "uniform":
-            return rng.uniform(-scale, scale, dim)
-        return np.clip(rng.normal(0.0, scale, dim), -6 * scale, 6 * scale)
+            U = rng.random((steps, w1 + w2 + n_uniform))
+            m1 = -self.fast_scale + (2 * self.fast_scale) * U[:, :w1] if w1 else None
+            m2 = (
+                -self.slow_scale + (2 * self.slow_scale) * U[:, w1:w1 + w2]
+                if w2 else None
+            )
+            return m1, m2, U[:, w1 + w2:]
+        m1 = np.empty((steps, w1)) if w1 else None
+        m2 = np.empty((steps, w2)) if w2 else None
+        U = np.empty((steps, n_uniform))
+        for i in range(steps):
+            for m, scale in ((m1, self.fast_scale), (m2, self.slow_scale)):
+                if m is not None:
+                    m[i] = np.clip(rng.normal(0.0, scale, m.shape[1]), -6 * scale, 6 * scale)
+            U[i] = rng.random(n_uniform)
+        return m1, m2, U
 
 
 @dataclass
@@ -212,6 +239,10 @@ class Trajectory:
         )
 
 
+# Steps whose randomness is drawn together; a bound on the block buffers.
+BLOCK_STEPS = 1024
+
+
 def run(
     H1: SetValuedMap,
     H2: SetValuedMap,
@@ -237,6 +268,19 @@ def run(
     timescales read one chain driven by K1 (the single-chain applications
     set it).  Divergence beyond ``divergence_bound`` aborts with the step
     index; no stabilization device is applied.
+
+    Each drift's point form, where it has one, gives the velocity; only
+    where it returns ``None`` is the set evaluated and a velocity selected.
+    The RNG stream is consumed in a fixed per-step order: the fast
+    selection's draw, the slow selection's draw (only ``random_vertex`` on
+    a set with more than one generator draws), the fast noise, the slow
+    noise, the chain-1 uniform, then the chain-2 uniform (none for a shared
+    chain).  Noise and uniforms are drawn for blocks of up to
+    ``BLOCK_STEPS`` steps at once (``NoiseModel.draw_block``), which keeps
+    that order; a ``random_vertex`` rule draws mid-step, so it makes every
+    block one step long.  A constant kernel's states for a block come from
+    ``constant_walk``; an iterate-dependent kernel evaluates its row at the
+    step-n iterates.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -256,27 +300,69 @@ def run(
     V2 = np.zeros((N, d2))
     X[0], Y[0], S1[0], S2[0] = x0, y0, s1_0, s2_0
     n_arr = np.arange(max(N, 1))
-    a = schedule.a(n_arr)
-    b = schedule.b(n_arr)
+    a = schedule.a(n_arr).tolist()
+    b = schedule.b(n_arr).tolist()
+    s1, s2 = int(s1_0), int(s2_0)
+    if N > 0:
+        H1.check_probe(x0, y0, s1)
+        H2.check_probe(x0, y0, s2)
+        K1.check_state(s1)
+        if not share_noise_chain:
+            K2.check_state(s2)
+    point1, point2 = H1.point, H2.point
+    k1, k2 = (H1.dims[2],), (H2.dims[2],)
+    walk1 = K1.matrix is not None
+    walk2 = K2.matrix is not None and not share_noise_chain
+    block = 1 if "random_vertex" in (selection_fast, selection_slow) else BLOCK_STEPS
+    bound = divergence_bound
+    start = end = 0
     for n in range(N):
         x, y = X[n], Y[n]
-        s1, s2 = int(S1[n]), int(S2[n])
-        v1 = select_velocity(H1(x, y, s1), selection_fast, x, a[n], rng=rng)
-        v2 = select_velocity(H2(x, y, s2), selection_slow, y, b[n], rng=rng)
-        m1 = noise.draw(rng, noise.fast_scale, d1)
-        m2 = noise.draw(rng, noise.slow_scale, d2)
-        V1[n], V2[n], M1[n], M2[n] = v1, v2, m1, m2
-        X[n + 1] = x + a[n] * (v1 + m1)
-        Y[n + 1] = y + b[n] * (v2 + m2)
-        # NaN compares false, so one max-comparison also catches non-finite.
-        mx = np.abs(X[n + 1]).max(initial=0.0)
-        my = np.abs(Y[n + 1]).max(initial=0.0)
-        if not (mx < divergence_bound and my < divergence_bound):
-            raise DivergenceError(
-                n, f"iterates diverged at step {n}: |X|, |Y| left the finite range"
+        v1 = None if point1 is None else point1(x, y, s1)
+        if v1 is None:
+            v1 = select_velocity(H1(x, y, s1), selection_fast, x, a[n], rng=rng)
+        elif v1.shape != k1:
+            raise H1.dim_error(v1.shape[0] if v1.ndim == 1 else v1.shape)
+        v2 = None if point2 is None else point2(x, y, s2)
+        if v2 is None:
+            v2 = select_velocity(H2(x, y, s2), selection_slow, y, b[n], rng=rng)
+        elif v2.shape != k2:
+            raise H2.dim_error(v2.shape[0] if v2.ndim == 1 else v2.shape)
+        if n == end:
+            # After this step's selections: a one-step block keeps a
+            # random_vertex draw ahead of the step's noise.
+            start, end = n, min(n + block, N)
+            m1, m2, U = noise.draw_block(
+                rng, end - start, d1, d2, 1 if share_noise_chain else 2
             )
-        S1[n + 1] = sample_next(K1, x, y, s1, rng)
-        S2[n + 1] = S1[n + 1] if share_noise_chain else sample_next(K2, x, y, s2, rng)
+            if m1 is not None:
+                M1[start:end] = m1
+            if m2 is not None:
+                M2[start:end] = m2
+            u1 = U[:, 0]
+            next1 = constant_walk(K1, s1, u1) if walk1 else u1.tolist()
+            if not share_noise_chain:
+                u2 = U[:, 1]
+                next2 = constant_walk(K2, s2, u2) if walk2 else u2.tolist()
+        V1[n] = v1
+        V2[n] = v2
+        X[n + 1] = xn = x + a[n] * (v1 + M1[n])
+        Y[n + 1] = yn = y + b[n] * (v2 + M2[n])
+        # NaN compares false, so one comparison per coordinate also catches
+        # non-finite values.
+        for v in xn.tolist() + yn.tolist():
+            if not -bound < v < bound:
+                raise DivergenceError(
+                    n, f"iterates diverged at step {n}: |X|, |Y| left the finite range"
+                )
+        i = n - start
+        s1 = next1[i] if walk1 else next_state(K1.cum_row(x, y, s1), next1[i])
+        if share_noise_chain:
+            s2 = s1
+        else:
+            s2 = next2[i] if walk2 else next_state(K2.cum_row(x, y, s2), next2[i])
+        S1[n + 1] = s1
+        S2[n + 1] = s2
     return Trajectory(
         X=X, Y=Y, S1=S1, S2=S2, M1=M1, M2=M2, V1=V1, V2=V2,
         schedule=schedule, seed=seed,

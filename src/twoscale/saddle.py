@@ -643,30 +643,52 @@ def dual_value(P: SaddleProblem, y, x0=None) -> float:
 
 
 def primal_drift(P: SaddleProblem) -> SetValuedMap:
-    """Fast drift -(penalized subdifferential + C(s)^T y)."""
+    """Fast drift -(penalized subdifferential + C(s)^T y).
+
+    Its point form is -((g_s + shift) + C(s)^T y) for the single
+    subgradient point g_s and the penalty gradient ``shift``, the value's one
+    generator in the set form's order; it is ``None`` on the barrier sphere
+    band and wherever ``P.subgrad`` has more than one generator.
+    """
     cmax = max(
         float(np.linalg.norm(P.C[s], 2)) for s in range(P.alphabet)
     )
     growth = max(2 * P.growth_K + 1 + P.epsilon / P.radius**2, cmax)
+    CT = [P.C[s].T for s in range(P.alphabet)]
 
     def evaluate(x, y, s):
         G = penalized_subgrad(P, x, s)
-        return ConvexSet._trusted(-(G.points + P.C[s].T @ y))
+        return ConvexSet._trusted(-(G.points + CT[s] @ y))
+
+    def point(x, y, s):
+        shift = _penalty_shift(P, x)
+        if shift is None:
+            return None
+        G = P.subgrad(x, s)
+        pts = G.points if isinstance(G, ConvexSet) else ConvexSet(G).points
+        if pts.shape[0] != 1:
+            return None
+        return -((pts[0] + shift) + CT[s] @ y)
 
     return SetValuedMap(
         dims=(P.d1, P.d2, P.d1), alphabet=P.alphabet,
-        evaluate=evaluate, growth_K=growth,
+        evaluate=evaluate, growth_K=growth, point=point,
     )
 
 
 def dual_drift(P: SaddleProblem) -> SetValuedMap:
-    """Slow drift {C(s) x - w(s)}, the observed constraint residual."""
+    """Slow drift {C(s) x - w(s)}, the observed constraint residual; a
+    singleton everywhere, so its point form is C(s) x - w(s)."""
     cmax = max(float(np.linalg.norm(P.C[s], 2)) for s in range(P.alphabet))
     wmax = float(np.abs(P.w).max(initial=0.0))
+
+    def point(x, y, s):
+        return P.C[s] @ x - P.w[s]
+
     return SetValuedMap(
         dims=(P.d1, P.d2, P.d2), alphabet=P.alphabet,
-        evaluate=lambda x, y, s: ConvexSet.singleton(P.C[s] @ x - P.w[s]),
-        growth_K=max(cmax, wmax, 1e-12),
+        evaluate=lambda x, y, s: ConvexSet.singleton(point(x, y, s)),
+        growth_K=max(cmax, wmax, 1e-12), point=point,
     )
 
 

@@ -15,7 +15,7 @@ and returns a convex compact set.  Three facilities live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -41,9 +41,20 @@ class SetValuedMap:
     ``growth_K`` declares sup over returned generators of ||z|| bounded by
     growth_K * (1 + ||x|| + ||y||); the declaration is checked by
     ``validate_sam``, not enforced per call.
+
+    ``point`` is an optional point form of the oracle.  Where the value has
+    exactly one generator, ``point(x, y, s)`` returns that generator, bit for
+    bit, as a float ``(k,)`` array; everywhere else it returns ``None``.  A
+    single generator is the selection of every rule and takes no random
+    draw, so a driver may use the point in place of the set.  ``recursion.run``
+    calls the point form first and evaluates the set only where it gives
+    ``None``; ``validate_sam`` checks the contract at every probe.
     """
 
-    def __init__(self, dims, alphabet: int, evaluate: Callable, growth_K: float):
+    def __init__(
+        self, dims, alphabet: int, evaluate: Callable, growth_K: float,
+        point: Optional[Callable] = None,
+    ):
         d1, d2, k = dims
         if min(d1, k) < 1 or d2 < 0:
             raise ValueError(f"bad dims {dims}")
@@ -54,31 +65,40 @@ class SetValuedMap:
         self.dims = (int(d1), int(d2), int(k))
         self.alphabet = int(alphabet)
         self._evaluate = evaluate
+        self.point = point
         self.growth_K = float(growth_K)
         self._checked = False
+
+    def check_probe(self, x, y, s: int):
+        """(x, y) as float arrays; ``ValueError`` unless (x, y, s) fits the
+        declared dims and alphabet."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        d1, d2, _ = self.dims
+        if x.shape != (d1,) or y.shape != (d2,):
+            raise ValueError(
+                f"probe shapes {x.shape}, {y.shape} do not match dims {self.dims}"
+            )
+        if not 0 <= s < self.alphabet:
+            raise ValueError(f"state {s} outside alphabet of size {self.alphabet}")
+        self._checked = True
+        return x, y
+
+    def dim_error(self, got) -> ValueError:
+        """The error of an oracle value whose dimension is not the declared one."""
+        return ValueError(f"oracle returned dim {got}, declared {self.dims[2]}")
 
     def __call__(self, x, y, s: int) -> ConvexSet:
         # Argument validation runs on the first probe only (drivers evaluate
         # millions of times); the output dimension is checked on every call,
         # so a bad oracle is named where it fails.
         if not self._checked:
-            x = np.asarray(x, dtype=float)
-            y = np.asarray(y, dtype=float)
-            d1, d2, _ = self.dims
-            if x.shape != (d1,) or y.shape != (d2,):
-                raise ValueError(
-                    f"probe shapes {x.shape}, {y.shape} do not match dims {self.dims}"
-                )
-            if not 0 <= s < self.alphabet:
-                raise ValueError(
-                    f"state {s} outside alphabet of size {self.alphabet}"
-                )
-            self._checked = True
+            x, y = self.check_probe(x, y, s)
         K = self._evaluate(x, y, s)
         if not isinstance(K, ConvexSet):
             K = ConvexSet(K)
         if K.dim != self.dims[2]:
-            raise ValueError(f"oracle returned dim {K.dim}, declared {self.dims[2]}")
+            raise self.dim_error(K.dim)
         return K
 
     def growth_bound(self, x, y) -> float:
@@ -130,17 +150,24 @@ class SeqProbe(NamedTuple):
 @dataclass
 class SamReport:
     """Outcome of a sampled Marchaud-contract check of a drift map or a
-    mean field: convex compact values, linear growth, closed graph."""
+    mean field: convex compact values, linear growth, closed graph, and for
+    a drift map with a point form, that form's contract.  Point failures are
+    (probe, what is wrong)."""
 
     convex_compact: bool = True
     growth_ok: bool = True
     closed_graph_ok: bool = True
+    point_ok: bool = True
     growth_violations: list = field(default_factory=list)
     closed_graph_failures: list = field(default_factory=list)
+    point_failures: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return self.convex_compact and self.growth_ok and self.closed_graph_ok
+        return (
+            self.convex_compact and self.growth_ok and self.closed_graph_ok
+            and self.point_ok
+        )
 
 
 def _check_contract(
@@ -189,12 +216,43 @@ def validate_sam(
     Convexity and compactness hold by representation (finite generator
     hulls) and are recorded as such.  The growth declaration is evaluated at
     every grid probe; each witness sequence must keep its values inside the
-    map and land its limit value inside the limit set.
+    map and land its limit value inside the limit set.  A declared point
+    form must return the single generator bit for bit wherever the value
+    has one, and ``None`` wherever it has more, at every grid probe and
+    every sequence point and limit.
     """
-    return _check_contract(
+    grid, seq_probes = list(grid), list(seq_probes)
+    report = _check_contract(
         lambda p: F(*p), lambda p: F.growth_bound(p[0], p[1]), tuple,
         grid, seq_probes, tol, "value outside map along sequence",
     )
+    if F.point is not None:
+        probes = grid + [p for pts, _, limit, _ in seq_probes for p in (*pts, limit)]
+        for p in probes:
+            wrong = _point_mismatch(F, p)
+            if wrong is not None:
+                report.point_ok = False
+                report.point_failures.append((tuple(p), wrong))
+    return report
+
+
+def _point_mismatch(F: SetValuedMap, p) -> Optional[str]:
+    """What breaks the point-form contract at probe p, or None."""
+    x, y, s = p
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    K = F(x, y, s)
+    v = F.point(x, y, s)
+    if K.n_points > 1:
+        if v is None:
+            return None
+        return f"point form gave a point where the value has {K.n_points} generators"
+    if v is None:
+        return "point form gave None where the value has one generator"
+    if not (isinstance(v, np.ndarray) and v.dtype == float and v.shape == (K.dim,)):
+        return f"point form gave {type(v).__name__} {np.shape(v)}, not a float ({K.dim},) array"
+    if v.tobytes() != K.points[0].tobytes():
+        return f"point form {v.tolist()} differs from the generator {K.points[0].tolist()}"
+    return None
 
 
 _BALL_NET_CACHE: dict[tuple[int, int], np.ndarray] = {}

@@ -9,6 +9,7 @@ from twoscale import cli
 from twoscale.cli import build_problem, main
 from twoscale.recursion import NoiseModel, StepSchedule
 from twoscale.saddle import run_primal_dual
+from twoscale.svmaps import validate_sam
 
 CANONICAL = {
     "kind": "saddle",
@@ -225,6 +226,19 @@ class TestRun:
         assert main(["run", "--config", path, "--replicas", "2"]) == 0
         assert seen == [2, 3, 2]
         assert (tmp_path / "out" / "replica_004" / "trajectory.csv").exists()
+
+    def test_replica_seeds_past_u64_named(self, tmp_path, capsys):
+        toy = os.path.join(os.path.dirname(__file__), "..", "configs", "toy_two_timescale.json")
+        argv = ["run", "--config", toy, "--steps", "5", "--out", str(tmp_path / "out"),
+                "--seed", str(2**64 - 1), "--replicas", "2"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "config.seed" in err and "2^64" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+        argv[argv.index(str(2**64 - 1))] = str(2**64 - 2)
+        assert main(argv) == 0
+        _, rows = read_csv(tmp_path / "out" / "replicas.csv")
+        assert [r[1] for r in rows] == [str(2**64 - 2), str(2**64 - 1)]
 
     def test_seed_override(self, tmp_path):
         cfg = json.loads(json.dumps(CANONICAL))
@@ -508,3 +522,37 @@ class TestBuiltins:
                "dt": 0.1, "out": str(tmp_path / "o")}
         assert main(["solve-di", "--config", str(write_config(tmp_path, cfg))]) == 1
         assert "config.field.name: unknown field 'nope'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(DRIFT_FORMS))
+    def test_drift_point_form_contract(self, name, dim):
+        H = cli.drift_map(name, dim, dim, 2)
+        assert H.point is not None
+        zs = [np.zeros(dim), np.full(dim, 0.5), np.linspace(-1.5, 1.0, dim),
+              np.linspace(0.0, 2.0, dim), -np.ones(dim)]
+        grid = [(x, y, s) for x in zs for y in zs for s in (0, 1)]
+        report = validate_sam(H, grid)
+        assert report.ok, report.point_failures
+        kinked = name == "sign_fast"
+        assert (H.point(zs[0], zs[0], 0) is None) == kinked
+
+    def test_validate_covers_builtin_point_forms(self, tmp_path, monkeypatch):
+        cfg = dict(GENERIC, d1=2, d2=2, alphabet=2, x0=[0.5, 1.0], y0=[1.0, -2.0],
+                   out=str(tmp_path / "out"))
+        cfg["drift_fast"], cfg["drift_slow"] = {"name": "sign_fast"}, {"name": "negate_y"}
+        path = str(write_config(tmp_path, cfg))
+        assert main(["validate", "--config", path]) == 0
+        built = cli.drift_map
+
+        def off_by_one_ulp(*args):
+            H = built(*args)
+            point = H.point
+            H.point = lambda x, y, s: (
+                None if (p := point(x, y, s)) is None else np.nextafter(p, np.inf)
+            )
+            return H
+
+        monkeypatch.setattr(cli, "drift_map", off_by_one_ulp)
+        assert main(["validate", "--config", path]) == 1
+        report = (tmp_path / "out" / "validation_report.txt").read_text()
+        assert "[FAIL] fast drift SAM" in report and "[FAIL] slow drift SAM" in report

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from twoscale.convex import ConvexSet
+from twoscale.dynamics import select_velocity
 from twoscale.markov import FiniteKernel
 from twoscale.recursion import (
+    BLOCK_STEPS,
     DivergenceError,
     NoiseModel,
     StepSchedule,
@@ -355,3 +357,266 @@ class TestMoreRunPaths:
         traj = run(H1, H2, K, K, SCHED, [1.0], [1.0], 0, 0, N=10, seed=0)
         with pytest.raises(ValueError):
             noise_partial_sup(traj, T=100.0)
+
+
+# -- the per-step loop of the parent change, kept as the reference ----------
+
+def _reference_draw(noise, rng, scale, dim):
+    if scale == 0.0 or dim == 0:
+        return np.zeros(dim)
+    if noise.kind == "uniform":
+        return rng.uniform(-scale, scale, dim)
+    return np.clip(rng.normal(0.0, scale, dim), -6 * scale, 6 * scale)
+
+
+def _reference_sample_next(K, x, y, s, rng):
+    cum = np.cumsum(K.row(x, y, s))
+    u = rng.random()
+    return int(min(np.searchsorted(cum, u), K.alphabet - 1))
+
+
+def reference_run(
+    H1, H2, K1, K2, schedule, x0, y0, s1_0, s2_0, N, seed, noise=NoiseModel(),
+    selection_fast="least_norm", selection_slow="least_norm",
+    share_noise_chain=False, divergence_bound=1e12,
+):
+    """One set evaluation, selection, noise draw and chain draw per step."""
+    x0 = np.asarray(x0, dtype=float)
+    y0 = np.asarray(y0, dtype=float)
+    d1, d2 = H1.dims[0], H2.dims[1]
+    rng = np.random.default_rng(np.uint64(seed))
+    X = np.empty((N + 1, d1))
+    Y = np.empty((N + 1, d2))
+    S1 = np.empty(N + 1, dtype=int)
+    S2 = np.empty(N + 1, dtype=int)
+    M1 = np.zeros((N, d1))
+    M2 = np.zeros((N, d2))
+    V1 = np.zeros((N, d1))
+    V2 = np.zeros((N, d2))
+    X[0], Y[0], S1[0], S2[0] = x0, y0, s1_0, s2_0
+    n_arr = np.arange(max(N, 1))
+    a = schedule.a(n_arr)
+    b = schedule.b(n_arr)
+    for n in range(N):
+        x, y = X[n], Y[n]
+        s1, s2 = int(S1[n]), int(S2[n])
+        v1 = select_velocity(H1(x, y, s1), selection_fast, x, a[n], rng=rng)
+        v2 = select_velocity(H2(x, y, s2), selection_slow, y, b[n], rng=rng)
+        m1 = _reference_draw(noise, rng, noise.fast_scale, d1)
+        m2 = _reference_draw(noise, rng, noise.slow_scale, d2)
+        V1[n], V2[n], M1[n], M2[n] = v1, v2, m1, m2
+        X[n + 1] = x + a[n] * (v1 + m1)
+        Y[n + 1] = y + b[n] * (v2 + m2)
+        mx = np.abs(X[n + 1]).max(initial=0.0)
+        my = np.abs(Y[n + 1]).max(initial=0.0)
+        if not (mx < divergence_bound and my < divergence_bound):
+            raise DivergenceError(
+                n, f"iterates diverged at step {n}: |X|, |Y| left the finite range"
+            )
+        S1[n + 1] = _reference_sample_next(K1, x, y, s1, rng)
+        S2[n + 1] = (
+            S1[n + 1] if share_noise_chain
+            else _reference_sample_next(K2, x, y, s2, rng)
+        )
+    return X, Y, S1, S2, M1, M2, V1, V2
+
+
+def pointed_map(fn, dims, alphabet, with_point=True, growth=1.0):
+    """A single-valued map whose set form is the singleton of ``fn``."""
+    return SetValuedMap(
+        dims=dims, alphabet=alphabet,
+        evaluate=lambda x, y, s: ConvexSet.singleton(fn(x, y, s)),
+        growth_K=growth, point=fn if with_point else None,
+    )
+
+
+def kink_map(dims, alphabet, with_point=True, calls=None):
+    """-sign(x_0) in every coordinate, shifted by the state; the segment
+    [-1, 1]^k for |x_0| < 1/4.  ``calls`` collects one entry per set
+    evaluation."""
+    k = dims[2]
+
+    def point(x, y, s):
+        if abs(x[0]) < 0.25:
+            return None
+        return -np.sign(x[0]) * np.ones(k) + 0.1 * s
+
+    def evaluate(x, y, s):
+        if calls is not None:
+            calls.append(1)
+        p = point(x, y, s)
+        if p is None:
+            return ConvexSet(np.vstack([-np.ones(k), np.ones(k)]))
+        return ConvexSet.singleton(p)
+
+    return SetValuedMap(
+        dims=dims, alphabet=alphabet, evaluate=evaluate, growth_K=2.0,
+        point=point if with_point else None,
+    )
+
+
+def threshold_kernel():
+    def row(x, y, s):
+        return np.array([0.8, 0.2]) if x[0] + 0.1 * s >= 0 else np.array([0.3, 0.7])
+
+    return FiniteKernel(2, row)
+
+
+CONST2 = FiniteKernel.constant([[0.7, 0.3], [0.2, 0.8]])
+DAMPED = StepSchedule(alpha=0.6, beta=0.9, a0=0.5, b0=0.5)
+UNIFORM = NoiseModel(kind="uniform", fast_scale=0.3, slow_scale=0.2)
+GAUSSIAN = NoiseModel(kind="gaussian", fast_scale=0.3, slow_scale=0.2)
+
+# name -> run keyword arguments; every case runs at N = 0, 1023, 1024, 1025.
+EQUIVALENCE_CASES = {
+    "uniform": dict(noise=UNIFORM),
+    "gaussian": dict(noise=GAUSSIAN),
+    "fast_scale_0": dict(noise=NoiseModel(fast_scale=0.0, slow_scale=0.2)),
+    "slow_scale_0": dict(noise=NoiseModel(fast_scale=0.3, slow_scale=0.0)),
+    "gaussian_slow_scale_0": dict(
+        noise=NoiseModel(kind="gaussian", fast_scale=0.3, slow_scale=0.0)
+    ),
+    "no_noise": dict(),
+    "random_vertex_kink": dict(
+        noise=NoiseModel(fast_scale=0.0, slow_scale=0.2), kink=True,
+        selection_fast="random_vertex", selection_slow="random_vertex",
+    ),
+    "random_vertex_pointed": dict(noise=UNIFORM, selection_fast="random_vertex"),
+    "least_norm_kink": dict(noise=NoiseModel(fast_scale=0.0, slow_scale=0.2), kink=True),
+    "kink_with_noise": dict(noise=UNIFORM, kink=True),
+    "shared_chain": dict(noise=UNIFORM, share_noise_chain=True),
+    "iterate_kernel": dict(noise=UNIFORM, K1=threshold_kernel(), K2=threshold_kernel()),
+    "iterate_kernel_shared": dict(
+        noise=GAUSSIAN, K1=threshold_kernel(), share_noise_chain=True
+    ),
+    "no_point_forms": dict(noise=UNIFORM, with_point=False),
+    "no_point_kink_random_vertex": dict(
+        noise=UNIFORM, kink=True, with_point=False, selection_fast="random_vertex",
+    ),
+}
+
+
+def equivalence_setup(kink=False, with_point=True, K1=CONST2, K2=CONST2, **kw):
+    dims1, dims2 = (2, 1, 2), (2, 1, 1)
+    if kink:
+        H1 = kink_map(dims1, 2, with_point)
+    else:
+        H1 = pointed_map(lambda x, y, s: -x + (0.5 * s) * y[0], dims1, 2, with_point)
+    H2 = pointed_map(lambda x, y, s: x[:1] - y - 0.25 * s, dims2, 2, with_point)
+    x0 = [0.0, 1.0] if kink else [1.0, -0.5]
+    return (H1, H2, K1, K2, DAMPED, x0, [0.5], 1, 0), kw
+
+
+FIELDS = ("X", "Y", "S1", "S2", "M1", "M2", "V1", "V2")
+
+
+class TestBlockRunMatchesReference:
+    @pytest.mark.parametrize("N", [0, 1023, 1024, 1025])
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_bytes_equal(self, case, N):
+        args, kw = equivalence_setup(**EQUIVALENCE_CASES[case])
+        expect = reference_run(*args, N=N, seed=2024, **kw)
+        args, kw = equivalence_setup(**EQUIVALENCE_CASES[case])
+        traj = run(*args, N=N, seed=2024, **kw)
+        for name, want in zip(FIELDS, expect):
+            got = getattr(traj, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize(
+        "case", ["random_vertex_kink", "least_norm_kink", "kink_with_noise"]
+    )
+    def test_kink_cases_take_both_paths(self, case):
+        kw = dict(EQUIVALENCE_CASES[case])
+        kw.pop("kink")
+        calls = []
+        H1 = kink_map((2, 1, 2), 2, calls=calls)
+        _, H2, K1, K2, *rest = equivalence_setup(**kw)[0]
+        traj = run(
+            H1, H2, K1, K2, *rest, N=1025, seed=2024,
+            **{k: v for k, v in kw.items() if k != "with_point"},
+        )
+        assert 0 < len(calls) < 1025
+        if case == "random_vertex_kink":
+            assert {-1.0, 1.0} <= set(np.unique(traj.V1[:, 0]))
+
+    @pytest.mark.parametrize("with_point", [True, False])
+    @pytest.mark.parametrize("noise", [UNIFORM, GAUSSIAN], ids=["uniform", "gaussian"])
+    def test_divergence_at_same_step(self, with_point, noise):
+        def grow(x, y, s):
+            return 1.2 * x
+
+        H1 = pointed_map(grow, (2, 1, 2), 2, with_point, growth=1.0)
+        H2 = pointed_map(lambda x, y, s: np.zeros(1), (2, 1, 1), 2, with_point)
+        args = (H1, H2, CONST2, CONST2, DAMPED, [1.0, -1.0], [0.0], 0, 1)
+        with pytest.raises(DivergenceError) as want:
+            reference_run(*args, N=5000, seed=8, noise=noise)
+        with pytest.raises(DivergenceError) as got:
+            run(*args, N=5000, seed=8, noise=noise)
+        assert BLOCK_STEPS < got.value.step == want.value.step < 5000
+        assert str(got.value) == str(want.value)
+
+    def test_non_finite_point_diverges_at_its_step(self):
+        H1 = pointed_map(
+            lambda x, y, s: np.array([np.nan if x[0] < 0.5 else -x[0]]), (1, 1, 1), 1
+        )
+        H2 = pointed_map(lambda x, y, s: np.zeros(1), (1, 1, 1), 1)
+        K = FiniteKernel.constant([[1.0]])
+        args = (H1, H2, K, K, DAMPED, [1.0], [0.0], 0, 0)
+        with pytest.raises(DivergenceError) as want:
+            reference_run(*args, N=100, seed=0)
+        with pytest.raises(DivergenceError) as got:
+            run(*args, N=100, seed=0)
+        assert got.value.step == want.value.step
+
+    def test_point_dim_checked_on_every_call(self):
+        calls = []
+
+        def point(x, y, s):
+            calls.append(1)
+            return np.zeros(2 if len(calls) < 3 else 3)
+
+        H1 = SetValuedMap(
+            dims=(2, 1, 2), alphabet=1,
+            evaluate=lambda x, y, s: ConvexSet.singleton(point(x, y, s)),
+            growth_K=1.0, point=point,
+        )
+        H2 = singleton_map(lambda x, y, s: np.zeros(1), dims=(2, 1, 1))
+        K = FiniteKernel.constant([[1.0]])
+        with pytest.raises(ValueError, match=r"oracle returned dim 3, declared 2"):
+            run(H1, H2, K, K, SCHED, [0.0, 0.0], [0.0], 0, 0, N=10, seed=0)
+        assert len(calls) == 3
+
+    def test_point_skips_the_set_form(self):
+        sets = []
+
+        def evaluate(x, y, s):
+            sets.append(1)
+            return ConvexSet.singleton(-x)
+
+        H1 = SetValuedMap(
+            dims=(1, 1, 1), alphabet=1, evaluate=evaluate, growth_K=1.0,
+            point=lambda x, y, s: -x,
+        )
+        H2 = pointed_map(lambda x, y, s: -y, (1, 1, 1), 1)
+        K = FiniteKernel.constant([[1.0]])
+        run(H1, H2, K, K, SCHED, [1.0], [1.0], 0, 0, N=50, seed=0)
+        assert sets == []
+
+    def test_initial_state_checked(self):
+        H1, H2, K = decay_pair()
+        with pytest.raises(ValueError, match="state 1 outside alphabet of size 1"):
+            run(H1, H2, K, K, SCHED, [1.0], [1.0], 1, 0, N=5, seed=0)
+
+    def test_block_uniform_noise_is_generator_uniform(self):
+        rng1, rng2 = np.random.default_rng(5), np.random.default_rng(5)
+        m1, m2, U = UNIFORM.draw_block(rng1, 300, 2, 3, 2)
+        for i in range(300):
+            assert m1[i].tobytes() == rng2.uniform(-0.3, 0.3, 2).tobytes()
+            assert m2[i].tobytes() == rng2.uniform(-0.2, 0.2, 3).tobytes()
+            assert U[i].tobytes() == rng2.random(2).tobytes()
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -1.0])
+    def test_noise_scale_must_be_finite(self, scale):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            NoiseModel(fast_scale=scale)

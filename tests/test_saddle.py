@@ -283,6 +283,48 @@ class TestDriftMaps:
         ]
         assert validate_sam(H2, grid).ok
 
+    def test_primal_point_form_contract(self):
+        P = canonical()
+        H1 = primal_drift(P)
+        band = [np.array([R, 0.0]), np.array([0.0, -R]), np.array([R + 1e-10, 0.0]),
+                np.array([R * 0.6, R * 0.8])]
+        inside = [np.array([0.5, -1.0]), np.zeros(2), np.array([-3.0, 2.0])]
+        outside = [np.array([5.0, 1.0]), np.array([-4.5, -3.0])]
+        grid = [
+            (x, np.array([yv]), s)
+            for x in band + inside + outside for yv in (-2.0, 1.0) for s in (0, 1)
+        ]
+        report = validate_sam(H1, grid)
+        assert report.ok and report.point_ok, report.point_failures
+        y = np.array([0.3])
+        for x in band:
+            assert H1.point(x, y, 0) is None and H1(x, y, 0).n_points > 1
+        for x in inside + outside:
+            assert H1.point(x, y, 1) is not None
+
+    def test_primal_point_form_on_the_kink(self):
+        P = abs_kink_problem()
+        H1 = primal_drift(P)
+        y = np.array([-0.5])
+        on_kink = np.array([0.0, 0.5])
+        assert H1.point(on_kink, y, 0) is None
+        grid = [(x, y, 0) for x in (on_kink, np.array([1.0, 0.5]), np.array([-0.2, 3.0]),
+                                    np.array([6.0, 0.0]))]
+        report = validate_sam(H1, grid)
+        assert report.ok and report.point_ok, report.point_failures
+        assert H1.point(np.array([1.0, 0.5]), y, 0) is not None
+
+    def test_dual_point_form_contract(self):
+        for P in (canonical(), three_state()):
+            H2 = dual_drift(P)
+            grid = [
+                (np.array([xa, 1.0 - xa, 0.5][: P.d1]), np.full(P.d2, yv), s)
+                for xa in (-3.0, 0.0, 2.0) for yv in (-2.0, 1.0)
+                for s in range(P.alphabet)
+            ]
+            report = validate_sam(H2, grid)
+            assert report.ok and report.point_ok, report.point_failures
+
     def test_dual_fields_agree(self):
         P = canonical()
         direct = dual_ode_field(P)

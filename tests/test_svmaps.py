@@ -124,6 +124,103 @@ class TestValidateSam:
             validate_sam(linear_map(), [])
 
 
+def pointed(point, evaluate=None, dims=(1, 1, 1)):
+    """A map with point form ``point``; its set form defaults to the
+    singleton of -x, or the segment [-1, 1] at x = 0."""
+
+    def default(x, y, s):
+        if x[0] == 0.0:
+            return ConvexSet([[-1.0], [1.0]])
+        return ConvexSet.singleton(-x)
+
+    return SetValuedMap(
+        dims=dims, alphabet=2, evaluate=evaluate or default, growth_K=2.0,
+        point=point,
+    )
+
+
+def exact_point(x, y, s):
+    return None if x[0] == 0.0 else -x
+
+
+POINT_GRID = [
+    (np.array([v]), np.array([w]), s)
+    for v in (-2.0, 0.0, 0.5) for w in (-1.0, 1.0) for s in (0, 1)
+]
+
+
+class TestPointFormContract:
+    def test_exact_point_form_passes(self):
+        report = validate_sam(pointed(exact_point), POINT_GRID)
+        assert report.ok and report.point_ok and report.point_failures == []
+
+    def test_point_off_by_one_ulp_fails_by_name(self):
+        def off(x, y, s):
+            p = exact_point(x, y, s)
+            return None if p is None else np.nextafter(p, np.inf)
+
+        report = validate_sam(pointed(off), POINT_GRID)
+        assert not report.ok and not report.point_ok
+        assert report.growth_ok and report.closed_graph_ok
+        assert len(report.point_failures) == 8  # every probe off the kink
+        probe, why = report.point_failures[0]
+        assert probe[0][0] == -2.0 and "differs from the generator" in why
+
+    def test_sign_of_zero_is_a_different_point(self):
+        F = pointed(
+            lambda x, y, s: np.array([0.0]),
+            evaluate=lambda x, y, s: ConvexSet.singleton([-0.0]),
+        )
+        report = validate_sam(F, POINT_GRID[:1])
+        assert not report.point_ok
+
+    def test_none_where_singleton_fails(self):
+        report = validate_sam(pointed(lambda x, y, s: None), POINT_GRID)
+        assert not report.point_ok
+        assert all("gave None" in why for _, why in report.point_failures)
+        assert len(report.point_failures) == 8
+
+    def test_point_where_set_valued_fails(self):
+        report = validate_sam(pointed(lambda x, y, s: -x), POINT_GRID)
+        assert not report.point_ok
+        assert [p[0][0] for p, _ in report.point_failures] == [0.0] * 4
+        assert "2 generators" in report.point_failures[0][1]
+
+    @pytest.mark.parametrize(
+        "bad", [lambda x: [-x[0]], lambda x: -x[None, :], lambda x: (-x).astype(np.float32)],
+        ids=["list", "2-d", "float32"],
+    )
+    def test_point_must_be_a_float_vector(self, bad):
+        report = validate_sam(
+            pointed(lambda x, y, s: None if x[0] == 0.0 else bad(x)), POINT_GRID
+        )
+        assert not report.point_ok
+        assert "not a float (1,) array" in report.point_failures[0][1]
+
+    def test_sequence_points_and_limits_are_probed(self):
+        # Wrong only at x = 3: the grid misses it, a witness sequence does not.
+        def wrong_at_3(x, y, s):
+            return np.array([7.0]) if x[0] == 3.0 else exact_point(x, y, s)
+
+        F = pointed(wrong_at_3)
+        assert validate_sam(F, POINT_GRID).ok
+        y = np.array([0.0])
+        pts = [(np.array([3.0 + 1.0 / n]), y, 0) for n in (1, 2, 4)]
+        probe = SeqProbe(pts, [-p[0] for p in pts], (np.array([3.0]), y, 0), np.array([-3.0]))
+        report = validate_sam(F, POINT_GRID, [probe])
+        assert report.closed_graph_ok and not report.point_ok
+        assert [p[0][0] for p, _ in report.point_failures] == [3.0]
+        probe = SeqProbe(
+            [(np.array([3.0]), y, 0)], [np.array([-3.0])],
+            (np.array([2.0]), y, 0), np.array([-2.0]),
+        )
+        assert not validate_sam(F, POINT_GRID, [probe]).point_ok
+
+    def test_maps_without_point_form_skip_the_check(self):
+        report = validate_sam(linear_map(), [(np.array([1.0]), np.array([0.0]), 0)])
+        assert report.ok and report.point_failures == []
+
+
 class TestApproxLevel:
     def test_constants_decrease(self):
         F = linear_map()
