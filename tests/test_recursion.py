@@ -503,7 +503,7 @@ def equivalence_setup(kink=False, with_point=True, K1=CONST2, K2=CONST2, **kw):
     else:
         H1 = pointed_map(lambda x, y, s: -x + (0.5 * s) * y[0], dims1, 2, with_point)
     H2 = pointed_map(lambda x, y, s: x[:1] - y - 0.25 * s, dims2, 2, with_point)
-    x0 = [0.0, 1.0] if kink else [1.0, -0.5]
+    x0 = [0.3, 1.0] if kink else [1.0, -0.5]
     return (H1, H2, K1, K2, DAMPED, x0, [0.5], 1, 0), kw
 
 
@@ -527,15 +527,10 @@ class TestBlockRunMatchesReference:
         "case", ["random_vertex_kink", "least_norm_kink", "kink_with_noise"]
     )
     def test_kink_cases_take_both_paths(self, case):
-        kw = dict(EQUIVALENCE_CASES[case])
-        kw.pop("kink")
+        (_, H2, K1, K2, *rest), kw = equivalence_setup(**EQUIVALENCE_CASES[case])
         calls = []
         H1 = kink_map((2, 1, 2), 2, calls=calls)
-        _, H2, K1, K2, *rest = equivalence_setup(**kw)[0]
-        traj = run(
-            H1, H2, K1, K2, *rest, N=1025, seed=2024,
-            **{k: v for k, v in kw.items() if k != "with_point"},
-        )
+        traj = run(H1, H2, K1, K2, *rest, N=1025, seed=2024, **kw)
         assert 0 < len(calls) < 1025
         if case == "random_vertex_kink":
             assert {-1.0, 1.0} <= set(np.unique(traj.V1[:, 0]))
