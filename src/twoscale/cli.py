@@ -391,23 +391,42 @@ def _write_table(path: Path, columns, data) -> None:
     write_table(path, ", ".join(columns), columns, data)
 
 
-def _window_settings(traj, diag_cfg) -> tuple[float, int]:
-    """Window length and count of the diagnostics, checked against the run."""
+def _diagnostics_settings(diag_cfg: dict) -> dict:
+    """The ``diagnostics`` settings with their defaults, each range-checked
+    (NaN fails every check); a run reads them before its recursion starts."""
     path = "config.diagnostics"
-    T_w = _number(diag_cfg, "window_T", path, 1.0)
+    d = {
+        key: _number(diag_cfg, key, path, default, type(default))
+        for key, default in (("window_T", 1.0), ("n_windows", 16),
+                             ("apt_horizon", 2.0), ("apt_dt", 0.005), ("K_terms", 4))
+    }
+    for key, ok, need in (
+        ("n_windows", d["n_windows"] >= 1, ">= 1"),
+        ("window_T", d["window_T"] > 0, "> 0"),
+        ("apt_dt", d["apt_dt"] > 0, "> 0"),
+        ("apt_horizon", d["apt_horizon"] >= d["apt_dt"], "at least apt_dt"),
+        ("K_terms", d["K_terms"] >= 1, ">= 1"),
+    ):
+        if not ok:
+            raise ConfigError(f"{path}.{key}: must be {need}, got {d[key]}")
+    return d
+
+
+def _window_settings(traj, diag_cfg) -> dict:
+    """The diagnostics settings, with the window length checked against the run."""
+    d = _diagnostics_settings(diag_cfg)
     span = traj.t_slow[-1]
-    if T_w > span:
+    if d["window_T"] > span:
         raise ConfigError(
-            f"{path}.window_T: {T_w} exceeds the slow clock span {span} of the run"
+            f"config.diagnostics.window_T: {d['window_T']} exceeds the slow "
+            f"clock span {span} of the run"
         )
-    return T_w, _number(diag_cfg, "n_windows", path, 16, int)
+    return d
 
 
 def _saddle_diagnostics(P, traj, out_dir: Path, diag_cfg: dict) -> None:
-    T_w, n_windows = _window_settings(traj, diag_cfg)
-    apt_T = _number(diag_cfg, "apt_horizon", "config.diagnostics", 2.0)
-    apt_dt = _number(diag_cfg, "apt_dt", "config.diagnostics", 0.005)
-    k_terms = _number(diag_cfg, "K_terms", "config.diagnostics", 4, int)
+    d = _window_settings(traj, diag_cfg)
+    T_w, n_windows, apt_T = d["window_T"], d["n_windows"], d["apt_horizon"]
     ts = traj.t_slow
     last_start_t = ts[-1] - max(T_w, apt_T)
     starts = np.unique(np.linspace(0.0, max(last_start_t, 0.0), n_windows))
@@ -415,14 +434,16 @@ def _saddle_diagnostics(P, traj, out_dir: Path, diag_cfg: dict) -> None:
     # Every window's dual flow in one batched integration, and every
     # window's minimizer in one batched solve.
     flows = di_solve(
-        dual_ode_field(P), interpolate(traj, "slow", starts), T=apt_T, dt=apt_dt
+        dual_ode_field(P), interpolate(traj, "slow", starts), T=apt_T, dt=d["apt_dt"]
     )
     n_idx = np.minimum(np.searchsorted(ts, starts), traj.n_steps)
     lams = lambda_min(P, traj.Y[n_idx])
     apts, dists = [], []
     for w, t0 in enumerate(starts):
         sampled = interpolate(traj, "slow", np.minimum(t0 + flows.times, ts[-1]))
-        apts.append(apt_metric(flows.times, sampled, flows.states[:, w], K_terms=k_terms))
+        apts.append(
+            apt_metric(flows.times, sampled, flows.states[:, w], K_terms=d["K_terms"])
+        )
         dists.append(float(np.linalg.norm(traj.X[n_idx[w]] - lams[w])))
     _write_table(
         out_dir / "diagnostics.csv",
@@ -432,8 +453,8 @@ def _saddle_diagnostics(P, traj, out_dir: Path, diag_cfg: dict) -> None:
 
 
 def _generic_diagnostics(traj, out_dir: Path, diag_cfg: dict) -> None:
-    T_w, n_windows = _window_settings(traj, diag_cfg)
-    gaps = interpolation_gap(traj, T=T_w, n_windows=n_windows)
+    d = _window_settings(traj, diag_cfg)
+    gaps = interpolation_gap(traj, T=d["window_T"], n_windows=d["n_windows"])
     nan = np.full(len(gaps), np.nan)
     _write_table(
         out_dir / "diagnostics.csv",
@@ -448,6 +469,10 @@ def _run_single(cfg: dict, seed: int, out_dir: Path) -> int:
     noise = _build_noise(cfg.get("noise"))
     steps = int(cfg.get("steps", 1))
     diag_cfg = cfg.get("diagnostics", {})
+    _diagnostics_settings(diag_cfg)
+    tail = _number(cfg, "tail_fraction", "config", 0.1)
+    if not 0 < tail <= 1:
+        raise ConfigError(f"config.tail_fraction: must lie in (0, 1], got {tail}")
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         if kind == "saddle":
@@ -473,7 +498,6 @@ def _run_single(cfg: dict, seed: int, out_dir: Path) -> int:
     traj.to_csv(out_dir / "trajectory.csv")
     if kind == "saddle":
         _saddle_diagnostics(P, traj, out_dir, diag_cfg)
-        tail = _number(cfg, "tail_fraction", "config", 0.1)
         rep = optimality_report(P, traj, tail_fraction=tail)
         (out_dir / "report.txt").write_text("\n".join(rep.lines()) + "\n")
     else:
@@ -532,7 +556,9 @@ def _build_di_field(cfg: dict):
     if name not in FIELDS:
         raise ConfigError(f"config.field.name: unknown field {name!r}")
     dim = _number(cfg, "dim", "config", 1, int)
-    return MeanField(evaluate=zmap(FIELDS[name], dim)[1], dim=dim, growth_K=1.0), None
+    # As for the drifts: sign's values have norm sqrt(dim).
+    growth = math.sqrt(dim)
+    return MeanField(evaluate=zmap(FIELDS[name], dim)[1], dim=dim, growth_K=growth), None
 
 
 def cmd_solve_di(cfg: dict, out_dir: Path, envelope: bool) -> int:

@@ -76,19 +76,23 @@ class SolverStallError(RuntimeError):
 class SaddleProblem:
     """Data of the penalized state-averaged constrained convex program.
 
-    ``objective(x, s)`` and ``subgrad(x, s)`` describe a per-state convex
-    coercive objective with compact subdifferentials of linear growth
-    ``growth_K``; ``C[s]`` and ``w[s]`` give per-state affine equality
-    constraints witnessed feasible by ``feasible_points[s]``.  ``radius``
-    must enclose the witnesses and clear the sampled coercivity check;
-    ``epsilon`` sets both the strong-convexity term and the optimality slack
-    the penalized solution is allowed versus the original problem.
+    ``objective(x, s)`` and the set form ``subgrad(x, s) -> ConvexSet``
+    describe a per-state convex coercive objective with compact
+    subdifferentials of linear growth ``growth_K``; ``C[s]`` and ``w[s]``
+    give per-state affine equality constraints witnessed feasible by
+    ``feasible_points[s]``.  ``radius`` must enclose the witnesses and clear
+    the sampled coercivity check; ``epsilon`` sets both the strong-convexity
+    term and the optimality slack the penalized solution is allowed versus
+    the original problem.
 
     ``objective_rows(X, s) -> (R,)`` and ``subgrad_rows(X, s) -> (R, d1)``
-    are optional array forms over a leading batch axis, used by
-    ``lambda_min`` on a block of multipliers.  Row r of each must equal the
-    scalar oracle at ``X[r]``; a ``subgrad_rows`` row of NaN marks a
-    subdifferential with more than one point.
+    are the same oracles over a leading batch axis, row r equal to the
+    scalar oracle at ``X[r]`` bit for bit.  Every single subgradient point
+    is read from ``subgrad_rows``, where a row of NaN marks a set-valued
+    subdifferential; ``subgrad`` is read only where a value is set-valued
+    (``penalized_subgrad``, a NaN row, the barrier sphere band) and by
+    ``validate_sam``, which checks the point form of ``primal_drift``
+    against its set form.
     """
 
     def __init__(
@@ -102,8 +106,8 @@ class SaddleProblem:
         radius: float,
         growth_K: float,
         feasible_points,
-        objective_rows: Optional[Callable] = None,
-        subgrad_rows: Optional[Callable] = None,
+        objective_rows: Callable,
+        subgrad_rows: Callable,
     ):
         self.objective = objective
         self.subgrad = subgrad
@@ -134,8 +138,8 @@ class SaddleProblem:
         # lambda(y) found by the latest dual_ode_field, keyed on y.tobytes();
         # verify_envelope pops the entries it reuses.
         self._lambda_record: dict[bytes, np.ndarray] = {}
-        # (x.tobytes(), Jhat_mu(x) over the weighted states, per-state
-        # subgradient points) at the point the latest scalar lambda_min
+        # (x.tobytes(), Jhat_mu(x) over the weighted states, the averaged
+        # subgradient row there) at the point the latest scalar lambda_min
         # returned; all of it is independent of y.
         self._carried: Optional[tuple] = None
 
@@ -164,14 +168,15 @@ class SaddleProblem:
         rng = np.random.default_rng(_COERCIVITY_SEED)
         rays = rng.standard_normal((_COERCIVITY_RAYS, self.d1))
         rays /= np.linalg.norm(rays, axis=1, keepdims=True)
-        for u in rays:
-            for s in range(self.alphabet):
-                val = self.objective(self.radius * u, s)
-                if val <= level:
-                    raise ValueError(
-                        f"coercivity check failed: J({self.radius}*u, {s}) = "
-                        f"{val} <= {level} along a sampled ray"
-                    )
+        X = self.radius * rays
+        vals = np.column_stack([self.objective_rows(X, s) for s in range(self.alphabet)])
+        bad = np.argwhere(vals <= level)  # (ray, state) in ray-then-state order
+        if len(bad):
+            u, s = bad[0]
+            raise ValueError(
+                f"coercivity check failed: J({self.radius}*u, {s}) = "
+                f"{float(vals[u, s])} <= {level} along a sampled ray"
+            )
 
     # -- stationary-law verification data ---------------------------------
 
@@ -317,8 +322,6 @@ def penalized_subgrad(P: SaddleProblem, x, s: int) -> ConvexSet:
     """
     x = np.asarray(x, dtype=float)
     base = P.subgrad(x, s)
-    if not isinstance(base, ConvexSet):
-        base = ConvexSet(base)
     shift = _penalty_shift(P, x)
     if shift is not None:
         return base.translate(shift)
@@ -339,27 +342,13 @@ def _penalty_shift(P: SaddleProblem, x: np.ndarray) -> Optional[np.ndarray]:
     return None
 
 
-def _state_points(P: SaddleProblem, x: np.ndarray) -> Optional[list]:
-    """The subgradient point of each weighted state at x, in state order, or
-    None as soon as a state's subdifferential has more than one generator."""
-    pts = []
-    for s, _ in P._solver.weighted:
-        G = P.subgrad(x, s)
-        p = G.points if isinstance(G, ConvexSet) else ConvexSet(G).points
-        if p.shape != (1, P.d1):
-            return None
-        pts.append(p[0])
-    return pts
-
-
-def _point_subgrad_mu(
-    P: SaddleProblem, pts: list, shift: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Averaged subgradient from ``_state_points``: ``m * (g_s + shift)``
-    summed over the weighted states in the order ``minkowski_combine`` would."""
+def _subgrad_mu_rows(P: SaddleProblem, Z: np.ndarray) -> np.ndarray:
+    """Averaged subgradient row at each row of Z: ``m * g_s`` summed over the
+    weighted states in the order ``minkowski_combine`` adds them.  A row is
+    NaN where some state's subdifferential there has more than one point."""
     acc = 0.0
-    for (_, m), p in zip(P._solver.weighted, pts):
-        acc = acc + m * (p if shift is None else p + shift)
+    for s, m in P._solver.weighted:
+        acc = acc + m * P.subgrad_rows(Z, s)
     return acc
 
 
@@ -370,11 +359,7 @@ def _subgrad_mu(P: SaddleProblem, x: np.ndarray) -> ConvexSet:
 
 def _raw_subgrad_mu(P: SaddleProblem, x: np.ndarray) -> ConvexSet:
     """Averaged subdifferential of the unpenalized objective."""
-    sets = []
-    for s in range(P.alphabet):
-        G = P.subgrad(x, s)
-        sets.append(G if isinstance(G, ConvexSet) else ConvexSet(G))
-    return minkowski_combine(P.mu, sets)
+    return minkowski_combine(P.mu, [P.subgrad(x, s) for s in range(P.alphabet)])
 
 
 def _prox_penalty(P: SaddleProblem, v: np.ndarray, gamma: float) -> np.ndarray:
@@ -415,13 +400,14 @@ def lambda_min(
     mapping residual and verified by support-function membership of the
     origin in the full subdifferential.
 
-    While every per-state subgradient is a single point the iteration runs
-    on plain arrays; a set-valued subgradient is handled by projecting the
-    averaged generator cloud.
+    The iteration reads the averaged subgradient from the row oracles
+    (``_subgrad_mu_rows``); where its row is NaN, some state's subgradient
+    is set-valued and the step projects the averaged generator cloud of the
+    set forms instead.
 
     ``P`` carries one entry from the latest scalar call: the point it
-    returned, with the y-independent parts of the value and the per-state
-    subgradient points there, all found by its last step and certificate.
+    returned, with the y-independent parts of the value and the averaged
+    subgradient row there, both found by its last step and certificate.
     A call that starts at that point bit for bit (a warm-start chain) takes
     its first value and gradient from the entry instead of the oracles; the
     result is the same.  The oracles must therefore be pure functions of x.
@@ -446,18 +432,19 @@ def lambda_min(
             J += m * objective(z, s)
         return float(J) + _penalty_value(P, z)
 
-    def smooth_grad(z, pts):
-        if pts is None:
+    def smooth_grad(z, g_mu):
+        # g_mu is the averaged subgradient row at z, NaN if set-valued there.
+        if np.isnan(g_mu).any():
             return project(_raw_subgrad_mu(P, z), -cy) + cy
-        return _point_subgrad_mu(P, pts) + cy
+        return g_mu + cy
 
     carried = P._carried
     if carried is not None and carried[0] == x.tobytes():
-        bx, pts = carried[1], carried[2]
+        bx, g_mu = carried[1], carried[2]
     else:
-        bx, pts = base(x), _state_points(P, x)
+        bx, g_mu = base(x), _subgrad_mu_rows(P, x[None])[0]
     fx = bx + float(cy @ x)
-    g = smooth_grad(x, pts)
+    g = smooth_grad(x, g_mu)
     gamma = 1.0
     prev_x = prev_g = None
     residual = np.inf
@@ -488,23 +475,22 @@ def lambda_min(
         x, fx, bx = x_new, f_new, b_new
         if residual <= grad_tol:
             break
-        g = smooth_grad(x, _state_points(P, x))
+        g = smooth_grad(x, _subgrad_mu_rows(P, x[None])[0])
     else:
         raise SolverStallError(residual, max_iter)
     # 0 in d_x L(x, y) via support functions: every direction must see a
-    # nonnegative support value.
+    # nonnegative support value.  On the barrier band or a NaN row the
+    # subdifferential is a set, read from the set forms.
     shift = _penalty_shift(P, x)
-    pts = None if shift is None else _state_points(P, x)
-    full = (
-        _subgrad_mu(P, x).points if pts is None
-        else _point_subgrad_mu(P, pts, shift)[None, :]
-    )
+    g_mu = _subgrad_mu_rows(P, x[None])[0]
+    if shift is None or np.isnan(g_mu).any():
+        full = _subgrad_mu(P, x).points
+    else:
+        full = (g_mu + shift)[None, :]
     worst = float(((full + cy) @ k.net_T).max(axis=0).min())
     if worst < -MEMBERSHIP_TOL:
         raise SolverStallError(abs(worst), max_iter)
-    # A point on the barrier band or with a set-valued subgradient is not
-    # carried: its per-state points were not all found.
-    P._carried = None if pts is None else (x.tobytes(), bx, pts)
+    P._carried = (x.tobytes(), bx, g_mu)
     return x
 
 
@@ -538,7 +524,6 @@ def _lambda_min_rows(
     (a stall, a set-valued subgradient, a minimizer on the barrier band or a
     failed certificate) is solved again by the scalar ``lambda_min`` from
     its own start, which raises or projects exactly as a scalar call would.
-    A problem without row oracles has every row solved that way.
     """
     R = Y.shape[0]
     if Y.shape[1] != P.d2:
@@ -546,10 +531,7 @@ def _lambda_min_rows(
     if X0 is None:
         X0 = P.reference_point()
     start = np.array(np.broadcast_to(np.asarray(X0, dtype=float), (R, P.d1)))
-    if P.objective_rows is None or P.subgrad_rows is None:
-        X, redo = start.copy(), np.ones(R, dtype=bool)
-    else:
-        X, redo = _batched_steps(P, Y, start, grad_tol, max_iter)
+    X, redo = _batched_steps(P, Y, start, grad_tol, max_iter)
     for r in np.flatnonzero(redo):
         X[r] = lambda_min(P, Y[r], x0=start[r], grad_tol=grad_tol, max_iter=max_iter)
     return X
@@ -572,15 +554,8 @@ def _batched_steps(P, Y, X, grad_tol, max_iter):
             J = J + m * P.objective_rows(Z, s)
         return J + _penalty_rows(P, Z) + _rowdot(CY, Z)
 
-    def subgrad_mu(Z, shift=None):
-        acc = 0.0
-        for s, m in weighted:
-            G = P.subgrad_rows(Z, s)
-            acc = acc + m * (G if shift is None else G + shift)
-        return acc
-
     F = value(X)
-    G = subgrad_mu(X) + CY
+    G = _subgrad_mu_rows(P, X) + CY
     live = np.isfinite(G).all(axis=1)
     redo = ~live
     gamma = np.ones(len(X))
@@ -620,7 +595,7 @@ def _batched_steps(P, Y, X, grad_tol, max_iter):
             X, F = np.where(moved, X_new, X), np.where(live, F_new, F)
             live &= ~(residual <= grad_tol)
             if live.any():
-                G = np.where(live[:, None], subgrad_mu(X) + CY, G)
+                G = np.where(live[:, None], _subgrad_mu_rows(P, X) + CY, G)
                 bad = live & ~np.isfinite(G).all(axis=1)
                 live &= ~bad
                 redo |= bad
@@ -631,7 +606,7 @@ def _batched_steps(P, Y, X, grad_tol, max_iter):
         outer = nrm > P.radius + pen.band
         shift[outer] = shift[outer] + (P.growth_K + 1) * X[outer]
         on_band = ~(nrm < P.radius - pen.band) & ~outer
-        g = subgrad_mu(X, shift) + CY
+        g = (_subgrad_mu_rows(P, X) + shift) + CY
         worst = np.matmul(g[:, None, :], k.net_T)[:, 0, :].min(axis=1)
     return X, redo | on_band | ~(worst >= -MEMBERSHIP_TOL)
 
@@ -645,10 +620,10 @@ def dual_value(P: SaddleProblem, y, x0=None) -> float:
 def primal_drift(P: SaddleProblem) -> SetValuedMap:
     """Fast drift -(penalized subdifferential + C(s)^T y).
 
-    Its point form is -((g_s + shift) + C(s)^T y) for the single
-    subgradient point g_s and the penalty gradient ``shift``, the value's one
-    generator in the set form's order; it is ``None`` on the barrier sphere
-    band and wherever ``P.subgrad`` has more than one generator.
+    Its point form is -((g_s + shift) + C(s)^T y) for the row g_s of
+    ``P.subgrad_rows`` at x and the penalty gradient ``shift``, the value's
+    one generator in the set form's order; it is ``None`` on the barrier
+    sphere band and where that row is NaN.
     """
     cmax = max(
         float(np.linalg.norm(P.C[s], 2)) for s in range(P.alphabet)
@@ -664,11 +639,10 @@ def primal_drift(P: SaddleProblem) -> SetValuedMap:
         shift = _penalty_shift(P, x)
         if shift is None:
             return None
-        G = P.subgrad(x, s)
-        pts = G.points if isinstance(G, ConvexSet) else ConvexSet(G).points
-        if pts.shape[0] != 1:
+        g = P.subgrad_rows(x[None], s)[0]
+        if np.isnan(g).any():
             return None
-        return -((pts[0] + shift) + CT[s] @ y)
+        return -((g + shift) + CT[s] @ y)
 
     return SetValuedMap(
         dims=(P.d1, P.d2, P.d1), alphabet=P.alphabet,
@@ -868,10 +842,9 @@ def verify_envelope(P: SaddleProblem, y_path: DIPath) -> EnvelopeReport:
     the previous knot.  Along the path the field just integrated, this is
     the same warm-start chain, so the result equals a full re-solve.
 
-    V and the squared residuals are computed on blocks of knots
-    (``objective_rows`` per state where the problem has it, scalar
-    ``objective`` calls otherwise); each entry equals ``lagrangian`` and the
-    residual of its knot bit for bit.
+    V and the squared residuals are computed on blocks of knots, with one
+    ``objective_rows`` call per state; each entry equals ``lagrangian`` and
+    the residual of its knot bit for bit.
     """
     y_path._single("verify_envelope")
     record = P._lambda_record
@@ -909,10 +882,6 @@ def _dual_rows(P: SaddleProblem, L: np.ndarray, Y: np.ndarray):
     # J_mu over every state in order, as J_mu sums it.
     J = 0
     for s in range(P.alphabet):
-        if P.objective_rows is None:
-            rows = np.array([P.objective(x, s) for x in L], dtype=float)
-        else:
-            rows = P.objective_rows(L, s)
-        J = J + P.mu[s] * rows
+        J = J + P.mu[s] * P.objective_rows(L, s)
     resid = np.matmul(P.C_mu, L[:, :, None])[:, :, 0] - P.w_mu
     return J + _penalty_rows(P, L) + _rowdot(Y, resid), (resid**2).sum(axis=1)

@@ -7,6 +7,7 @@ import pytest
 
 from twoscale import cli
 from twoscale.cli import build_problem, main
+from twoscale.meanfield import check_marchaud
 from twoscale.recursion import NoiseModel, StepSchedule
 from twoscale.saddle import run_primal_dual
 from twoscale.svmaps import validate_sam
@@ -449,6 +450,31 @@ class TestConfigErrors:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "command, base", [("saddle", CANONICAL), ("run", GENERIC)], ids=["saddle", "run"]
+    )
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("diagnostics.n_windows", -1), ("diagnostics.n_windows", 0),
+            ("diagnostics.window_T", -1.0), ("diagnostics.apt_dt", 0.0),
+            ("diagnostics.apt_horizon", 1e-3), ("diagnostics.K_terms", 0),
+            ("tail_fraction", 0.0), ("tail_fraction", 1.5),
+        ],
+    )
+    def test_diagnostics_setting_out_of_range_named(
+        self, tmp_path, capsys, command, base, field, value
+    ):
+        cfg = json.loads(json.dumps(base))
+        section, _, key = field.rpartition(".")
+        (cfg.setdefault(section, {}) if section else cfg)[key] = value
+        cfg["out"] = str(tmp_path / "out")
+        assert main([command, "--config", str(write_config(tmp_path, cfg))]) == 1
+        err = capsys.readouterr().err
+        assert f"config.{field}: must" in err and "Traceback" not in err
+        # Refused before the recursion runs: nothing is written.
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "field, patch",
         [
             ("config.seed", {"seed": "abc"}),
@@ -513,6 +539,11 @@ class TestBuiltins:
             for _ in range(2):  # constant sets are shared across calls
                 got = field(z).points
                 assert np.array_equal(got, np.array(FIELD_FORMS[name](z)))
+
+    def test_sign_field_growth_in_two_dimensions(self):
+        # sign's values at the origin have norm sqrt(2), above a growth of 1.
+        field, _ = cli._build_di_field({"field": {"name": "sign"}, "dim": 2})
+        assert check_marchaud(field, [np.zeros(2)]).ok
 
     def test_unknown_names_keep_messages(self, tmp_path, capsys):
         cfg = dict(GENERIC, drift_fast={"name": "nope"}, out=str(tmp_path / "o"))

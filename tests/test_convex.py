@@ -422,3 +422,33 @@ class TestHausdorffProperties:
         R = float(max(np.abs(V1).max(), np.abs(V2).max()))
         assert gap <= d + 1e-9 * R
         assert d <= gap + R * (2.0 * np.pi / 20_000) + 1e-9 * R
+
+
+WEIGHTS = st.one_of(st.just(0.0), st.floats(0.01, 2.0))
+
+
+@st.composite
+def weighted_clouds(draw):
+    """One to four generator clouds at one drawn scale, with weights of which
+    some may be zero."""
+    dim = draw(st.integers(1, 3))
+    scale = draw(SCALES)
+    n = draw(st.integers(1, 4))
+    sets = [draw(clouds(dim, scale=scale))[0] for _ in range(n)]
+    return draw(st.lists(WEIGHTS, min_size=n, max_size=n)), sets
+
+
+class TestMinkowskiCombineProperties:
+    @PROPERTY
+    @given(weighted_clouds())
+    def test_support_is_weighted_sum_of_supports(self, case):
+        # h_{sum w_i K_i}(d) = sum w_i h_{K_i}(d) in every direction d of the
+        # net.  Above 2-d a large cloud keeps only its support achievers on
+        # this net, so the net is where the sum is exact in every dimension.
+        weights, sets = case
+        D = direction_net(sets[0].shape[1])
+        K = minkowski_combine(weights, [ConvexSet(V) for V in sets])
+        brute = sum(w * (V @ D.T).max(axis=0) for w, V in zip(weights, sets))
+        size = sum(w * np.abs(V).max() for w, V in zip(weights, sets))
+        got = (K.points @ D.T).max(axis=0)
+        assert np.abs(got - brute).max() <= 1e-12 * size + 1e-300

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from twoscale.markov import (
     FiniteKernel,
@@ -179,3 +182,50 @@ class TestKernelStationary:
         assert np.array_equal(up, stationary_set(K.frozen(np.ones(1), Y)).vertices[0])
         assert np.array_equal(down, stationary_set(K.frozen(-np.ones(1), Y)).vertices[0])
         assert not np.array_equal(up, down)
+
+
+@st.composite
+def reducible_chains(draw):
+    """A row-stochastic matrix on 2 to 4 blocks of states in block upper
+    triangular order, so that no state of a later block reaches an earlier
+    one; about half the entries allowed by that order are zero, and the
+    states are shuffled."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    n = len(block)
+    raw = draw(arrays(np.float64, (n, n), elements=st.floats(0.0, 1.0)))
+    P = np.where((raw >= 0.5) & (block[None, :] >= block[:, None]), raw, 0.0)
+    P[np.diag_indices(n)] += P.sum(axis=1) == 0.0
+    P /= P.sum(axis=1, keepdims=True)
+    perm = np.array(draw(st.permutations(range(n))))
+    return P[np.ix_(perm, perm)]
+
+
+def closed_classes(P):
+    """Closed communicating classes, from the transitive closure of the
+    support graph (Warshall): a state is recurrent when every state it
+    reaches reaches it back."""
+    n = len(P)
+    reach = (P > 0) | np.eye(n, dtype=bool)
+    for k in range(n):
+        reach |= reach[:, [k]] & reach[[k], :]
+    return {
+        frozenset(np.flatnonzero(reach[i] & reach[:, i]).tolist())
+        for i in range(n)
+        if reach[np.flatnonzero(reach[i]), i].all()
+    }
+
+
+class TestStationarySetProperties:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(reducible_chains())
+    def test_vertices_are_the_closed_class_laws(self, P):
+        stat = stationary_set(P)
+        for v in stat.vertices:
+            assert (v >= 0.0).all()
+            assert abs(v.sum() - 1.0) <= 1e-12
+            assert np.abs(v @ P - v).max() <= 1e-10
+        # One vertex per closed class, supported on exactly that class.
+        supports = [frozenset(np.flatnonzero(v > 0.0).tolist()) for v in stat.vertices]
+        assert len(supports) == len(set(supports))
+        assert set(supports) == closed_classes(P)

@@ -56,10 +56,13 @@ def abs_kink_problem():
 
     The reference point (0, 0.5) sits on the kink x_0 = 0, where the
     subdifferential is a segment, so a solve from there must take the
-    projection branch; lambda(y) = (1, 1 - y) / (1 + 2 C_PEN).
+    projection branch; lambda(y) = (1, 1 - y) / (1 + 2 C_PEN).  The row
+    oracles take the same steps as the scalar ones and give a NaN
+    subgradient row on the kink.
     """
     def objective(x, s):
-        return 0.5 * ((x[0] - 2.0) ** 2 + (x[1] - 1.0) ** 2) + abs(x[0])
+        a, b = x[0] - 2.0, x[1] - 1.0
+        return 0.5 * (a * a + b * b) + abs(x[0])
 
     def subgrad(x, s):
         g = [x[0] - 2.0, x[1] - 1.0]
@@ -67,11 +70,21 @@ def abs_kink_problem():
             return ConvexSet([[g[0] - 1.0, g[1]], [g[0] + 1.0, g[1]]])
         return ConvexSet.singleton([g[0] + np.sign(x[0]), g[1]])
 
+    def objective_rows(X, s):
+        A, B = X[:, 0] - 2.0, X[:, 1] - 1.0
+        return 0.5 * (A * A + B * B) + np.abs(X[:, 0])
+
+    def subgrad_rows(X, s):
+        G = np.stack([X[:, 0] - 2.0 + np.sign(X[:, 0]), X[:, 1] - 1.0], axis=1)
+        G[X[:, 0] == 0.0] = np.nan
+        return G
+
     return SaddleProblem(
         objective=objective, subgrad=subgrad,
         C=[[[0.0, 1.0]]], w=[[0.5]],
         kernel=FiniteKernel.constant([[1.0]]),
         epsilon=EPS, radius=R, growth_K=2.0, feasible_points=[[0.0, 0.5]],
+        objective_rows=objective_rows, subgrad_rows=subgrad_rows,
     )
 
 
@@ -116,6 +129,31 @@ class TestProblemConstruction:
                 epsilon=EPS,
                 radius=1.5,
             )
+
+    def test_coercivity_failure_is_first_in_ray_then_state_order(self):
+        # Every theta_s lies near the unit sphere, so many (ray, state) pairs
+        # fail; the first failing ray fails state 2 only, and later rays
+        # fail state 0.
+        theta = np.array([[0.0, 1.0], [0.0, -1.2], [0.9, 0.0]])
+        rng = np.random.default_rng(saddle._COERCIVITY_SEED)
+        rays = rng.standard_normal((saddle._COERCIVITY_RAYS, 2))
+        rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+        level = max(0.5 * float((t * t).sum()) for t in theta)  # witnesses at 0
+        J = np.array([[0.5 * float(((u - t) * (u - t)).sum()) for t in theta]
+                      for u in rays])
+        r, s = next((r, s) for r in range(len(rays)) for s in range(3)
+                    if J[r, s] <= level)
+        assert s == 2 and (J[r + 1:, 0] <= level).any()
+        with pytest.raises(ValueError) as err:
+            quadratic_problem(
+                theta=theta, C=[[[1.0, 0.0]]] * 3, w=[[0.0]] * 3,
+                kernel=FiniteKernel.constant(np.full((3, 3), 1 / 3)),
+                epsilon=EPS, radius=1.0,
+            )
+        assert str(err.value) == (
+            f"coercivity check failed: J(1.0*u, {s}) = {J[r, s]} <= {level} "
+            "along a sampled ray"
+        )
 
     def test_non_unique_stationary_law(self):
         P = quadratic_problem(
@@ -543,15 +581,7 @@ def anisotropic():
     )
 
 
-def without_row_oracles(P):
-    return SaddleProblem(
-        objective=P.objective, subgrad=P.subgrad, C=P.C, w=P.w, kernel=P.kernel,
-        epsilon=P.epsilon, radius=P.radius, growth_K=P.growth_K,
-        feasible_points=P.feasible_points,
-    )
-
-
-def kink_problem(row_oracles):
+def kink_problem():
     """J(x) = |x_0| + 0.5 (x_1 - 1)^2 with x_1 = 0.5: the solver stalls at the kink."""
     def objective(x, s):
         return abs(x[0]) + 0.5 * (x[1] - 1.0) ** 2
@@ -569,11 +599,11 @@ def kink_problem(row_oracles):
         G[X[:, 0] == 0.0] = np.nan
         return G
 
-    rows = {"objective_rows": objective_rows, "subgrad_rows": subgrad_rows}
     return SaddleProblem(
         objective=objective, subgrad=subgrad, C=[[[0.0, 1.0]]], w=[[0.5]],
         kernel=FiniteKernel.constant([[1.0]]), epsilon=EPS, radius=R,
-        growth_K=2.0, feasible_points=[[0.0, 0.5]], **(rows if row_oracles else {}),
+        growth_K=2.0, feasible_points=[[0.0, 0.5]],
+        objective_rows=objective_rows, subgrad_rows=subgrad_rows,
     )
 
 
@@ -597,18 +627,6 @@ class TestBatchedLambdaMin:
         norms = np.linalg.norm(batched, axis=1)
         assert (norms > P.radius).any() and (norms < P.radius).any()
 
-    def test_problem_without_row_oracles(self, monkeypatch):
-        P = without_row_oracles(canonical())
-        Y = np.linspace(-30.0, 30.0, 7)[:, None]
-        calls = []
-        real = saddle.lambda_min
-        monkeypatch.setattr(
-            saddle, "lambda_min", lambda P, y, **kw: calls.append(np.ndim(y)) or real(P, y, **kw)
-        )
-        batched = real(P, Y)
-        assert calls == [1] * len(Y)
-        assert np.array_equal(batched, np.array([real(P, y) for y in Y]))
-
     def test_failed_certificate_goes_to_scalar_solver(self):
         # A loose residual target stops every row short of the minimizer, so
         # the certificate fails and the scalar solver raises for the row.
@@ -628,9 +646,8 @@ class TestBatchedLambdaMin:
         for v, g, row in zip(V, gamma, rows):
             assert np.array_equal(row, saddle._prox_penalty(P, v, float(g)))
 
-    @pytest.mark.parametrize("row_oracles", [False, True])
-    def test_kink_still_stalls(self, row_oracles):
-        P = kink_problem(row_oracles)
+    def test_kink_still_stalls(self):
+        P = kink_problem()
         with pytest.raises(saddle.SolverStallError):
             lambda_min(P, np.array([[-1.0], [0.0], [2.0]]))
 
@@ -658,39 +675,36 @@ class TestBatchedDualFlow:
             verify_envelope(P, batched)
 
 
-# Problems the carried entry and the envelope blocks are checked on: row
-# oracles, three states in 3-d, curvature that makes the result depend on
-# the start, scalar oracles only, and a start on a kink that takes the
-# projection branch.
+# Problems the carried entry and the envelope blocks are checked on: two
+# states in 2-d, three states in 3-d, curvature that makes the result depend
+# on the start, and a start on a kink that takes the projection branch.
 CARRY_PROBLEMS = pytest.mark.parametrize(
     "make",
-    [
-        canonical, three_state, anisotropic,
-        lambda: without_row_oracles(canonical()), abs_kink_problem,
-    ],
-    ids=["canonical", "three_state", "anisotropic", "no_row_oracles", "abs_kink"],
+    [canonical, three_state, anisotropic, abs_kink_problem],
+    ids=["canonical", "three_state", "anisotropic", "abs_kink"],
 )
 
 
 def counting(P):
-    """A copy of P whose scalar oracles count their calls after construction."""
-    calls = {"objective": 0, "subgrad": 0}
+    """A copy of P whose scalar objective and subgradient rows count their
+    calls after construction."""
+    calls = {"objective": 0, "subgrad_rows": 0}
 
     def objective(x, s):
         calls["objective"] += 1
         return P.objective(x, s)
 
-    def subgrad(x, s):
-        calls["subgrad"] += 1
-        return P.subgrad(x, s)
+    def subgrad_rows(X, s):
+        calls["subgrad_rows"] += 1
+        return P.subgrad_rows(X, s)
 
     Q = SaddleProblem(
-        objective=objective, subgrad=subgrad, C=P.C, w=P.w, kernel=P.kernel,
+        objective=objective, subgrad=P.subgrad, C=P.C, w=P.w, kernel=P.kernel,
         epsilon=P.epsilon, radius=P.radius, growth_K=P.growth_K,
         feasible_points=P.feasible_points,
-        objective_rows=P.objective_rows, subgrad_rows=P.subgrad_rows,
+        objective_rows=P.objective_rows, subgrad_rows=subgrad_rows,
     )
-    calls.update(objective=0, subgrad=0)
+    calls.update(objective=0, subgrad_rows=0)
     return Q, calls
 
 
@@ -725,7 +739,7 @@ class TestCarriedEntry:
         # returned, and takes its first value and gradient from the entry.
         saved = (len(ys) - 1) * len(carried._solver.weighted)
         assert n_cleared["objective"] - n_carried["objective"] == saved
-        assert n_cleared["subgrad"] - n_carried["subgrad"] == saved
+        assert n_cleared["subgrad_rows"] - n_carried["subgrad_rows"] == saved
 
     @CARRY_PROBLEMS
     def test_start_one_ulp_off_calls_the_oracles(self, make):
@@ -737,7 +751,7 @@ class TestCarriedEntry:
 
         def solve(start, carried):
             P._carried = carried
-            calls.update(objective=0, subgrad=0)
+            calls.update(objective=0, subgrad_rows=0)
             return lambda_min(P, np.full(P.d2, 0.35), x0=start), dict(calls)
 
         lam_off, n_off = solve(off, entry)
@@ -749,7 +763,7 @@ class TestCarriedEntry:
         assert np.array_equal(lam, lam_fresh)
         weighted = len(P._solver.weighted)
         assert n_fresh["objective"] - n["objective"] == weighted
-        assert n_fresh["subgrad"] - n["subgrad"] == weighted
+        assert n_fresh["subgrad_rows"] - n["subgrad_rows"] == weighted
 
     def test_kink_start_takes_projection_branch(self, monkeypatch):
         calls = []

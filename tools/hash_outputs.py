@@ -5,7 +5,9 @@ Usage, from anywhere:
     python3 tools/hash_outputs.py --before ../parent --after . --seeds 1-3
 
 The commands are every ``configs/*.json`` of the ``--after`` checkout, with
-``--steps 2000`` where the config has steps, and each benchmark workload of
+``--steps 2000`` where the config has steps, ``validate`` on each of those
+configs as shipped (its ``validation_report.txt`` covers the contract checks
+of the drift maps and fields), and each benchmark workload of
 ``BENCHMARK.json`` on the config ``perfbench/workloads.py`` makes for each
 seed.  The subcommand follows the config's kind: ``saddle``, ``run`` or
 ``solve-di`` (with ``--envelope`` for a saddle dual field).  Both sides run
@@ -42,6 +44,7 @@ def jobs(checkout: Path, seeds: list[int]):
         if "steps" in cfg:
             argv += ["--steps", "2000"]
         yield path.stem, cfg, argv
+        yield f"{path.stem}-validate", cfg, ["validate"]
     sys.path.insert(0, str(checkout / "perfbench"))
     import workloads
 
