@@ -320,12 +320,19 @@ def cmd_validate(cfg: dict, out_dir: Path) -> int:
         checks.append((name, rep.ok, "ok" if rep.ok else "failed"))
 
     if kind in ("saddle", "two_timescale"):
+        steps = max(int(cfg.get("steps", 1000)), 2)
         try:
             schedule = _build_schedule(_get(cfg, "schedule", "config"))
-            rep = validate_schedule(schedule, max(int(cfg.get("steps", 1000)), 2))
-            checks.append(("schedule", rep.ok, "; ".join(rep.messages) or "ok"))
         except ConfigError as err:
             checks.append(("schedule", False, str(err)))
+        else:
+            rep = validate_schedule(schedule, steps)
+            checks.append(("schedule", rep.ok, "; ".join(rep.messages) or "ok"))
+            try:
+                _diagnostics_settings(cfg, schedule, steps)
+                checks.append(("diagnostics", True, "ok"))
+            except ConfigError as err:
+                checks.append(("diagnostics", False, str(err)))
 
     if kind == "saddle":
         try:
@@ -391,10 +398,13 @@ def _write_table(path: Path, columns, data) -> None:
     write_table(path, ", ".join(columns), columns, data)
 
 
-def _diagnostics_settings(diag_cfg: dict) -> dict:
-    """The ``diagnostics`` settings with their defaults, each range-checked
-    (NaN fails every check); a run reads them before its recursion starts."""
+def _diagnostics_settings(cfg: dict, schedule: StepSchedule, steps: int) -> dict:
+    """The ``diagnostics`` settings with their defaults, and ``tail_fraction``,
+    each range-checked (NaN fails every check); ``window_T`` must also fit in
+    the slow clock of ``steps`` steps of ``schedule``.  A run reads them before
+    its recursion starts, so a refused run writes nothing."""
     path = "config.diagnostics"
+    diag_cfg = cfg.get("diagnostics", {})
     d = {
         key: _number(diag_cfg, key, path, default, type(default))
         for key, default in (("window_T", 1.0), ("n_windows", 16),
@@ -409,23 +419,20 @@ def _diagnostics_settings(diag_cfg: dict) -> dict:
     ):
         if not ok:
             raise ConfigError(f"{path}.{key}: must be {need}, got {d[key]}")
-    return d
-
-
-def _window_settings(traj, diag_cfg) -> dict:
-    """The diagnostics settings, with the window length checked against the run."""
-    d = _diagnostics_settings(diag_cfg)
-    span = traj.t_slow[-1]
+    d["tail_fraction"] = tail = _number(cfg, "tail_fraction", "config", 0.1)
+    if not 0 < tail <= 1:
+        raise ConfigError(f"config.tail_fraction: must lie in (0, 1], got {tail}")
+    # The same clock as the run's Trajectory.t_slow, so the span is its last time.
+    span = schedule.clock("slow", steps)[-1]
     if d["window_T"] > span:
         raise ConfigError(
-            f"config.diagnostics.window_T: {d['window_T']} exceeds the slow "
+            f"{path}.window_T: {d['window_T']} exceeds the slow "
             f"clock span {span} of the run"
         )
     return d
 
 
-def _saddle_diagnostics(P, traj, out_dir: Path, diag_cfg: dict) -> None:
-    d = _window_settings(traj, diag_cfg)
+def _saddle_diagnostics(P, traj, out_dir: Path, d: dict) -> None:
     T_w, n_windows, apt_T = d["window_T"], d["n_windows"], d["apt_horizon"]
     ts = traj.t_slow
     last_start_t = ts[-1] - max(T_w, apt_T)
@@ -452,8 +459,7 @@ def _saddle_diagnostics(P, traj, out_dir: Path, diag_cfg: dict) -> None:
     )
 
 
-def _generic_diagnostics(traj, out_dir: Path, diag_cfg: dict) -> None:
-    d = _window_settings(traj, diag_cfg)
+def _generic_diagnostics(traj, out_dir: Path, d: dict) -> None:
     gaps = interpolation_gap(traj, T=d["window_T"], n_windows=d["n_windows"])
     nan = np.full(len(gaps), np.nan)
     _write_table(
@@ -468,11 +474,7 @@ def _run_single(cfg: dict, seed: int, out_dir: Path) -> int:
     schedule = _build_schedule(_get(cfg, "schedule", "config"))
     noise = _build_noise(cfg.get("noise"))
     steps = int(cfg.get("steps", 1))
-    diag_cfg = cfg.get("diagnostics", {})
-    _diagnostics_settings(diag_cfg)
-    tail = _number(cfg, "tail_fraction", "config", 0.1)
-    if not 0 < tail <= 1:
-        raise ConfigError(f"config.tail_fraction: must lie in (0, 1], got {tail}")
+    settings = _diagnostics_settings(cfg, schedule, steps)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         if kind == "saddle":
@@ -497,11 +499,11 @@ def _run_single(cfg: dict, seed: int, out_dir: Path) -> int:
         return EXIT_DIVERGENCE
     traj.to_csv(out_dir / "trajectory.csv")
     if kind == "saddle":
-        _saddle_diagnostics(P, traj, out_dir, diag_cfg)
-        rep = optimality_report(P, traj, tail_fraction=tail)
+        _saddle_diagnostics(P, traj, out_dir, settings)
+        rep = optimality_report(P, traj, tail_fraction=settings["tail_fraction"])
         (out_dir / "report.txt").write_text("\n".join(rep.lines()) + "\n")
     else:
-        _generic_diagnostics(traj, out_dir, diag_cfg)
+        _generic_diagnostics(traj, out_dir, settings)
     _write_manifest(out_dir, cfg, seed)
     return EXIT_OK
 

@@ -1,6 +1,9 @@
 import concurrent.futures
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +32,9 @@ CANONICAL = {
     "seed": 7,
     "diagnostics": {"n_windows": 3, "apt_horizon": 0.5, "window_T": 0.25},
 }
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -81,6 +87,36 @@ class TestValidate:
         code = main(["validate", "--config", str(p)])
         assert code == 1
         assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["canonical_saddle", "toy_two_timescale"])
+    def test_shipped_config_passes_schedule_and_diagnostics(self, tmp_path, name):
+        code = main(["validate", "--config", str(CONFIGS / f"{name}.json"),
+                     "--out", str(tmp_path)])
+        assert code == 0
+        report = (tmp_path / "validation_report.txt").read_text()
+        assert "[PASS] schedule: ok" in report and "[PASS] diagnostics: ok" in report
+        assert "[FAIL]" not in report
+
+    def test_validate_imports_no_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: a fresh interpreter that has
+        # run `twoscale validate` holds no scipy module.
+        argv = ["validate", "--config", str(CONFIGS / "canonical_saddle.json"),
+                "--out", str(tmp_path)]
+        script = (
+            "import sys\n"
+            "from twoscale.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
 
     @pytest.mark.parametrize("name", ["sign_di", "dual_envelope"])
     def test_di_config_needs_no_schedule(self, tmp_path, name):
@@ -401,7 +437,8 @@ class TestSaddleDiagnostics:
         schedule = StepSchedule(alpha=0.6, beta=0.9, a0=0.5, b0=1.0)
         noise = NoiseModel(kind="uniform", fast_scale=0.1, slow_scale=0.1)
         traj = run_primal_dual(P, schedule, N=20000, seed=101, noise=noise)
-        diag = {"window_T": 1.0, "n_windows": 16, "apt_horizon": 1.0, "apt_dt": 0.005}
+        diag = {"window_T": 1.0, "n_windows": 16, "apt_horizon": 1.0, "apt_dt": 0.005,
+                "K_terms": 4}
         cli._saddle_diagnostics(P, traj, tmp_path, diag)
         _, data = read_csv(tmp_path / "diagnostics.csv")
         assert len(data) == 16
@@ -448,9 +485,13 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "config.diagnostics.window_T" in err and "1.0" in err
         assert "Traceback" not in err
+        # Refused before the recursion runs: nothing is written.
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "command, base", [("saddle", CANONICAL), ("run", GENERIC)], ids=["saddle", "run"]
+        "command, base",
+        [("saddle", CANONICAL), ("run", GENERIC), ("validate", CANONICAL)],
+        ids=["saddle", "run", "validate"],
     )
     @pytest.mark.parametrize(
         "field, value",
@@ -469,8 +510,12 @@ class TestConfigErrors:
         (cfg.setdefault(section, {}) if section else cfg)[key] = value
         cfg["out"] = str(tmp_path / "out")
         assert main([command, "--config", str(write_config(tmp_path, cfg))]) == 1
-        err = capsys.readouterr().err
-        assert f"config.{field}: must" in err and "Traceback" not in err
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        if command == "validate":
+            assert f"[FAIL] diagnostics: config.{field}: must" in out
+            return
+        assert f"config.{field}: must" in err
         # Refused before the recursion runs: nothing is written.
         assert not (tmp_path / "out").exists()
 
