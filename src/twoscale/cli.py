@@ -320,16 +320,18 @@ def cmd_validate(cfg: dict, out_dir: Path) -> int:
         checks.append((name, rep.ok, "ok" if rep.ok else "failed"))
 
     if kind in ("saddle", "two_timescale"):
-        steps = max(int(cfg.get("steps", 1000)), 2)
+        # The schedule line checks the config's horizon, 1,000 steps where
+        # it gives none; the diagnostics line checks the run's step count.
+        horizon = max(int(cfg.get("steps", 1000)), 2)
         try:
             schedule = _build_schedule(_get(cfg, "schedule", "config"))
         except ConfigError as err:
             checks.append(("schedule", False, str(err)))
         else:
-            rep = validate_schedule(schedule, steps)
+            rep = validate_schedule(schedule, horizon)
             checks.append(("schedule", rep.ok, "; ".join(rep.messages) or "ok"))
             try:
-                _diagnostics_settings(cfg, schedule, steps)
+                _diagnostics_settings(cfg, schedule, _run_steps(cfg))
                 checks.append(("diagnostics", True, "ok"))
             except ConfigError as err:
                 checks.append(("diagnostics", False, str(err)))
@@ -396,6 +398,11 @@ def _write_table(path: Path, columns, data) -> None:
     """Write the column arrays ``data`` to a CSV under a ``# columns:``
     comment and a header row (see ``csvtable.write_table``)."""
     write_table(path, ", ".join(columns), columns, data)
+
+
+def _run_steps(cfg: dict) -> int:
+    """Steps of a run of ``cfg``: its ``steps``, or 1 where it has none."""
+    return int(cfg.get("steps", 1))
 
 
 def _diagnostics_settings(cfg: dict, schedule: StepSchedule, steps: int) -> dict:
@@ -473,7 +480,7 @@ def _run_single(cfg: dict, seed: int, out_dir: Path) -> int:
     kind = _get(cfg, "kind", "config")
     schedule = _build_schedule(_get(cfg, "schedule", "config"))
     noise = _build_noise(cfg.get("noise"))
-    steps = int(cfg.get("steps", 1))
+    steps = _run_steps(cfg)
     settings = _diagnostics_settings(cfg, schedule, steps)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:

@@ -92,11 +92,6 @@ class ConvexSet:
     def max_norm(self) -> float:
         return float(np.sqrt((self.points**2).sum(axis=1).max()))
 
-    def scale(self, c: float) -> "ConvexSet":
-        if c < 0:
-            raise ValueError("scale factor must be nonnegative")
-        return ConvexSet._trusted(self.points * c)
-
     def translate(self, v) -> "ConvexSet":
         v = np.asarray(v, dtype=float)
         if v.shape != (self.dim,):

@@ -162,30 +162,35 @@ def di_solve(
 ) -> DIPath:
     """Explicit Euler integration of dz/dt in H(z) with a selection rule.
 
-    A 2-d ``z0`` of shape ``(R, dim)`` steps R starts at once through
-    ``H.evaluate_rows``, which a single-valued field provides (the selection
-    rule is then moot); the result is one batched ``DIPath`` whose column r
-    is the path from ``z0[r]``.
+    A field with ``evaluate_rows`` is single-valued and is stepped through
+    it, so the selection rule is moot; such a field also takes a 2-d ``z0``
+    of shape ``(R, dim)``, R starts stepped at once, and the result is one
+    batched ``DIPath`` whose column r is the path from ``z0[r]``.  A field
+    without it is evaluated as a set at every step and the rule picks the
+    velocity (``select_velocity``).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if T < dt:
         raise ValueError("horizon must be at least one step")
     z0 = np.asarray(z0, dtype=float)
+    if z0.ndim > 2 or z0.shape[-1:] != (H.dim,):
+        raise ValueError(f"start has shape {z0.shape}, field has dim {H.dim}")
+    velocity = H.evaluate_rows
+    if velocity is None:
+        if z0.ndim == 2:
+            raise ValueError("a block of starts needs a field with evaluate_rows")
+
+        def velocity(z):
+            return select_velocity(H(z), selection, z, dt, target=target, u=u, rng=rng)
+
     n = int(round(T / dt))
-    if z0.ndim == 2:
-        states, sels = _euler_rows(H, z0, n, dt)
-    else:
-        states = np.empty((n + 1, H.dim))
-        sels = np.empty((n, H.dim))
-        states[0] = z0
-        for i in range(n):
-            K = H(states[i])
-            v = select_velocity(
-                K, selection, states[i], dt, target=target, u=u, rng=rng
-            )
-            sels[i] = v
-            states[i + 1] = states[i] + dt * v
+    states = np.empty((n + 1,) + z0.shape)
+    sels = np.empty((n,) + z0.shape)
+    states[0] = z0
+    for i in range(n):
+        sels[i] = velocity(states[i])
+        states[i + 1] = states[i] + dt * sels[i]
     max_norm = float(np.linalg.norm(states, axis=-1).max())
     if dt * H.growth_K * (1.0 + max_norm) > 0.1:
         warnings.warn(
@@ -196,21 +201,6 @@ def di_solve(
         )
     times = dt * np.arange(n + 1)
     return DIPath(times=times, states=states, selections=sels)
-
-
-def _euler_rows(H: MeanField, Z0: np.ndarray, n: int, dt: float):
-    """States and selections of Euler steps from every row of Z0 at once."""
-    if H.evaluate_rows is None:
-        raise ValueError("a block of starts needs a field with evaluate_rows")
-    if Z0.shape[1] != H.dim:
-        raise ValueError(f"starts have shape {Z0.shape}, field has dim {H.dim}")
-    states = np.empty((n + 1,) + Z0.shape)
-    sels = np.empty((n,) + Z0.shape)
-    states[0] = Z0
-    for i in range(n):
-        sels[i] = H.evaluate_rows(states[i])
-        states[i + 1] = states[i] + dt * sels[i]
-    return states, sels
 
 
 def limit_set(path: DIPath, burn_in: float, tol: float = 1e-3) -> np.ndarray:

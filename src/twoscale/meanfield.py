@@ -37,9 +37,11 @@ class MeanField:
     """Set-valued vector field z -> ConvexSet with linear growth.
 
     ``growth_K`` is the Marchaud bound sup ||v|| <= growth_K * (1 + ||z||).
-    A single-valued field may also give ``evaluate_rows``, mapping a block
-    of states ``(R, dim)`` to their velocities ``(R, dim)``; ``di_solve``
-    uses it to step many starts at once.
+    A single-valued field may also give ``evaluate_rows``, mapping a state
+    ``(dim,)`` to its velocity ``(dim,)`` and a block of states ``(R, dim)``
+    to their velocities ``(R, dim)``, each the one point of ``evaluate`` at
+    that state; ``di_solve`` steps such a field through it, one start or
+    many at once, without building sets.
     """
 
     evaluate: Callable

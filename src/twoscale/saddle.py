@@ -132,16 +132,9 @@ class SaddleProblem:
         if self.feasible_points.shape != (self.alphabet, self.d1):
             raise ValueError("need one feasible witness per state")
         self._validate()
-        self._mu: Optional[np.ndarray] = None
-        self._C_mu: Optional[np.ndarray] = None
-        self._w_mu: Optional[np.ndarray] = None
         # lambda(y) found by the latest dual_ode_field, keyed on y.tobytes();
         # verify_envelope pops the entries it reuses.
         self._lambda_record: dict[bytes, np.ndarray] = {}
-        # (x.tobytes(), Jhat_mu(x) over the weighted states, the averaged
-        # subgradient row there) at the point the latest scalar lambda_min
-        # returned; all of it is independent of y.
-        self._carried: Optional[tuple] = None
 
     def _validate(self) -> None:
         for s in range(self.alphabet):
@@ -183,30 +176,24 @@ class SaddleProblem:
     def reference_point(self) -> np.ndarray:
         return self.feasible_points.mean(axis=0)
 
-    @property
+    @cached_property
     def mu(self) -> np.ndarray:
         """Unique stationary row of the kernel frozen at the reference point."""
-        if self._mu is None:
-            stat = self.kernel.stationary(self.reference_point(), np.zeros(self.d2))
-            if stat.n_vertices != 1:
-                raise ValueError(
-                    f"the chain has {stat.n_vertices} stationary vertices; "
-                    "the dual machinery needs a unique stationary law"
-                )
-            self._mu = stat.vertices[0]
-        return self._mu
+        stat = self.kernel.stationary(self.reference_point(), np.zeros(self.d2))
+        if stat.n_vertices != 1:
+            raise ValueError(
+                f"the chain has {stat.n_vertices} stationary vertices; "
+                "the dual machinery needs a unique stationary law"
+            )
+        return stat.vertices[0]
 
-    @property
+    @cached_property
     def C_mu(self) -> np.ndarray:
-        if self._C_mu is None:
-            self._C_mu = np.tensordot(self.mu, self.C, axes=1)
-        return self._C_mu
+        return np.tensordot(self.mu, self.C, axes=1)
 
-    @property
+    @cached_property
     def w_mu(self) -> np.ndarray:
-        if self._w_mu is None:
-            self._w_mu = self.mu @ self.w
-        return self._w_mu
+        return self.mu @ self.w
 
     @cached_property
     def _penalty(self) -> SimpleNamespace:
@@ -405,21 +392,29 @@ def lambda_min(
     is set-valued and the step projects the averaged generator cloud of the
     set forms instead.
 
-    ``P`` carries one entry from the latest scalar call: the point it
-    returned, with the y-independent parts of the value and the averaged
-    subgradient row there, both found by its last step and certificate.
-    A call that starts at that point bit for bit (a warm-start chain) takes
-    its first value and gradient from the entry instead of the oracles; the
-    result is the same.  The oracles must therefore be pure functions of x.
-
-    A 2-d ``y`` of shape ``(R, d2)`` is a block of multipliers, with ``x0``
-    None or of shape ``(R, d1)``; the result has shape ``(R, d1)`` and row r
-    equals the call on ``y[r]`` from ``x0[r]`` bit for bit (see
-    ``_lambda_min_rows``).
+    The result depends only on the arguments: nothing is kept on ``P``
+    between calls.  A 2-d ``y`` of shape ``(R, d2)`` is a block of
+    multipliers, with ``x0`` None or of shape ``(R, d1)``; the result has
+    shape ``(R, d1)`` and row r equals the call on ``y[r]`` from ``x0[r]``
+    bit for bit (see ``_lambda_min_rows``).
     """
     y = np.asarray(y, dtype=float)
     if y.ndim == 2:
         return _lambda_min_rows(P, y, x0, grad_tol, max_iter)
+    return _solve(P, y, x0, None, grad_tol, max_iter)[0]
+
+
+def _solve(P: SaddleProblem, y: np.ndarray, x0, entry: Optional[tuple],
+           grad_tol: float = GRAD_TOL, max_iter: int = 500) -> tuple:
+    """The scalar kernel of ``lambda_min``: the minimizer at the 1-d ``y``
+    from ``x0``, and its entry.
+
+    The entry of a point is its y-independent value (``Jhat_mu`` over the
+    weighted states) and its averaged ``subgrad_rows`` row, both found by the
+    last step and the certificate.  Given the entry of ``x0``, the solve
+    takes its first value and gradient from it instead of the oracles; the
+    result is the same bit for bit, as the oracles are pure functions of x.
+    """
     cy = P.C_mu.T @ y
     x = np.array(x0, dtype=float) if x0 is not None else P.reference_point().copy()
     objective, k = P.objective, P._solver
@@ -438,9 +433,8 @@ def lambda_min(
             return project(_raw_subgrad_mu(P, z), -cy) + cy
         return g_mu + cy
 
-    carried = P._carried
-    if carried is not None and carried[0] == x.tobytes():
-        bx, g_mu = carried[1], carried[2]
+    if entry is not None:
+        bx, g_mu = entry
     else:
         bx, g_mu = base(x), _subgrad_mu_rows(P, x[None])[0]
     fx = bx + float(cy @ x)
@@ -490,8 +484,39 @@ def lambda_min(
     worst = float(((full + cy) @ k.net_T).max(axis=0).min())
     if worst < -MEMBERSHIP_TOL:
         raise SolverStallError(abs(worst), max_iter)
-    P._carried = (x.tobytes(), bx, g_mu)
-    return x
+    return x, (bx, g_mu)
+
+
+class _WarmChain:
+    """Warm-started ``lambda_min`` solves along a path of multipliers.
+
+    A 1-d y is solved from the previous 1-d minimizer and its entry, so no
+    oracle is called before the first step, and the minimizer goes into
+    ``record``, if given, under the bytes of y (the first one for a repeated
+    y is kept).  A block ``(R, d2)`` is solved from the previous block when
+    that had R rows too.  The minimizer is unique, so a start changes only
+    iteration counts and, within the residual target, the last digits.
+    """
+
+    def __init__(self, P: SaddleProblem, record: Optional[dict] = None):
+        self.P, self.record = P, record
+        self.x = self.entry = self.X = None
+
+    def __call__(self, y) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        if y.ndim == 2:
+            X0 = self.X if self.X is not None and len(self.X) == len(y) else None
+            self.X = lambda_min(self.P, y, x0=X0)
+            return self.X
+        self.x, self.entry = _solve(self.P, y, self.x, self.entry)
+        if self.record is not None:
+            self.record.setdefault(y.tobytes(), self.x)
+        return self.x
+
+    def follow(self, x: np.ndarray) -> np.ndarray:
+        """Continue the chain from the minimizer ``x`` found elsewhere."""
+        self.x, self.entry = x, None
+        return x
 
 
 def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -669,50 +694,31 @@ def dual_drift(P: SaddleProblem) -> SetValuedMap:
 def dual_ode_field(P: SaddleProblem) -> MeanField:
     """Singleton dual flow field y -> {C_mu lambda(y) - w_mu}.
 
-    Each evaluation warm-starts ``lambda_min`` from the previous minimizer;
-    the minimizer is unique, so the warm start changes iteration counts
-    and, within the solver's residual target, the last digits.  That start is the point the previous solve
-    returned, so the solve takes its first value and gradient from the
-    entry ``lambda_min`` carries on ``P`` rather than from the oracles,
-    unless another scalar solve on ``P`` came in between.  Each minimizer
-    is also recorded on the problem, keyed on the exact bytes of y (the
-    first one found for a repeated y is kept), so that ``verify_envelope``
-    on the path just integrated reuses it instead of solving again.
-    Building a new field replaces that record and ``verify_envelope``
-    removes every entry it takes, so the record holds at most the states
-    this field evaluated that no envelope check has used.
-
-    ``evaluate_rows`` maps a block of multipliers ``(R, d2)`` to its block of
-    velocities through the batched ``lambda_min``; each row warm-starts from
-    its own previous minimizer, and nothing is recorded.
+    One velocity, over one warm-start chain (``_WarmChain``), serves as
+    ``evaluate_rows`` for a state ``(d2,)`` or a block ``(R, d2)``;
+    ``evaluate`` is its singleton.  A state is solved from the minimizer of
+    the previous state, a block from the previous block of the same size.
+    Each state's minimizer is also recorded on the problem, keyed on the
+    exact bytes of y, so that ``verify_envelope`` on the path just
+    integrated reuses it instead of solving again.  Building a new field
+    replaces that record and ``verify_envelope`` removes every entry it
+    takes, so the record holds at most the states this field evaluated that
+    no envelope check has used.
     """
     C_mu, w_mu = P.C_mu, P.w_mu
     growth = float(np.linalg.norm(C_mu, 2)) * P.K_prime() + float(
         np.linalg.norm(w_mu)
     ) + 1e-12
-    warm = {"x": None}
-    record: dict[bytes, np.ndarray] = {}
-    P._lambda_record = record
+    P._lambda_record = {}
+    solve = _WarmChain(P, P._lambda_record)
 
-    def evaluate(y):
-        lam = lambda_min(P, y, x0=warm["x"])
-        warm["x"] = lam
-        record.setdefault(y.tobytes(), lam)
-        return ConvexSet.singleton(C_mu @ lam - w_mu)
-
-    warm_rows = {"X": None}
-
-    def evaluate_rows(Y):
-        X0 = warm_rows["X"]
-        if X0 is not None and X0.shape[0] != Y.shape[0]:
-            X0 = None
-        lam = lambda_min(P, Y, x0=X0)
-        warm_rows["X"] = lam
+    def velocity(y):
         # Stacked matrix-vector products, so each row equals C_mu @ lam[r].
-        return np.matmul(C_mu, lam[:, :, None])[:, :, 0] - w_mu
+        return np.matmul(C_mu, solve(y)[..., None])[..., 0] - w_mu
 
     return MeanField(
-        evaluate=evaluate, dim=P.d2, growth_K=growth, evaluate_rows=evaluate_rows
+        evaluate=lambda y: ConvexSet.singleton(velocity(y)),
+        dim=P.d2, growth_K=growth, evaluate_rows=velocity,
     )
 
 
@@ -721,19 +727,16 @@ def averaged_slow_field(P: SaddleProblem) -> MeanField:
 
     Couples the minimizer map with the stationary polytope of the frozen
     kernel; on a uniquely ergodic chain this coincides with
-    ``dual_ode_field`` and is the object the slow iterates track.
+    ``dual_ode_field`` and is the object the slow iterates track.  The
+    minimizers form one warm-start chain, as in ``dual_ode_field``.
     """
-    warm = {"x": None}
-
-    def lambda_fn(y):
-        lam = lambda_min(P, y, x0=warm["x"])
-        warm["x"] = lam
-        return lam[None, :]
-
+    solve = _WarmChain(P)
     cmax = max(float(np.linalg.norm(P.C[s], 2)) for s in range(P.alphabet))
     wmax = float(np.abs(P.w).max(initial=0.0))
     growth = cmax * P.K_prime() + wmax + 1e-12
-    return slow_field(dual_drift(P), P.kernel, lambda_fn, growth_K=growth)
+    return slow_field(
+        dual_drift(P), P.kernel, lambda y: solve(y)[None, :], growth_K=growth
+    )
 
 
 def run_primal_dual(
@@ -838,9 +841,9 @@ def verify_envelope(P: SaddleProblem, y_path: DIPath) -> EnvelopeReport:
     report carries the maximum discrepancy and whether V is nondecreasing.
     A knot's minimizer lambda(y) is taken, and removed, from the record the
     latest ``dual_ode_field`` of ``P`` keeps when that field evaluated the
-    same y; every other knot is solved by ``lambda_min``, warm-started from
-    the previous knot.  Along the path the field just integrated, this is
-    the same warm-start chain, so the result equals a full re-solve.
+    same y; every other knot is solved on a warm-start chain from the
+    previous knot's minimizer.  Along the path the field just integrated,
+    this is the chain the field ran, so the result equals a full re-solve.
 
     V and the squared residuals are computed on blocks of knots, with one
     ``objective_rows`` call per state; each entry equals ``lagrangian`` and
@@ -850,15 +853,13 @@ def verify_envelope(P: SaddleProblem, y_path: DIPath) -> EnvelopeReport:
     record = P._lambda_record
     n = len(y_path.times)
     V, resid2 = np.empty(n), np.empty(n)
-    warm = None
+    solve = _WarmChain(P)
     for a in range(0, n, _ENVELOPE_BLOCK):
         Y = y_path.states[a:a + _ENVELOPE_BLOCK]
         L = np.empty((len(Y), P.d1))
         for i, y in enumerate(Y):
             lam = record.pop(y.tobytes(), None)
-            if lam is None:
-                lam = lambda_min(P, y, x0=warm)
-            L[i] = warm = lam
+            L[i] = solve(y) if lam is None else solve.follow(lam)
         V[a:a + len(Y)], resid2[a:a + len(Y)] = _dual_rows(P, L, Y)
     dt = np.diff(y_path.times)
     integral = np.concatenate(

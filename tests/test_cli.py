@@ -488,6 +488,21 @@ class TestConfigErrors:
         # Refused before the recursion runs: nothing is written.
         assert not (tmp_path / "out").exists()
 
+    def test_validate_checks_window_against_the_run_steps(self, tmp_path, capsys):
+        # No steps: the run takes one step, so its slow clock spans b(0) = 1.0,
+        # and validate checks window_T against that span, not its horizon.
+        cfg = {k: v for k, v in GENERIC.items() if k != "steps"}
+        cfg["diagnostics"] = {"window_T": 2.0}
+        cfg["out"] = str(tmp_path / "out")
+        path = write_config(tmp_path, cfg)
+        message = (
+            "config.diagnostics.window_T: 2.0 exceeds the slow clock span 1.0 of the run"
+        )
+        assert main(["validate", "--config", str(path)]) == 1
+        assert f"[FAIL] diagnostics: {message}\n" in capsys.readouterr().out
+        assert main(["run", "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command, base",
         [("saddle", CANONICAL), ("run", GENERIC), ("validate", CANONICAL)],

@@ -7,7 +7,7 @@ import twoscale.saddle as saddle
 from twoscale.convex import ConvexSet, hausdorff
 from twoscale.dynamics import DIPath, di_solve
 from twoscale.markov import FiniteKernel
-from twoscale.meanfield import check_marchaud
+from twoscale.meanfield import MeanField, check_marchaud
 from twoscale.recursion import NoiseModel, StepSchedule, Trajectory
 from twoscale.saddle import (
     SaddleProblem,
@@ -494,22 +494,24 @@ class TestEnvelope:
         assert y_end[0] == pytest.approx(Y_STAR, abs=1e-2)
 
     @staticmethod
-    def count_lambda_min(monkeypatch):
+    def count_solves(monkeypatch):
+        """Count the scalar kernel's solves, which every knot not taken from
+        the record costs."""
         calls = []
-        real = saddle.lambda_min
+        real = saddle._solve
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(saddle, "lambda_min", counting)
+        monkeypatch.setattr(saddle, "_solve", counting)
         return calls
 
     def test_reuses_field_minimizers_bit_identically(self, monkeypatch):
         P = canonical()
         path = di_solve(dual_ode_field(P), [0.0], T=0.5, dt=1e-2)
         fresh = verify_envelope(canonical(), path)
-        calls = self.count_lambda_min(monkeypatch)
+        calls = self.count_solves(monkeypatch)
         rep = verify_envelope(P, path)
         # The field was evaluated at every knot but the last.
         assert len(calls) == 1
@@ -528,7 +530,7 @@ class TestEnvelope:
         states = (1.0 + times)[:, None]
         path = DIPath(times=times, states=states, selections=np.ones((8, 1)))
         fresh = verify_envelope(canonical(), path)
-        calls = self.count_lambda_min(monkeypatch)
+        calls = self.count_solves(monkeypatch)
         rep = verify_envelope(P, path)
         assert len(calls) == len(times)
         assert np.array_equal(rep.V, fresh.V)
@@ -675,10 +677,10 @@ class TestBatchedDualFlow:
             verify_envelope(P, batched)
 
 
-# Problems the carried entry and the envelope blocks are checked on: two
+# Problems the warm-start chain and the envelope blocks are checked on: two
 # states in 2-d, three states in 3-d, curvature that makes the result depend
 # on the start, and a start on a kink that takes the projection branch.
-CARRY_PROBLEMS = pytest.mark.parametrize(
+CHAIN_PROBLEMS = pytest.mark.parametrize(
     "make",
     [canonical, three_state, anisotropic, abs_kink_problem],
     ids=["canonical", "three_state", "anisotropic", "abs_kink"],
@@ -713,57 +715,61 @@ def flow_knots(P):
     return di_solve(dual_ode_field(P), np.full(P.d2, 0.4), T=0.3, dt=1e-2)
 
 
-def solve_chain(P, ys, clear):
-    """Warm-start chain of scalar solves; ``clear`` drops the carried entry
-    before every call."""
+def lambda_min_chain(P, ys):
+    """Scalar ``lambda_min`` calls, each started at the previous minimizer."""
     warm, out = None, []
     for y in ys:
-        if clear:
-            P._carried = None
         warm = lambda_min(P, y, x0=warm)
         out.append(warm)
     return np.array(out)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-class TestCarriedEntry:
-    @CARRY_PROBLEMS
-    def test_chain_equals_chain_without_entry(self, make):
+class TestWarmChain:
+    @CHAIN_PROBLEMS
+    def test_chain_equals_lambda_min_chain(self, make):
         ys = flow_knots(make()).states
-        carried, n_carried = counting(make())
-        cleared, n_cleared = counting(make())
+        chained, n_chained = counting(make())
+        plain, n_plain = counting(make())
+        solve = saddle._WarmChain(chained)
         assert np.array_equal(
-            solve_chain(carried, ys, clear=False), solve_chain(cleared, ys, clear=True)
+            np.array([solve(y) for y in ys]), lambda_min_chain(plain, ys)
         )
         # Every solve after the first starts at the point the one before
-        # returned, and takes its first value and gradient from the entry.
-        saved = (len(ys) - 1) * len(carried._solver.weighted)
-        assert n_cleared["objective"] - n_carried["objective"] == saved
-        assert n_cleared["subgrad_rows"] - n_carried["subgrad_rows"] == saved
+        # returned, and takes its first value and gradient from its entry.
+        saved = (len(ys) - 1) * len(chained._solver.weighted)
+        assert n_plain["objective"] - n_chained["objective"] == saved
+        assert n_plain["subgrad_rows"] - n_chained["subgrad_rows"] == saved
 
-    @CARRY_PROBLEMS
-    def test_start_one_ulp_off_calls_the_oracles(self, make):
-        P, calls = counting(make())
-        x = lambda_min(P, np.full(P.d2, 0.3))
-        entry = P._carried
-        off = x.copy()
-        off[0] = np.nextafter(off[0], np.inf)
+    @CHAIN_PROBLEMS
+    def test_scalar_call_between_evaluations_changes_nothing(self, make):
+        y1, y2, other = (np.full(make().d2, v) for v in (0.4, 0.38, -2.0))
 
-        def solve(start, carried):
-            P._carried = carried
+        def second_evaluation(interleave):
+            P, calls = counting(make())
+            field = dual_ode_field(P)
+            field.evaluate(y1)
+            if interleave:
+                lambda_min(P, other)
             calls.update(objective=0, subgrad_rows=0)
-            return lambda_min(P, np.full(P.d2, 0.35), x0=start), dict(calls)
+            return field.evaluate(y2).points, dict(calls)
 
-        lam_off, n_off = solve(off, entry)
-        lam_off_fresh, n_off_fresh = solve(off, None)
-        assert np.array_equal(lam_off, lam_off_fresh)
-        assert n_off == n_off_fresh
-        lam, n = solve(x, entry)
-        lam_fresh, n_fresh = solve(x, None)
-        assert np.array_equal(lam, lam_fresh)
-        weighted = len(P._solver.weighted)
-        assert n_fresh["objective"] - n["objective"] == weighted
-        assert n_fresh["subgrad_rows"] - n["subgrad_rows"] == weighted
+        v, n = second_evaluation(interleave=False)
+        v_between, n_between = second_evaluation(interleave=True)
+        assert np.array_equal(v_between, v)
+        assert n_between == n
+
+    @CHAIN_PROBLEMS
+    def test_one_start_equals_set_form(self, make):
+        P = make()
+        field = dual_ode_field(P)
+        y0 = np.full(P.d2, 0.4)
+        rows = di_solve(field, y0, T=0.3, dt=1e-2)
+        set_form = MeanField(evaluate=dual_ode_field(make()).evaluate,
+                             dim=field.dim, growth_K=field.growth_K)
+        sets = di_solve(set_form, y0, T=0.3, dt=1e-2)
+        assert np.array_equal(rows.states, sets.states)
+        assert np.array_equal(rows.selections, sets.selections)
 
     def test_kink_start_takes_projection_branch(self, monkeypatch):
         calls = []
@@ -772,7 +778,9 @@ class TestCarriedEntry:
             saddle, "project", lambda K, z: calls.append(K.n_points) or real_project(K, z)
         )
         P = abs_kink_problem()
-        solve_chain(P, flow_knots(abs_kink_problem()).states, clear=False)
+        solve = saddle._WarmChain(P)
+        for y in flow_knots(abs_kink_problem()).states:
+            solve(y)
         assert calls and max(calls) >= 2
 
 
@@ -791,7 +799,7 @@ def envelope_by_knots(P, path):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestEnvelopeBlocks:
-    @CARRY_PROBLEMS
+    @CHAIN_PROBLEMS
     @pytest.mark.parametrize("block", [1, 7, saddle._ENVELOPE_BLOCK])
     def test_matches_per_knot_lagrangian(self, make, block, monkeypatch):
         P = make()
