@@ -68,14 +68,18 @@ def _get(cfg: dict, key: str, path: str, required: bool = True, default=None):
     return cfg[key]
 
 
-def _number(cfg: dict, key: str, path: str, default=None, kind=float):
+def _number(cfg: dict, key: str, path: str, default=None, kind=float, low=None):
     """A numeric field as ``kind``, required when it has no default; a
-    non-numeric value is a ``ConfigError`` naming the field."""
+    non-numeric value, or one below ``low``, is a ``ConfigError`` naming the
+    field."""
     value = _get(cfg, key, path, required=default is None, default=default)
     try:
-        return kind(value)
+        value = kind(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{path}.{key}: expected a number, got {value!r}") from None
+    if low is not None and not value >= low:
+        raise ConfigError(f"{path}.{key}: must be >= {low}, got {value}")
+    return value
 
 
 def _matrix(value, path: str) -> np.ndarray:
@@ -83,6 +87,14 @@ def _matrix(value, path: str) -> np.ndarray:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{path}: not a numeric array ({err})") from None
+    return arr
+
+
+def _vector(value, n: int, path: str) -> np.ndarray:
+    """A flat list of ``n`` numbers as a float array."""
+    arr = _matrix(value, path)
+    if arr.shape != (n,):
+        raise ConfigError(f"{path}: expected {n} numbers, got shape {arr.shape}")
     return arr
 
 
@@ -203,22 +215,23 @@ def _build_noise(cfg, path: str = "noise") -> NoiseModel:
 
 
 def build_problem(cfg: dict, path: str = "problem") -> SaddleProblem:
-    theta = _matrix(_get(cfg, "theta", path), f"{path}.theta")
+    theta = np.atleast_2d(_matrix(_get(cfg, "theta", path), f"{path}.theta"))
     C = _matrix(_get(cfg, "C", path), f"{path}.C")
     w = _matrix(_get(cfg, "w", path), f"{path}.w")
     if C.ndim != 3:
         raise ConfigError(f"{path}.C: expected per-state matrices (|S|, d2, d1)")
-    if w.shape[0] != C.shape[0]:
-        raise ConfigError(
-            f"{path}.w: {w.shape[0]} rows for {C.shape[0]} constraint states"
-        )
+    for key, arr in (("w", w), ("theta", theta)):
+        if arr.shape[0] != C.shape[0]:
+            raise ConfigError(
+                f"{path}.{key}: {arr.shape[0]} rows for {C.shape[0]} constraint states"
+            )
     kernel = _build_kernel(_get(cfg, "kernel", path), C.shape[0], f"{path}.kernel")
     feas = _get(cfg, "feasible_points", path, required=False)
     epsilon = _number(cfg, "epsilon", path)
     radius = _number(cfg, "radius", path)
     growth = _number(cfg, "growth", path) if "growth" in cfg else None
     try:
-        return quadratic_problem(
+        P = quadratic_problem(
             theta=theta,
             C=C,
             w=w,
@@ -230,6 +243,11 @@ def build_problem(cfg: dict, path: str = "problem") -> SaddleProblem:
         )
     except ValueError as err:
         raise ConfigError(f"{path}: {err}") from None
+    try:
+        P.mu  # every saddle run and dual field needs a unique stationary law
+    except ValueError as err:
+        raise ConfigError(f"{path}.kernel: {err}") from None
+    return P
 
 
 def load_config(path) -> dict:
@@ -254,9 +272,7 @@ def _apply_overrides(cfg: dict, args) -> dict:
     seed = _number(cfg, "seed", "config", 0, int)
     if not 0 <= seed < 2**64:
         raise ConfigError("config.seed: must be an unsigned 64-bit value")
-    steps = _number(cfg, "steps", "config", 1, int)
-    if steps < 1:
-        raise ConfigError("config.steps: must be >= 1")
+    _number(cfg, "steps", "config", 1, int, low=1)
     return cfg
 
 
@@ -284,9 +300,10 @@ def drift_map(name: str, d1: int, d2: int, alphabet: int) -> SetValuedMap:
 
 
 def _build_generic(cfg: dict):
-    d1 = _number(cfg, "d1", "config", kind=int)
-    d2 = _number(cfg, "d2", "config", kind=int)
-    alphabet = _number(cfg, "alphabet", "config", 1, int)
+    """Drifts, kernels, initial iterates and initial states ``(s1_0, s2_0)``
+    of a ``two_timescale`` config."""
+    d1, d2 = (_number(cfg, k, "config", kind=int, low=1) for k in ("d1", "d2"))
+    alphabet = _number(cfg, "alphabet", "config", 1, int, low=1)
 
     def drift(key):
         path = f"config.{key}"
@@ -305,9 +322,13 @@ def _build_generic(cfg: dict):
         return _build_kernel(spec, alphabet, f"config.{key}")
 
     K1, K2 = kernel("kernel_fast"), kernel("kernel_slow")
-    x0 = _matrix(cfg.get("x0", [0.0] * d1), "config.x0")
-    y0 = _matrix(cfg.get("y0", [0.0] * d2), "config.y0")
-    return H1, H2, K1, K2, x0, y0
+    x0 = _vector(cfg.get("x0", [0.0] * d1), d1, "config.x0")
+    y0 = _vector(cfg.get("y0", [0.0] * d2), d2, "config.y0")
+    s0 = tuple(_number(cfg, k, "config", 0, int) for k in ("s1_0", "s2_0"))
+    for k, s in zip(("s1_0", "s2_0"), s0):
+        if not 0 <= s < alphabet:
+            raise ConfigError(f"config.{k}: must lie in [0, {alphabet}), got {s}")
+    return H1, H2, K1, K2, x0, y0, s0
 
 
 # -- subcommands -----------------------------------------------------------
@@ -354,7 +375,7 @@ def cmd_validate(cfg: dict, out_dir: Path) -> int:
             checks.append(("problem construction", False, str(err)))
     elif kind == "two_timescale":
         try:
-            H1, H2, K1, K2, x0, y0 = _build_generic(cfg)
+            H1, H2, K1, K2, x0, y0, _ = _build_generic(cfg)
             grid = [(x0, y0, s) for s in range(H1.alphabet)]
             contract("fast drift SAM", validate_sam(H1, grid))
             contract("slow drift SAM", validate_sam(H2, grid))
@@ -482,28 +503,25 @@ def _run_single(cfg: dict, seed: int, out_dir: Path) -> int:
     noise = _build_noise(cfg.get("noise"))
     steps = _run_steps(cfg)
     settings = _diagnostics_settings(cfg, schedule, steps)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         if kind == "saddle":
             P = build_problem(_get(cfg, "problem", "config"))
             traj = run_primal_dual(
                 P, schedule, N=steps, seed=seed, noise=noise,
-                x0=cfg.get("x0"), y0=cfg.get("y0"),
+                x0=_vector(cfg.get("x0", [0.0] * P.d1), P.d1, "config.x0"),
+                y0=_vector(cfg.get("y0", [0.0] * P.d2), P.d2, "config.y0"),
             )
         elif kind == "two_timescale":
-            H1, H2, K1, K2, x0, y0 = _build_generic(cfg)
-            traj = run(
-                H1, H2, K1, K2, schedule, x0, y0,
-                _number(cfg, "s1_0", "config", 0, int),
-                _number(cfg, "s2_0", "config", 0, int),
-                steps, seed, noise=noise,
-            )
+            H1, H2, K1, K2, x0, y0, (s1, s2) = _build_generic(cfg)
+            traj = run(H1, H2, K1, K2, schedule, x0, y0, s1, s2, steps, seed, noise=noise)
         else:
             raise ConfigError(f"config.kind: cannot run experiments of kind {kind!r}")
     except DivergenceError as err:
+        out_dir.mkdir(parents=True, exist_ok=True)
         _write_manifest(out_dir, cfg, seed, {"divergence_step": err.step})
         print(f"divergence at step {err.step}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    out_dir.mkdir(parents=True, exist_ok=True)
     traj.to_csv(out_dir / "trajectory.csv")
     if kind == "saddle":
         _saddle_diagnostics(P, traj, out_dir, settings)
@@ -530,7 +548,7 @@ def _usable_cpus() -> int:
 
 def cmd_run(cfg: dict, out_dir: Path, replicas: int) -> int:
     seed = int(cfg.get("seed", 0))
-    if replicas <= 1:
+    if replicas == 1:
         return _run_single(cfg, seed, out_dir)
     if seed + replicas - 1 >= 2**64:
         raise ConfigError(
@@ -564,7 +582,7 @@ def _build_di_field(cfg: dict):
     name = _get(spec, "name", "config.field")
     if name not in FIELDS:
         raise ConfigError(f"config.field.name: unknown field {name!r}")
-    dim = _number(cfg, "dim", "config", 1, int)
+    dim = _number(cfg, "dim", "config", 1, int, low=1)
     # As for the drifts: sign's values have norm sqrt(dim).
     growth = math.sqrt(dim)
     return MeanField(evaluate=zmap(FIELDS[name], dim)[1], dim=dim, growth_K=growth), None
@@ -604,8 +622,16 @@ def cmd_solve_di(cfg: dict, out_dir: Path, envelope: bool) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as validation failures do; 2 means divergence."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twoscale",
         description="two-timescale stochastic recursive inclusion experiments",
     )
@@ -616,9 +642,15 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--steps", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--replicas", type=int, default=1)
-        p.add_argument("--envelope", action="store_true")
+        if name in ("run", "saddle"):
+            p.add_argument("--replicas", type=int, default=1)
+        if name == "solve-di":
+            p.add_argument("--envelope", action="store_true")
     args = parser.parse_args(argv)
+    if getattr(args, "replicas", 1) < 1:
+        sub.choices[args.command].error(
+            f"argument --replicas: must be >= 1, got {args.replicas}"
+        )
 
     try:
         cfg = load_config(args.config)

@@ -22,12 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .convex import ConvexSet, direction_net, minkowski_combine
-# The inner solver projects with Wolfe's loop in every dimension: where its
-# least-norm step stalls at a kink (tests pin the stall), the exact 2-d
-# projection would move the iterates, a change that belongs with a
-# nonsmooth step rule.
-from .convex import _wolfe_project as project
+from .convex import ConvexSet, direction_net, minkowski_combine, project
 from .dynamics import DIPath
 from .markov import FiniteKernel
 from .meanfield import MeanField, slow_field
@@ -56,6 +51,7 @@ __all__ = [
 
 FEASIBILITY_TOL = 1e-9
 GRAD_TOL = 1e-9
+MAX_ITER = 500
 MEMBERSHIP_TOL = 1e-6
 _COERCIVITY_RAYS = 64
 _COERCIVITY_SEED = 4242
@@ -93,6 +89,10 @@ class SaddleProblem:
     (``penalized_subgrad``, a NaN row, the barrier sphere band) and by
     ``validate_sam``, which checks the point form of ``primal_drift``
     against its set form.
+
+    A problem is not written to after construction: its stationary-law data
+    and solver constants are cached from its fields, and warm starts live in
+    the fields that walk a path of multipliers.
     """
 
     def __init__(
@@ -132,9 +132,6 @@ class SaddleProblem:
         if self.feasible_points.shape != (self.alphabet, self.d1):
             raise ValueError("need one feasible witness per state")
         self._validate()
-        # lambda(y) found by the latest dual_ode_field, keyed on y.tobytes();
-        # verify_envelope pops the entries it reuses.
-        self._lambda_record: dict[bytes, np.ndarray] = {}
 
     def _validate(self) -> None:
         for s in range(self.alphabet):
@@ -369,13 +366,7 @@ def lagrangian(P: SaddleProblem, x, y) -> float:
     return P.Jhat_mu(x) + float(y @ (P.C_mu @ x - P.w_mu))
 
 
-def lambda_min(
-    P: SaddleProblem,
-    y,
-    x0=None,
-    grad_tol: float = GRAD_TOL,
-    max_iter: int = 500,
-) -> np.ndarray:
+def lambda_min(P: SaddleProblem, y, x0=None) -> np.ndarray:
     """Unique minimizer of the Lagrangian in x at the given multiplier.
 
     Proximal-subgradient iteration: the objective part moves along its
@@ -400,12 +391,11 @@ def lambda_min(
     """
     y = np.asarray(y, dtype=float)
     if y.ndim == 2:
-        return _lambda_min_rows(P, y, x0, grad_tol, max_iter)
-    return _solve(P, y, x0, None, grad_tol, max_iter)[0]
+        return _lambda_min_rows(P, y, x0)
+    return _solve(P, y, x0, None)[0]
 
 
-def _solve(P: SaddleProblem, y: np.ndarray, x0, entry: Optional[tuple],
-           grad_tol: float = GRAD_TOL, max_iter: int = 500) -> tuple:
+def _solve(P: SaddleProblem, y: np.ndarray, x0, entry: Optional[tuple]) -> tuple:
     """The scalar kernel of ``lambda_min``: the minimizer at the 1-d ``y``
     from ``x0``, and its entry.
 
@@ -442,7 +432,7 @@ def _solve(P: SaddleProblem, y: np.ndarray, x0, entry: Optional[tuple],
     gamma = 1.0
     prev_x = prev_g = None
     residual = np.inf
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         if prev_x is not None:
             dx = x - prev_x
             dg = g - prev_g
@@ -467,11 +457,11 @@ def _solve(P: SaddleProblem, y: np.ndarray, x0, entry: Optional[tuple],
         residual = math.sqrt(float(dx @ dx)) / step
         prev_x, prev_g = x, g
         x, fx, bx = x_new, f_new, b_new
-        if residual <= grad_tol:
+        if residual <= GRAD_TOL:
             break
         g = smooth_grad(x, _subgrad_mu_rows(P, x[None])[0])
     else:
-        raise SolverStallError(residual, max_iter)
+        raise SolverStallError(residual, MAX_ITER)
     # 0 in d_x L(x, y) via support functions: every direction must see a
     # nonnegative support value.  On the barrier band or a NaN row the
     # subdifferential is a set, read from the set forms.
@@ -483,23 +473,23 @@ def _solve(P: SaddleProblem, y: np.ndarray, x0, entry: Optional[tuple],
         full = (g_mu + shift)[None, :]
     worst = float(((full + cy) @ k.net_T).max(axis=0).min())
     if worst < -MEMBERSHIP_TOL:
-        raise SolverStallError(abs(worst), max_iter)
+        raise SolverStallError(abs(worst), MAX_ITER)
     return x, (bx, g_mu)
 
 
 class _WarmChain:
-    """Warm-started ``lambda_min`` solves along a path of multipliers.
+    """Warm-started ``lambda_min`` solves along a path of multipliers, the
+    velocity of ``dual_ode_field`` and ``averaged_slow_field``.
 
     A 1-d y is solved from the previous 1-d minimizer and its entry, so no
-    oracle is called before the first step, and the minimizer goes into
-    ``record``, if given, under the bytes of y (the first one for a repeated
-    y is kept).  A block ``(R, d2)`` is solved from the previous block when
-    that had R rows too.  The minimizer is unique, so a start changes only
-    iteration counts and, within the residual target, the last digits.
+    oracle is called before the first step.  A block ``(R, d2)`` is solved
+    from the previous block when that had R rows too.  The minimizer is
+    unique, so a start changes only iteration counts and, within the
+    residual target, the last digits.
     """
 
-    def __init__(self, P: SaddleProblem, record: Optional[dict] = None):
-        self.P, self.record = P, record
+    def __init__(self, P: SaddleProblem):
+        self.P = P
         self.x = self.entry = self.X = None
 
     def __call__(self, y) -> np.ndarray:
@@ -509,14 +499,7 @@ class _WarmChain:
             self.X = lambda_min(self.P, y, x0=X0)
             return self.X
         self.x, self.entry = _solve(self.P, y, self.x, self.entry)
-        if self.record is not None:
-            self.record.setdefault(y.tobytes(), self.x)
         return self.x
-
-    def follow(self, x: np.ndarray) -> np.ndarray:
-        """Continue the chain from the minimizer ``x`` found elsewhere."""
-        self.x, self.entry = x, None
-        return x
 
 
 def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -537,9 +520,7 @@ def _prox_penalty_rows(P: SaddleProblem, V: np.ndarray, gamma: np.ndarray) -> np
     return out
 
 
-def _lambda_min_rows(
-    P: SaddleProblem, Y: np.ndarray, X0, grad_tol: float, max_iter: int
-) -> np.ndarray:
+def _lambda_min_rows(P: SaddleProblem, Y: np.ndarray, X0) -> np.ndarray:
     """``lambda_min`` on every row of Y at once, under masks.
 
     Each row takes the scalar solver's steps (spectral step, Armijo halving,
@@ -556,13 +537,13 @@ def _lambda_min_rows(
     if X0 is None:
         X0 = P.reference_point()
     start = np.array(np.broadcast_to(np.asarray(X0, dtype=float), (R, P.d1)))
-    X, redo = _batched_steps(P, Y, start, grad_tol, max_iter)
+    X, redo = _batched_steps(P, Y, start)
     for r in np.flatnonzero(redo):
-        X[r] = lambda_min(P, Y[r], x0=start[r], grad_tol=grad_tol, max_iter=max_iter)
+        X[r] = lambda_min(P, Y[r], x0=start[r])
     return X
 
 
-def _batched_steps(P, Y, X, grad_tol, max_iter):
+def _batched_steps(P, Y, X):
     """Run the scalar iteration on the rows of X; return where the rows end
     and a mask of the rows the scalar solver must take over.
 
@@ -586,7 +567,7 @@ def _batched_steps(P, Y, X, grad_tol, max_iter):
     gamma = np.ones(len(X))
     prev_X, prev_G = X, G  # arrays here are replaced, never written in place
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        for it in range(max_iter):
+        for it in range(MAX_ITER):
             if not live.any():
                 break
             if it > 0:
@@ -618,7 +599,7 @@ def _batched_steps(P, Y, X, grad_tol, max_iter):
             moved = live[:, None]
             prev_X, prev_G = np.where(moved, X, prev_X), np.where(moved, G, prev_G)
             X, F = np.where(moved, X_new, X), np.where(live, F_new, F)
-            live &= ~(residual <= grad_tol)
+            live &= ~(residual <= GRAD_TOL)
             if live.any():
                 G = np.where(live[:, None], _subgrad_mu_rows(P, X) + CY, G)
                 bad = live & ~np.isfinite(G).all(axis=1)
@@ -698,19 +679,14 @@ def dual_ode_field(P: SaddleProblem) -> MeanField:
     ``evaluate_rows`` for a state ``(d2,)`` or a block ``(R, d2)``;
     ``evaluate`` is its singleton.  A state is solved from the minimizer of
     the previous state, a block from the previous block of the same size.
-    Each state's minimizer is also recorded on the problem, keyed on the
-    exact bytes of y, so that ``verify_envelope`` on the path just
-    integrated reuses it instead of solving again.  Building a new field
-    replaces that record and ``verify_envelope`` removes every entry it
-    takes, so the record holds at most the states this field evaluated that
-    no envelope check has used.
+    The chain lives in the field, so fields built on one problem do not
+    share warm starts, and the problem is not written to.
     """
     C_mu, w_mu = P.C_mu, P.w_mu
     growth = float(np.linalg.norm(C_mu, 2)) * P.K_prime() + float(
         np.linalg.norm(w_mu)
     ) + 1e-12
-    P._lambda_record = {}
-    solve = _WarmChain(P, P._lambda_record)
+    solve = _WarmChain(P)
 
     def velocity(y):
         # Stacked matrix-vector products, so each row equals C_mu @ lam[r].
@@ -748,7 +724,6 @@ def run_primal_dual(
     x0=None,
     y0=None,
     s0: int = 0,
-    selection_fast: str = "least_norm",
 ) -> Trajectory:
     """Primal-descent/dual-ascent recursion on one observed chain.
 
@@ -772,7 +747,7 @@ def run_primal_dual(
         N,
         seed,
         noise=noise,
-        selection_fast=selection_fast,
+        selection_fast="least_norm",
         selection_slow="least_norm",
         share_noise_chain=True,
     )
@@ -839,28 +814,20 @@ def verify_envelope(P: SaddleProblem, y_path: DIPath) -> EnvelopeReport:
     The dual value is evaluated at every knot of the path and compared to
     the trapezoid quadrature of ||C_mu lambda(y) - w_mu||^2 along it; the
     report carries the maximum discrepancy and whether V is nondecreasing.
-    A knot's minimizer lambda(y) is taken, and removed, from the record the
-    latest ``dual_ode_field`` of ``P`` keeps when that field evaluated the
-    same y; every other knot is solved on a warm-start chain from the
-    previous knot's minimizer.  Along the path the field just integrated,
-    this is the chain the field ran, so the result equals a full re-solve.
+    The result depends only on ``P`` and the path.
 
-    V and the squared residuals are computed on blocks of knots, with one
-    ``objective_rows`` call per state; each entry equals ``lagrangian`` and
-    the residual of its knot bit for bit.
+    The knots are taken in blocks: one row-batched ``lambda_min`` solves a
+    block's minimizers, each from the reference point, and V and the squared
+    residuals follow with one ``objective_rows`` call per state.  Each entry
+    equals ``lagrangian`` and the residual of its knot, with lambda(y) from
+    ``lambda_min(P, y)``, bit for bit.
     """
     y_path._single("verify_envelope")
-    record = P._lambda_record
     n = len(y_path.times)
     V, resid2 = np.empty(n), np.empty(n)
-    solve = _WarmChain(P)
     for a in range(0, n, _ENVELOPE_BLOCK):
         Y = y_path.states[a:a + _ENVELOPE_BLOCK]
-        L = np.empty((len(Y), P.d1))
-        for i, y in enumerate(Y):
-            lam = record.pop(y.tobytes(), None)
-            L[i] = solve(y) if lam is None else solve.follow(lam)
-        V[a:a + len(Y)], resid2[a:a + len(Y)] = _dual_rows(P, L, Y)
+        V[a:a + len(Y)], resid2[a:a + len(Y)] = _dual_rows(P, lambda_min(P, Y), Y)
     dt = np.diff(y_path.times)
     integral = np.concatenate(
         [[0.0], np.cumsum(0.5 * dt * (resid2[:-1] + resid2[1:]))]

@@ -453,8 +453,6 @@ class TestSaddleDiagnostics:
                 worst = max(worst, float(np.linalg.norm(traj.Y[n] - y)))
             assert worst > 0.0
             assert gap == pytest.approx(worst, rel=1e-9)
-        # No envelope check follows, so no dual-flow minimizer is kept.
-        assert not P._lambda_record
 
 
 GENERIC = {
@@ -469,6 +467,13 @@ GENERIC = {
     "x0": [1.0],
     "y0": [1.0],
 }
+
+SIGN_DI = {"kind": "di", "field": {"name": "sign"}, "dim": 1, "z0": [1.0], "T": 0.01,
+           "dt": 0.001}
+DUAL_DI = {"kind": "di", "field": {"saddle_dual": CANONICAL["problem"]}, "z0": [0.0],
+           "T": 0.01, "dt": 0.001}
+# A constant kernel with two stationary laws.
+TWO_LAWS = [[1.0, 0.0], [0.0, 1.0]]
 
 
 class TestConfigErrors:
@@ -551,6 +556,71 @@ class TestConfigErrors:
         assert field in err and "expected a number" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, base, field, value, named", [
+        ("saddle", CANONICAL, "x0", [1.0], "config.x0"),
+        ("saddle", CANONICAL, "x0", ["a", "b"], "config.x0"),
+        ("saddle", CANONICAL, "y0", [1.0, 2.0], "config.y0"),
+        ("saddle", CANONICAL, "y0", "z", "config.y0"),
+        ("run", GENERIC, "x0", [1.0, 2.0], "config.x0"),
+        ("run", GENERIC, "y0", [], "config.y0"),
+        ("run", GENERIC, "s1_0", 1, "config.s1_0"),
+        ("run", GENERIC, "s2_0", -1, "config.s2_0"),
+        ("run", GENERIC, "d1", 0, "config.d1"),
+        ("run", GENERIC, "d2", 0, "config.d2"),
+        ("solve-di", SIGN_DI, "dim", 0, "config.dim"),
+        ("saddle", CANONICAL, "problem.theta", [[1.0, 0.0]], "problem.theta"),
+        ("solve-di", DUAL_DI, "field.saddle_dual.theta", [[1.0, 0.0]],
+         "config.field.saddle_dual.theta"),
+        ("saddle", CANONICAL, "problem.kernel", TWO_LAWS, "problem.kernel"),
+        ("solve-di", DUAL_DI, "field.saddle_dual.kernel", TWO_LAWS,
+         "config.field.saddle_dual.kernel"),
+        ("validate", CANONICAL, "problem.kernel", TWO_LAWS, "problem.kernel"),
+        ("validate", CANONICAL, "problem.theta", [[1.0, 0.0]], "problem.theta"),
+    ])
+    def test_value_the_constructors_refuse_named(
+        self, tmp_path, capsys, command, base, field, value, named
+    ):
+        cfg = json.loads(json.dumps(base))
+        *sections, key = field.split(".")
+        node = cfg
+        for section in sections:
+            node = node[section]
+        node[key] = value
+        cfg["out"] = str(tmp_path / "out")
+        assert main([command, "--config", str(write_config(tmp_path, cfg))]) == 1
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        if command == "validate":
+            assert f"[FAIL] problem construction: {named}: " in out
+            return
+        assert err.startswith(f"{named}: ")
+        # Refused before anything runs: nothing is written.
+        assert not (tmp_path / "out").exists()
+
+
+class TestFlags:
+    # "CFG" stands for the path of a valid config.
+    @pytest.mark.parametrize("argv, message", [
+        (["run"], "the following arguments are required: --config"),
+        (["run", "CFG", "--bogus"], "unrecognized arguments: --bogus"),
+        (["jump", "CFG"], "invalid choice: 'jump'"),
+        (["run", "CFG", "--replicas", "0"], "--replicas: must be >= 1, got 0"),
+        (["saddle", "CFG", "--replicas", "-2"], "--replicas: must be >= 1, got -2"),
+        (["validate", "CFG", "--replicas", "2"], "unrecognized arguments: --replicas 2"),
+        (["solve-di", "CFG", "--replicas", "2"], "unrecognized arguments: --replicas 2"),
+        (["run", "CFG", "--envelope"], "unrecognized arguments: --envelope"),
+        (["saddle", "CFG", "--envelope"], "unrecognized arguments: --envelope"),
+        (["validate", "CFG", "--envelope"], "unrecognized arguments: --envelope"),
+    ])
+    def test_usage_error_exits_1(self, tmp_path, capsys, argv, message):
+        config = write_config(tmp_path, dict(GENERIC, out=str(tmp_path / "out")))
+        argv = [f"--config={config}" if arg == "CFG" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 def _sign(v):
     if v[0] > 0:
@@ -580,7 +650,7 @@ class TestBuiltins:
 
     @pytest.mark.parametrize("name", sorted(DRIFT_FORMS))
     def test_drift_closed_form(self, name):
-        cfg = dict(GENERIC, d1=2, d2=3, alphabet=2)
+        cfg = dict(GENERIC, d1=2, d2=3, alphabet=2, x0=[0.0] * 2, y0=[0.0] * 3)
         cfg["drift_fast"] = cfg["drift_slow"] = {"name": name}
         H1, H2, *_ = cli._build_generic(cfg)
         for x in POINTS:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import twoscale.saddle as saddle
 from twoscale.convex import ConvexSet, hausdorff
-from twoscale.dynamics import DIPath, di_solve
+from twoscale.dynamics import di_solve
 from twoscale.markov import FiniteKernel
 from twoscale.meanfield import MeanField, check_marchaud
 from twoscale.recursion import NoiseModel, StepSchedule, Trajectory
@@ -493,50 +493,6 @@ class TestEnvelope:
         assert np.linalg.norm(P.C_mu @ lam - P.w_mu) <= 2e-2
         assert y_end[0] == pytest.approx(Y_STAR, abs=1e-2)
 
-    @staticmethod
-    def count_solves(monkeypatch):
-        """Count the scalar kernel's solves, which every knot not taken from
-        the record costs."""
-        calls = []
-        real = saddle._solve
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(saddle, "_solve", counting)
-        return calls
-
-    def test_reuses_field_minimizers_bit_identically(self, monkeypatch):
-        P = canonical()
-        path = di_solve(dual_ode_field(P), [0.0], T=0.5, dt=1e-2)
-        fresh = verify_envelope(canonical(), path)
-        calls = self.count_solves(monkeypatch)
-        rep = verify_envelope(P, path)
-        # The field was evaluated at every knot but the last.
-        assert len(calls) == 1
-        assert np.array_equal(rep.V, fresh.V)
-        assert np.array_equal(rep.integral, fresh.integral)
-        assert rep.max_discrepancy == fresh.max_discrepancy
-        assert not P._lambda_record
-
-    def test_unvisited_knots_are_solved(self, monkeypatch):
-        P = canonical()
-        # The flow from 0 moves toward Y_STAR < 0, so positive knots are new.
-        di_solve(dual_ode_field(P), [0.0], T=0.5, dt=1e-2)
-        recorded = len(P._lambda_record)
-        assert recorded > 0
-        times = 0.1 * np.arange(9)
-        states = (1.0 + times)[:, None]
-        path = DIPath(times=times, states=states, selections=np.ones((8, 1)))
-        fresh = verify_envelope(canonical(), path)
-        calls = self.count_solves(monkeypatch)
-        rep = verify_envelope(P, path)
-        assert len(calls) == len(times)
-        assert np.array_equal(rep.V, fresh.V)
-        assert np.array_equal(rep.integral, fresh.integral)
-        assert len(P._lambda_record) == recorded
-
 
 def three_state():
     """Random three-state instance with d1 = 3 and two constraints."""
@@ -584,7 +540,8 @@ def anisotropic():
 
 
 def kink_problem():
-    """J(x) = |x_0| + 0.5 (x_1 - 1)^2 with x_1 = 0.5: the solver stalls at the kink."""
+    """J(x) = |x_0| + 0.5 (x_1 - 1)^2 with x_1 = 0.5, kinked on x_0 = 0, where
+    the minimizer lies: lambda(y) = (0, (1 - y) / (1 + EPS / R^2))."""
     def objective(x, s):
         return abs(x[0]) + 0.5 * (x[1] - 1.0) ** 2
 
@@ -629,12 +586,13 @@ class TestBatchedLambdaMin:
         norms = np.linalg.norm(batched, axis=1)
         assert (norms > P.radius).any() and (norms < P.radius).any()
 
-    def test_failed_certificate_goes_to_scalar_solver(self):
+    def test_failed_certificate_goes_to_scalar_solver(self, monkeypatch):
         # A loose residual target stops every row short of the minimizer, so
         # the certificate fails and the scalar solver raises for the row.
         P = anisotropic()
+        monkeypatch.setattr(saddle, "GRAD_TOL", 0.1)
         with pytest.raises(saddle.SolverStallError):
-            lambda_min(P, np.array([[0.3, -0.2], [1.0, 2.0]]), grad_tol=0.1)
+            lambda_min(P, np.array([[0.3, -0.2], [1.0, 2.0]]))
 
     def test_prox_rows_match_scalar_prox(self):
         P = canonical()
@@ -649,9 +607,16 @@ class TestBatchedLambdaMin:
             assert np.array_equal(row, saddle._prox_penalty(P, v, float(g)))
 
     def test_kink_still_stalls(self):
+        # From the reference point (0, 0.5), on the kink, every row reaches
+        # the closed form; from a start off the kink the least-norm step
+        # chatters across it and stalls.
         P = kink_problem()
-        with pytest.raises(saddle.SolverStallError):
-            lambda_min(P, np.array([[-1.0], [0.0], [2.0]]))
+        Y = np.array([[-1.0], [0.0], [2.0]])
+        closed = np.column_stack([np.zeros(3), (1.0 - Y[:, 0]) / (1.0 + EPS / R**2)])
+        assert np.abs(lambda_min(P, Y) - closed).max() <= 1e-9
+        for x0 in ([0.3, 0.5], [-0.001, 0.5]):
+            with pytest.raises(saddle.SolverStallError):
+                lambda_min(P, Y, x0=np.array(x0))
 
 
 class TestBatchedDualFlow:
@@ -662,8 +627,6 @@ class TestBatchedDualFlow:
         batched = di_solve(dual_ode_field(P), Z0, T=0.5, dt=1e-2)
         assert batched.states.shape == (51, 5, 1)
         assert batched.selections.shape == (50, 5, 1)
-        # The batched field records no minimizers.
-        assert not P._lambda_record
         for r, z0 in enumerate(Z0):
             single = di_solve(dual_ode_field(P), z0, T=0.5, dt=1e-2)
             assert np.array_equal(batched.times, single.times)
@@ -785,12 +748,13 @@ class TestWarmChain:
 
 
 def envelope_by_knots(P, path):
-    """verify_envelope as a per-knot loop over ``lagrangian``, every knot solved."""
-    V, resid2, warm = [], [], None
+    """verify_envelope as a per-knot loop over ``lagrangian``, every knot
+    solved cold by the scalar ``lambda_min``."""
+    V, resid2 = [], []
     for y in path.states:
-        warm = lambda_min(P, y, x0=warm)
-        V.append(lagrangian(P, warm, y))
-        resid2.append(float(np.sum((P.C_mu @ warm - P.w_mu) ** 2)))
+        lam = lambda_min(P, y)
+        V.append(lagrangian(P, lam, y))
+        resid2.append(float(np.sum((P.C_mu @ lam - P.w_mu) ** 2)))
     V, resid2 = np.array(V), np.array(resid2)
     dt = np.diff(path.times)
     integral = np.concatenate([[0.0], np.cumsum(0.5 * dt * (resid2[:-1] + resid2[1:]))])
@@ -810,7 +774,6 @@ class TestEnvelopeBlocks:
         assert np.array_equal(rep.V, V)
         assert np.array_equal(rep.integral, integral)
         assert rep.max_discrepancy == disc
-        assert not P._lambda_record
 
 
 def random_quadratic(seed, n_states, d1, d2):

@@ -14,8 +14,9 @@ seed.  The subcommand follows the config's kind: ``saddle``, ``run`` or
 ``python -m twoscale.cli`` on the same config, from a fresh directory of
 their own, with the same relative ``--out`` path, so the manifests' config
 hashes agree.  One line is printed per output file with its digest, marked
-``MISMATCH`` (with both digests) where the sides differ; the exit code is 1
-when any file or exit code differs.
+``MISMATCH`` (with both digests) where the sides differ; a mismatched CSV
+also gets how many rows differ and the largest absolute difference of
+their cells.  The exit code is 1 when any file or exit code differs.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -72,6 +74,27 @@ def run_side(checkout: Path, work: Path, name: str, cfg: dict, argv: list[str]):
     }
 
 
+def csv_difference(before: Path, after: Path) -> str:
+    """How many rows of two CSVs differ, and the largest absolute difference
+    of their cells (inf where a differing cell is not a number)."""
+    rows_b, rows_a = before.read_text().splitlines(), after.read_text().splitlines()
+    if len(rows_b) != len(rows_a):
+        return f"{len(rows_b)} rows before, {len(rows_a)} after"
+    rows, worst = 0, 0.0
+    for line_b, line_a in zip(rows_b, rows_a):
+        if line_b == line_a:
+            continue
+        rows += 1
+        for b, a in zip(line_b.split(","), line_a.split(",")):
+            if b != a:
+                try:
+                    d = abs(float(a) - float(b))
+                except ValueError:
+                    d = math.inf
+                worst = max(worst, math.inf if math.isnan(d) else d)
+    return f"{rows} rows differ, largest absolute difference {worst:.3g}"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--before", required=True, type=Path, help="checkout before the change")
@@ -88,6 +111,7 @@ def main(argv=None) -> int:
                 for side, root in sides.items()
             }
             (b_code, b_files), (a_code, a_files) = res["before"], res["after"]
+            outs = {side: Path(tmp) / side / "out" / name for side in sides}
             if b_code != a_code:
                 bad += 1
                 print(f"{name}: MISMATCH exit code before={b_code} after={a_code}")
@@ -98,6 +122,8 @@ def main(argv=None) -> int:
                 else:
                     bad += 1
                     print(f"{name}/{f} MISMATCH before={b} after={a}")
+                    if f.endswith(".csv") and "missing" not in (a, b):
+                        print(f"  {csv_difference(outs['before'] / f, outs['after'] / f)}")
     print(f"{bad} mismatches", file=sys.stderr)
     return 1 if bad else 0
 
