@@ -28,7 +28,6 @@ from .recursion import (
     interpolation_gap,
     occupation,
     run,
-    validate_schedule,
 )
 from .saddle import (
     SaddleProblem,
@@ -76,7 +75,6 @@ __all__ = [
     "NoiseModel",
     "Trajectory",
     "DivergenceError",
-    "validate_schedule",
     "run",
     "interpolate",
     "interpolation_gap",

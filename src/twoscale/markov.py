@@ -29,6 +29,9 @@ __all__ = [
 ROW_TOL = 1e-12
 STATIONARY_TOL = 1e-10
 MARGINAL_TOL = 1e-8
+# Largest distance of a measure's iterate atom from lambda(y) that
+# ``SlowMeasure.validate`` still counts as support containment.
+SUPPORT_TOL = 1e-9
 
 
 class FiniteKernel:
@@ -164,17 +167,17 @@ def _tarjan_scc(adj: list[list[int]]) -> list[list[int]]:
     return comps
 
 
-def stationary_set(P, support_tol: float = 0.0) -> StationarySet:
+def stationary_set(P) -> StationarySet:
     """Vertices of the stationary polytope of a row-stochastic matrix.
 
     Recurrent communicating classes are found with Tarjan's algorithm on the
-    support graph; each class contributes the unique stationary row of its
+    support graph (an edge per positive entry); each class contributes the unique stationary row of its
     restricted chain, solved by LU with partial pivoting.
     """
     P = np.asarray(P, dtype=float)
     _check_stochastic(P)
     n = P.shape[0]
-    adj = [list(np.nonzero(P[i] > support_tol)[0]) for i in range(n)]
+    adj = [list(np.nonzero(P[i] > 0.0)[0]) for i in range(n)]
     comps = _tarjan_scc(adj)
     comp_of = np.empty(n, dtype=int)
     for ci, comp in enumerate(comps):
@@ -276,27 +279,21 @@ class SlowMeasure:
             weights=np.concatenate([t * self.weights, (1 - t) * other.weights]),
         )
 
-    def validate(
-        self,
-        kernel: FiniteKernel,
-        y,
-        lambda_points,
-        support_tol: float = 1e-9,
-        marginal_tol: float = MARGINAL_TOL,
-    ) -> bool:
-        """Support containment in lambda(y) and one-step stationarity."""
+    def validate(self, kernel: FiniteKernel, y, lambda_points) -> bool:
+        """Support containment in lambda(y) (to ``SUPPORT_TOL``) and one-step
+        stationarity (to ``MARGINAL_TOL``)."""
         lam = np.atleast_2d(np.asarray(lambda_points, dtype=float))
         for xa, w in zip(self.xs, self.weights):
             if w == 0.0:
                 continue
             gap = np.linalg.norm(lam - xa, axis=1).min()
-            if gap > support_tol:
+            if gap > SUPPORT_TOL:
                 return False
         marginal = self.s_marginal(kernel.alphabet)
         image = np.zeros(kernel.alphabet)
         for xa, sa, w in zip(self.xs, self.states, self.weights):
             image += w * kernel.row(xa, y, int(sa))
-        return bool(np.abs(image - marginal).max() <= marginal_tol)
+        return bool(np.abs(image - marginal).max() <= MARGINAL_TOL)
 
 
 def slow_measure_family(

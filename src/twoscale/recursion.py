@@ -9,8 +9,7 @@ noise-free re-integrations, and occupation measures over windows.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -23,11 +22,9 @@ from .svmaps import SetValuedMap
 
 __all__ = [
     "StepSchedule",
-    "ScheduleReport",
     "NoiseModel",
     "Trajectory",
     "DivergenceError",
-    "validate_schedule",
     "run",
     "interpolate",
     "interpolation_gap",
@@ -45,7 +42,18 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Polynomial step sizes a(n) = a0 (n+1)^-alpha, b(n) = b0 (n+1)^-beta."""
+    """Polynomial step sizes a(n) = a0 (n+1)^-alpha, b(n) = b0 (n+1)^-beta.
+
+    The constructor is the schedule check.  It accepts alpha in (0.5, 1],
+    beta > alpha and a0, b0 in (0, 1], which guarantees the two-timescale
+    step conditions of the exact sequences for every n, so no numeric check
+    over a finite horizon can add to it: both steps are positive, at most 1
+    and strictly decreasing; sum a(n) diverges (alpha <= 1); sum a(n)^2 +
+    b(n)^2 converges (2 beta > 2 alpha > 1); and b(n)/a(n) = (b0/a0)
+    (n+1)^(alpha - beta) decreases strictly to 0.  Nothing bounds beta by 1,
+    so sum b(n) may converge; the slow clock then has a finite span, which
+    the diagnostics windows are checked against.
+    """
 
     alpha: float
     beta: float
@@ -73,72 +81,6 @@ class StepSchedule:
         partial sums of a(n) or b(n)."""
         step = self.a if scale == "fast" else self.b
         return np.concatenate([[0.0], np.cumsum(step(np.arange(steps)))])
-
-
-@dataclass
-class ScheduleReport:
-    monotone_ok: bool
-    initial_ok: bool
-    ratio_ok: bool
-    square_sum_ok: bool
-    messages: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.monotone_ok and self.initial_ok and self.ratio_ok
-            and self.square_sum_ok
-        )
-
-
-# B_2k / (2k)! for k = 1..5: the Euler-Maclaurin corrections in _zeta.
-_EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160)
-
-
-def _zeta(s: float) -> float:
-    """Riemann zeta at real s > 1 by Euler-Maclaurin summation.
-
-    The terms n^-s for n < N = 10, the tail integral N^(1-s)/(s-1), half the
-    term at N, and the B_2..B_10 corrections; about 1.5e-14 relative from
-    s = 1 + 1e-9 to 60, and exactly 1.0 where every n >= 2 term underflows.
-    """
-    N = 10
-    tail = N ** -s
-    terms = [*np.arange(1.0, N) ** -s, N ** (1.0 - s) / (s - 1.0), tail / 2]
-    # The k-th correction is c_k s (s+1) ... (s+2k-2) N^(1-s-2k).  Its rising
-    # factorial is applied one factor at a time, so an underflowed N^-s stays
-    # 0.0 (an overflowed factorial times 0.0 would be NaN).
-    rising = tail * (s / N)
-    for k, c in enumerate(_EM_COEFFS):
-        terms.append(c * rising)
-        rising = rising * ((s + 2 * k + 1) / N) * ((s + 2 * k + 2) / N)
-    return math.fsum(terms)
-
-
-def validate_schedule(s: StepSchedule, horizon: int) -> ScheduleReport:
-    """Numeric checks of the step-size conditions over a finite horizon."""
-    if horizon < 2:
-        raise ValueError("horizon must be >= 2")
-    n = np.arange(horizon)
-    a, b = s.a(n), s.b(n)
-    report = ScheduleReport(
-        monotone_ok=bool(np.all(np.diff(a) <= 0) and np.all(np.diff(b) <= 0)),
-        initial_ok=bool(a[0] <= 1.0 and b[0] <= 1.0),
-        ratio_ok=True,
-        square_sum_ok=True,
-    )
-    ratio = b / a
-    if not (np.all(np.diff(ratio) <= 1e-15) and ratio[-1] < ratio[0]):
-        report.ratio_ok = False
-        report.messages.append("b(n)/a(n) is not decreasing toward 0")
-    sq = np.cumsum(a**2 + b**2)
-    bound = s.a0**2 * _zeta(2 * s.alpha) + s.b0**2 * _zeta(2 * s.beta)
-    if sq[-1] > bound + 1e-12:
-        report.square_sum_ok = False
-        report.messages.append(
-            f"partial square sum {sq[-1]} exceeds zeta bound {bound}"
-        )
-    return report
 
 
 @dataclass(frozen=True)
@@ -270,6 +212,10 @@ class Trajectory:
 # Steps whose randomness is drawn together; a bound on the block buffers.
 BLOCK_STEPS = 1024
 
+# A coordinate of either iterate whose magnitude reaches this bound (or that
+# is not finite) stops ``run`` with a ``DivergenceError``.
+DIVERGENCE_BOUND = 1e12
+
 
 def run(
     H1: SetValuedMap,
@@ -287,14 +233,13 @@ def run(
     selection_fast: str = "least_norm",
     selection_slow: str = "least_norm",
     share_noise_chain: bool = False,
-    divergence_bound: float = 1e12,
 ) -> Trajectory:
     """Drive the coupled recursion for N steps, deterministic given seed.
 
     Noise states for step n+1 are sampled from the kernels at the step-n
     iterates, before the update.  ``share_noise_chain`` makes both
     timescales read one chain driven by K1 (the single-chain applications
-    set it).  Divergence beyond ``divergence_bound`` aborts with the step
+    set it).  Divergence beyond ``DIVERGENCE_BOUND`` aborts with the step
     index; no stabilization device is applied.
 
     Each drift's point form, where it has one, gives the velocity; only
@@ -342,7 +287,7 @@ def run(
     walk1 = K1.matrix is not None
     walk2 = K2.matrix is not None and not share_noise_chain
     block = 1 if "random_vertex" in (selection_fast, selection_slow) else BLOCK_STEPS
-    bound = divergence_bound
+    bound = DIVERGENCE_BOUND
     start = end = 0
     for n in range(N):
         x, y = X[n], Y[n]

@@ -118,6 +118,17 @@ class TestValidate:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 []"
 
+    def test_schedule_its_constructor_accepts_passes(self, tmp_path, capsys):
+        # b(n)/a(n) = 1000 (n+1)^-1e-12 decreases in exact arithmetic, though
+        # not in every rounded step over 2e5 steps; the constructor accepts
+        # the schedule, and so does the schedule line.
+        cfg = json.loads((CONFIGS / "canonical_saddle.json").read_text())
+        cfg["schedule"] = {"alpha": 0.6, "beta": 0.600000000001, "a0": 0.001}
+        cfg["steps"] = 200000
+        cfg["out"] = str(tmp_path / "out")
+        assert main(["validate", "--config", str(write_config(tmp_path, cfg))]) == 0
+        assert "[PASS] schedule: ok\n" in capsys.readouterr().out
+
     @pytest.mark.parametrize("name", ["sign_di", "dual_envelope"])
     def test_di_config_needs_no_schedule(self, tmp_path, name):
         config = os.path.join(os.path.dirname(__file__), "..", "configs", f"{name}.json")
@@ -337,18 +348,16 @@ class TestSolveDi:
         assert disc.max() <= 1e-3
 
     def test_envelope_needs_saddle_field(self, tmp_path, capsys):
-        cfg = {
-            "kind": "di",
-            "field": {"name": "sign"},
-            "z0": [1.0],
-            "T": 1.0,
-            "dt": 0.01,
-            "out": str(tmp_path / "out"),
-        }
+        cfg = json.loads((CONFIGS / "sign_di.json").read_text())
+        cfg["T"] = 0.01
+        cfg["out"] = str(tmp_path / "out")
         code = main(
             ["solve-di", "--config", str(write_config(tmp_path, cfg)), "--envelope"]
         )
         assert code == 1
+        assert capsys.readouterr().err.startswith("config.field: ")
+        # Refused before the field is integrated: nothing is written.
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name", ["sign_di", "dual_envelope"])
     def test_di_nested_z0_named(self, tmp_path, capsys, name):
@@ -474,6 +483,14 @@ DUAL_DI = {"kind": "di", "field": {"saddle_dual": CANONICAL["problem"]}, "z0": [
            "T": 0.01, "dt": 0.001}
 # A constant kernel with two stationary laws.
 TWO_LAWS = [[1.0, 0.0], [0.0, 1.0]]
+# A field value that deletes the field.
+MISSING = object()
+# The line of `twoscale validate` that reports construction, by kind.
+CONSTRUCTION_LINE = {
+    "saddle": "problem construction",
+    "two_timescale": "drift construction",
+    "di": "field construction",
+}
 
 
 class TestConfigErrors:
@@ -576,6 +593,22 @@ class TestConfigErrors:
          "config.field.saddle_dual.kernel"),
         ("validate", CANONICAL, "problem.kernel", TWO_LAWS, "problem.kernel"),
         ("validate", CANONICAL, "problem.theta", [[1.0, 0.0]], "problem.theta"),
+        ("saddle", CANONICAL, "noise.kind", "cauchy", "noise"),
+        ("validate", CANONICAL, "noise.kind", "cauchy", "noise"),
+        ("validate", GENERIC, "noise.kind", "cauchy", "noise"),
+        ("validate", CANONICAL, "x0", [1.0], "config.x0"),
+        ("validate", CANONICAL, "y0", [1.0, 2.0], "config.y0"),
+        ("run --replicas 2", GENERIC, "x0", [1.0, 2.0], "config.x0"),
+        ("saddle --replicas 2", CANONICAL, "y0", [1.0, 2.0], "config.y0"),
+        ("solve-di", DUAL_DI, "z0", [0.0, 1.0], "config.z0"),
+        ("validate", DUAL_DI, "z0", [0.0, 1.0], "config.z0"),
+        ("validate", DUAL_DI, "T", MISSING, "config.T"),
+        ("solve-di", SIGN_DI, "dt", 0.0, "config.dt"),
+        ("validate", SIGN_DI, "dt", 0.0, "config.dt"),
+        ("solve-di", SIGN_DI, "T", 1e-4, "config.T"),
+        ("validate", SIGN_DI, "T", 1e-4, "config.T"),
+        ("solve-di", SIGN_DI, "selection", "bogus", "config.selection"),
+        ("validate", SIGN_DI, "selection", "bogus", "config.selection"),
     ])
     def test_value_the_constructors_refuse_named(
         self, tmp_path, capsys, command, base, field, value, named
@@ -584,14 +617,18 @@ class TestConfigErrors:
         *sections, key = field.split(".")
         node = cfg
         for section in sections:
-            node = node[section]
-        node[key] = value
+            node = node.setdefault(section, {})
+        if value is MISSING:
+            del node[key]
+        else:
+            node[key] = value
         cfg["out"] = str(tmp_path / "out")
-        assert main([command, "--config", str(write_config(tmp_path, cfg))]) == 1
+        argv = [*command.split(), "--config", str(write_config(tmp_path, cfg))]
+        assert main(argv) == 1
         out, err = capsys.readouterr()
         assert "Traceback" not in err
         if command == "validate":
-            assert f"[FAIL] problem construction: {named}: " in out
+            assert f"[FAIL] {CONSTRUCTION_LINE[cfg['kind']]}: {named}: " in out
             return
         assert err.startswith(f"{named}: ")
         # Refused before anything runs: nothing is written.

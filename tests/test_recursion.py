@@ -9,13 +9,11 @@ from twoscale.recursion import (
     DivergenceError,
     NoiseModel,
     StepSchedule,
-    _zeta,
     interpolate,
     interpolation_gap,
     noise_partial_sup,
     occupation,
     run,
-    validate_schedule,
 )
 from twoscale.svmaps import SetValuedMap
 
@@ -55,44 +53,6 @@ class TestStepSchedule:
     def test_rejects_beta_below_alpha(self):
         with pytest.raises(ValueError):
             StepSchedule(alpha=0.8, beta=0.7)
-
-    def test_validate_report(self):
-        report = validate_schedule(SCHED, 5000)
-        assert report.ok
-
-    def test_validate_needs_horizon(self):
-        with pytest.raises(ValueError):
-            validate_schedule(SCHED, 1)
-
-    def test_square_sum_fails_for_constant_fast_steps(self):
-        from scipy.special import zeta
-
-        class ConstantFast(StepSchedule):
-            def a(self, n):
-                return np.full(np.shape(n), self.a0)
-
-        report = validate_schedule(ConstantFast(alpha=0.6, beta=0.9), 1000)
-        assert report.monotone_ok and report.initial_ok and report.ratio_ok
-        assert not report.square_sum_ok and not report.ok
-        (message,) = report.messages
-        assert "exceeds zeta bound" in message
-        bound = float(message.rpartition(" ")[2])
-        assert bound == pytest.approx(zeta(1.2) + zeta(1.8), rel=1e-13)
-
-
-class TestZeta:
-    def test_matches_scipy(self):
-        from scipy.special import zeta
-
-        s = np.concatenate([1.0 + np.logspace(-9, 0, 91), np.linspace(2.0, 60.0, 581)])
-        ours = np.array([_zeta(float(v)) for v in s])
-        np.testing.assert_allclose(ours, zeta(s), rtol=1e-13, atol=0)
-
-    @pytest.mark.parametrize("s", [1e3, 1e300])
-    def test_exactly_one_at_large_s(self, s):
-        # Every term past n = 1 underflows; an overflowed rising factorial
-        # must not meet them as inf * 0.0 = NaN.
-        assert _zeta(s) == 1.0
 
 
 class TestRun:
