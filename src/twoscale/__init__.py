@@ -11,6 +11,7 @@ approximants, differential-inclusion diagnostics) backing it.
 from .convex import ConvexSet, hausdorff, minkowski_combine, project, support
 from .dynamics import (
     DIPath,
+    ImpureFieldError,
     apt_metric,
     attractor_check,
     chain_search,
@@ -66,6 +67,7 @@ __all__ = [
     "h2_hat",
     "check_marchaud",
     "DIPath",
+    "ImpureFieldError",
     "di_solve",
     "limit_set",
     "attractor_check",

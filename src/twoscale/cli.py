@@ -452,7 +452,10 @@ def _diagnostics_settings(cfg: dict, schedule: StepSchedule, steps: int) -> dict
     if not 0 < tail <= 1:
         raise ConfigError(f"config.tail_fraction: must lie in (0, 1], got {tail}")
     # The same clock as the run's Trajectory.t_slow, so the span is its last time.
-    span = schedule.clock("slow", steps)[-1]
+    try:
+        span = schedule.clock("slow", steps)[-1]
+    except MemoryError:
+        raise ConfigError(f"config.steps: {steps} steps do not fit in memory") from None
     if d["window_T"] > span:
         raise ConfigError(
             f"{path}.window_T: {d['window_T']} exceeds the slow "
@@ -627,7 +630,13 @@ def cmd_solve_di(cfg: dict, out_dir: Path, envelope: bool) -> int:
     if envelope and P is None:
         raise ConfigError("config.field: --envelope needs a saddle_dual field")
     z0, T, dt = _di_settings(cfg, field)
-    path = di_solve(field, z0, T=T, dt=dt)
+    try:
+        path = di_solve(field, z0, T=T, dt=dt)
+    except MemoryError:
+        raise ConfigError(
+            f"config.T: {T} makes {round(T / dt)} Euler steps of dt {dt}, "
+            "which do not fit in memory"
+        ) from None
     out_dir.mkdir(parents=True, exist_ok=True)
     path.to_csv(out_dir / "di_path.csv")
     if envelope:

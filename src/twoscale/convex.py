@@ -306,7 +306,10 @@ def _wolfe_project(K: ConvexSet, p: np.ndarray) -> np.ndarray:
     """``project`` by Wolfe's active-set loop in any dimension; ``p`` is a
     float array of shape (K.dim,)."""
     Q = K.points - p
-    scale = max(1.0, float(np.abs(Q).max()))
+    # The loop's tolerances are relative to unit scale: solve at the cloud's.
+    scale = float(np.abs(Q).max())
+    if scale == 0.0:
+        return K.points[0].copy()
     x, idx, _, ok = _min_norm_point(
         Q / scale, PROJECTION_TOL, max_iter=10 * K.n_points
     )

@@ -27,7 +27,23 @@ __all__ = [
     "chain_search",
     "apt_metric",
     "select_velocity",
+    "ImpureFieldError",
 ]
+
+# Rows per batched call: a block of the sweep in ``di_solve`` holds
+# max(1, ROWS // R) knots of R starts, and ``saddle.verify_envelope`` solves
+# ROWS knots at a time.  Whole-path temporaries would raise the peak memory
+# of a 20,001-knot envelope check by about 0.6 MB.
+ROWS = 1024
+# A block that has evaluated SWEEP_BUDGET times its rows finishes one knot at
+# a time, so a stiff field costs at most SWEEP_BUDGET + 1 times the rows of
+# the sequential loop.
+SWEEP_BUDGET = 32
+
+
+class ImpureFieldError(RuntimeError):
+    """``evaluate_rows`` gave two velocities for one state: a row's value
+    depended on the other rows of its call."""
 
 
 def _interp(clock: np.ndarray, values: np.ndarray, t) -> np.ndarray:
@@ -162,12 +178,22 @@ def di_solve(
 ) -> DIPath:
     """Explicit Euler integration of dz/dt in H(z) with a selection rule.
 
-    A field with ``evaluate_rows`` is single-valued and is stepped through
-    it, so the selection rule is moot; such a field also takes a 2-d ``z0``
-    of shape ``(R, dim)``, R starts stepped at once, and the result is one
-    batched ``DIPath`` whose column r is the path from ``z0[r]``.  A field
-    without it is evaluated as a set at every step and the rule picks the
-    velocity (``select_velocity``).
+    A field without ``evaluate_rows`` is evaluated as a set at every step
+    and the rule picks the velocity (``select_velocity``).
+
+    A field with ``evaluate_rows`` is single-valued, so the rule is moot;
+    such a field also takes a 2-d ``z0`` of shape ``(R, dim)``, R starts
+    stepped at once, and the result is one batched ``DIPath`` whose column r
+    is the path from ``z0[r]``.  Its knots are taken in blocks of
+    m = max(1, ROWS // R), each solved by waveform relaxation: a sweep
+    evaluates the velocities of the block's unsettled knots in one call and
+    rebuilds the states as a cumulative sum, which keeps
+    ``states[i + 1] == states[i] + dt * selections[i]`` exact.  Knot k
+    depends only on the knots before it, so every sweep settles at least
+    one more knot, and a block ends when a sweep changes no velocity bit for
+    bit.  As each row's velocity is a pure function of that row (see
+    ``MeanField``), the path is then the knot-by-knot Euler path bit for
+    bit, with no tolerance to choose.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -176,21 +202,22 @@ def di_solve(
     z0 = np.asarray(z0, dtype=float)
     if z0.ndim > 2 or z0.shape[-1:] != (H.dim,):
         raise ValueError(f"start has shape {z0.shape}, field has dim {H.dim}")
-    velocity = H.evaluate_rows
-    if velocity is None:
-        if z0.ndim == 2:
-            raise ValueError("a block of starts needs a field with evaluate_rows")
-
-        def velocity(z):
-            return select_velocity(H(z), selection, z, dt, target=target, u=u, rng=rng)
-
     n = int(round(T / dt))
-    states = np.empty((n + 1,) + z0.shape)
-    sels = np.empty((n,) + z0.shape)
-    states[0] = z0
-    for i in range(n):
-        sels[i] = velocity(states[i])
-        states[i + 1] = states[i] + dt * sels[i]
+    if H.evaluate_rows is not None:
+        states, sels = _euler_blocks(H.evaluate_rows, np.atleast_2d(z0), n, dt)
+        if z0.ndim == 1:
+            states, sels = states[:, 0], sels[:, 0]
+    elif z0.ndim == 2:
+        raise ValueError("a block of starts needs a field with evaluate_rows")
+    else:
+        states = np.empty((n + 1,) + z0.shape)
+        sels = np.empty((n,) + z0.shape)
+        states[0] = z0
+        for i in range(n):
+            sels[i] = select_velocity(
+                H(states[i]), selection, states[i], dt, target=target, u=u, rng=rng
+            )
+            states[i + 1] = states[i] + dt * sels[i]
     max_norm = float(np.linalg.norm(states, axis=-1).max())
     if dt * H.growth_K * (1.0 + max_norm) > 0.1:
         warnings.warn(
@@ -201,6 +228,71 @@ def di_solve(
         )
     times = dt * np.arange(n + 1)
     return DIPath(times=times, states=states, selections=sels)
+
+
+def _euler_blocks(rows, z0: np.ndarray, n: int, dt: float):
+    """States ``(n + 1, R, k)`` and velocities ``(n, R, k)`` of the Euler path
+    of the row field ``rows`` from the starts ``z0`` of shape ``(R, k)``,
+    equal bit for bit to the knot-by-knot loop."""
+    R, k = z0.shape
+    states = np.empty((n + 1, R, k))
+    sels = np.empty((n, R, k))
+    states[0] = z0
+    m = max(1, ROWS // R)
+    for a in range(0, n, m):
+        b = min(a + m, n)
+        _sweep_block(rows, states[a:b + 1], sels[a:b], dt)
+    return states, sels
+
+
+def _sweep_block(rows, S: np.ndarray, V: np.ndarray, dt: float) -> None:
+    """Fill the states ``S[1:]`` and velocities ``V`` of one block of m knots
+    from its start ``S[0]`` by waveform relaxation.
+
+    The first guess holds the start's velocity over the block.  A sweep then
+    evaluates the velocities of knots p.. in one call, finds the first knot
+    c whose velocity changed, and rebuilds the states after it as a
+    cumulative sum from ``S[c]``; knots before c are final, and the next
+    sweep starts at p = c.  Knot p is evaluated again at the state it was
+    evaluated at before, so a pure field returns the same velocity there and
+    c > p: the block ends, no velocity changed bit for bit, after the guess
+    and at most m sweeps.  Past the row budget the block is finished one knot at a time,
+    as it is when a sweep raises (a guessed state may lie outside the
+    field's domain), so errors come from the path's own states.
+    """
+    m = len(V)
+    shape = V.shape[1:]
+    V[:] = rows(S[0])
+    p, used = 0, 1
+    while True:
+        with np.errstate(all="ignore"):
+            np.cumsum(np.concatenate([S[p:p + 1], dt * V[p:]]), axis=0, out=S[p:])
+        if used + (m - p) > SWEEP_BUDGET * m:
+            break
+        try:
+            with np.errstate(all="ignore"):
+                new = np.ascontiguousarray(
+                    rows(S[p:m].reshape((-1,) + shape[1:])), dtype=float
+                ).reshape((m - p,) + shape)
+        except Exception:
+            break
+        used += m - p
+        moved = (new.view(np.int64) != V[p:].view(np.int64)).reshape(m - p, -1)
+        changed = np.flatnonzero(moved.any(axis=1))
+        if not len(changed):
+            return
+        c = p + int(changed[0])
+        if c == p:
+            raise ImpureFieldError(
+                f"evaluate_rows gave two velocities for the state of knot {p} "
+                "of a block; each row's value must depend on that row alone"
+            )
+        V[c:] = new[c - p:]
+        p = c
+    # V[p] is the velocity at S[p], and S[p + 1] follows from it.
+    for j in range(p + 1, m):
+        V[j] = rows(S[j])
+        S[j + 1] = S[j] + dt * V[j]
 
 
 def limit_set(path: DIPath, burn_in: float, tol: float = 1e-3) -> np.ndarray:

@@ -37,11 +37,15 @@ class MeanField:
     """Set-valued vector field z -> ConvexSet with linear growth.
 
     ``growth_K`` is the Marchaud bound sup ||v|| <= growth_K * (1 + ||z||).
-    A single-valued field may also give ``evaluate_rows``, mapping a state
-    ``(dim,)`` to its velocity ``(dim,)`` and a block of states ``(R, dim)``
-    to their velocities ``(R, dim)``, each the one point of ``evaluate`` at
-    that state; ``di_solve`` steps such a field through it, one start or
-    many at once, without building sets.
+    A single-valued field may also give ``evaluate_rows``, mapping a block
+    of states ``(R, dim)`` to their velocities ``(R, dim)``, each the one
+    point of ``evaluate`` at that state; ``di_solve`` steps such a field
+    through it, one start or many at once, without building sets.  Each
+    row's value must be a pure function of that row, bit for bit: it may not
+    depend on the other rows of the call, on their number, or on earlier
+    calls.  ``di_solve`` evaluates rows at guessed states and relies on this
+    to return the knot-by-knot Euler path exactly; a row it sees change at
+    one state raises ``ImpureFieldError``.
     """
 
     evaluate: Callable

@@ -23,6 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .convex import ConvexSet, direction_net, minkowski_combine, project
+from . import dynamics
 from .dynamics import DIPath
 from .markov import FiniteKernel
 from .meanfield import MeanField, slow_field
@@ -91,8 +92,7 @@ class SaddleProblem:
     against its set form.
 
     A problem is not written to after construction: its stationary-law data
-    and solver constants are cached from its fields, and warm starts live in
-    the fields that walk a path of multipliers.
+    and solver constants are cached from its fields.
     """
 
     def __init__(
@@ -392,19 +392,12 @@ def lambda_min(P: SaddleProblem, y, x0=None) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.ndim == 2:
         return _lambda_min_rows(P, y, x0)
-    return _solve(P, y, x0, None)[0]
+    return _solve(P, y, x0)
 
 
-def _solve(P: SaddleProblem, y: np.ndarray, x0, entry: Optional[tuple]) -> tuple:
+def _solve(P: SaddleProblem, y: np.ndarray, x0) -> np.ndarray:
     """The scalar kernel of ``lambda_min``: the minimizer at the 1-d ``y``
-    from ``x0``, and its entry.
-
-    The entry of a point is its y-independent value (``Jhat_mu`` over the
-    weighted states) and its averaged ``subgrad_rows`` row, both found by the
-    last step and the certificate.  Given the entry of ``x0``, the solve
-    takes its first value and gradient from it instead of the oracles; the
-    result is the same bit for bit, as the oracles are pure functions of x.
-    """
+    from ``x0``."""
     cy = P.C_mu.T @ y
     x = np.array(x0, dtype=float) if x0 is not None else P.reference_point().copy()
     objective, k = P.objective, P._solver
@@ -423,12 +416,8 @@ def _solve(P: SaddleProblem, y: np.ndarray, x0, entry: Optional[tuple]) -> tuple
             return project(_raw_subgrad_mu(P, z), -cy) + cy
         return g_mu + cy
 
-    if entry is not None:
-        bx, g_mu = entry
-    else:
-        bx, g_mu = base(x), _subgrad_mu_rows(P, x[None])[0]
-    fx = bx + float(cy @ x)
-    g = smooth_grad(x, g_mu)
+    fx = base(x) + float(cy @ x)
+    g = smooth_grad(x, _subgrad_mu_rows(P, x[None])[0])
     gamma = 1.0
     prev_x = prev_g = None
     residual = np.inf
@@ -445,8 +434,7 @@ def _solve(P: SaddleProblem, y: np.ndarray, x0, entry: Optional[tuple]) -> tuple
         slack = k.eps8 * (1.0 + abs(fx))
         for _ in range(60):
             x_new = _prox_penalty(P, x - step * g, step)
-            b_new = base(x_new)
-            f_new = b_new + float(cy @ x_new)
+            f_new = base(x_new) + float(cy @ x_new)
             dx = x_new - x
             move2 = float((dx * dx).sum())
             if f_new <= fx - (0.25 / step) * move2 + slack:
@@ -456,7 +444,7 @@ def _solve(P: SaddleProblem, y: np.ndarray, x0, entry: Optional[tuple]) -> tuple
             raise SolverStallError(residual, it)
         residual = math.sqrt(float(dx @ dx)) / step
         prev_x, prev_g = x, g
-        x, fx, bx = x_new, f_new, b_new
+        x, fx = x_new, f_new
         if residual <= GRAD_TOL:
             break
         g = smooth_grad(x, _subgrad_mu_rows(P, x[None])[0])
@@ -474,32 +462,7 @@ def _solve(P: SaddleProblem, y: np.ndarray, x0, entry: Optional[tuple]) -> tuple
     worst = float(((full + cy) @ k.net_T).max(axis=0).min())
     if worst < -MEMBERSHIP_TOL:
         raise SolverStallError(abs(worst), MAX_ITER)
-    return x, (bx, g_mu)
-
-
-class _WarmChain:
-    """Warm-started ``lambda_min`` solves along a path of multipliers, the
-    velocity of ``dual_ode_field`` and ``averaged_slow_field``.
-
-    A 1-d y is solved from the previous 1-d minimizer and its entry, so no
-    oracle is called before the first step.  A block ``(R, d2)`` is solved
-    from the previous block when that had R rows too.  The minimizer is
-    unique, so a start changes only iteration counts and, within the
-    residual target, the last digits.
-    """
-
-    def __init__(self, P: SaddleProblem):
-        self.P = P
-        self.x = self.entry = self.X = None
-
-    def __call__(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if y.ndim == 2:
-            X0 = self.X if self.X is not None and len(self.X) == len(y) else None
-            self.X = lambda_min(self.P, y, x0=X0)
-            return self.X
-        self.x, self.entry = _solve(self.P, y, self.x, self.entry)
-        return self.x
+    return x
 
 
 def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -675,22 +638,19 @@ def dual_drift(P: SaddleProblem) -> SetValuedMap:
 def dual_ode_field(P: SaddleProblem) -> MeanField:
     """Singleton dual flow field y -> {C_mu lambda(y) - w_mu}.
 
-    One velocity, over one warm-start chain (``_WarmChain``), serves as
-    ``evaluate_rows`` for a state ``(d2,)`` or a block ``(R, d2)``;
-    ``evaluate`` is its singleton.  A state is solved from the minimizer of
-    the previous state, a block from the previous block of the same size.
-    The chain lives in the field, so fields built on one problem do not
-    share warm starts, and the problem is not written to.
+    One velocity serves as ``evaluate_rows`` for a state ``(d2,)`` or a block
+    ``(R, d2)``; ``evaluate`` is its singleton.  Every minimizer is solved
+    cold by ``lambda_min``, whose rows equal its scalar calls bit for bit, so
+    each row's velocity is a pure function of that row.
     """
     C_mu, w_mu = P.C_mu, P.w_mu
     growth = float(np.linalg.norm(C_mu, 2)) * P.K_prime() + float(
         np.linalg.norm(w_mu)
     ) + 1e-12
-    solve = _WarmChain(P)
 
     def velocity(y):
         # Stacked matrix-vector products, so each row equals C_mu @ lam[r].
-        return np.matmul(C_mu, solve(y)[..., None])[..., 0] - w_mu
+        return np.matmul(C_mu, lambda_min(P, y)[..., None])[..., 0] - w_mu
 
     return MeanField(
         evaluate=lambda y: ConvexSet.singleton(velocity(y)),
@@ -703,15 +663,13 @@ def averaged_slow_field(P: SaddleProblem) -> MeanField:
 
     Couples the minimizer map with the stationary polytope of the frozen
     kernel; on a uniquely ergodic chain this coincides with
-    ``dual_ode_field`` and is the object the slow iterates track.  The
-    minimizers form one warm-start chain, as in ``dual_ode_field``.
+    ``dual_ode_field`` and is the object the slow iterates track.
     """
-    solve = _WarmChain(P)
     cmax = max(float(np.linalg.norm(P.C[s], 2)) for s in range(P.alphabet))
     wmax = float(np.abs(P.w).max(initial=0.0))
     growth = cmax * P.K_prime() + wmax + 1e-12
     return slow_field(
-        dual_drift(P), P.kernel, lambda y: solve(y)[None, :], growth_K=growth
+        dual_drift(P), P.kernel, lambda y: lambda_min(P, y)[None, :], growth_K=growth
     )
 
 
@@ -816,17 +774,19 @@ def verify_envelope(P: SaddleProblem, y_path: DIPath) -> EnvelopeReport:
     report carries the maximum discrepancy and whether V is nondecreasing.
     The result depends only on ``P`` and the path.
 
-    The knots are taken in blocks: one row-batched ``lambda_min`` solves a
-    block's minimizers, each from the reference point, and V and the squared
-    residuals follow with one ``objective_rows`` call per state.  Each entry
+    The knots are taken in blocks of ``dynamics.ROWS``: one row-batched
+    ``lambda_min`` solves a block's minimizers, each from the reference
+    point, and V and the squared residuals follow with one
+    ``objective_rows`` call per state.  Each entry
     equals ``lagrangian`` and the residual of its knot, with lambda(y) from
     ``lambda_min(P, y)``, bit for bit.
     """
     y_path._single("verify_envelope")
     n = len(y_path.times)
     V, resid2 = np.empty(n), np.empty(n)
-    for a in range(0, n, _ENVELOPE_BLOCK):
-        Y = y_path.states[a:a + _ENVELOPE_BLOCK]
+    block = dynamics.ROWS
+    for a in range(0, n, block):
+        Y = y_path.states[a:a + block]
         V[a:a + len(Y)], resid2[a:a + len(Y)] = _dual_rows(P, lambda_min(P, Y), Y)
     dt = np.diff(y_path.times)
     integral = np.concatenate(
@@ -838,11 +798,6 @@ def verify_envelope(P: SaddleProblem, y_path: DIPath) -> EnvelopeReport:
         times=y_path.times, V=V, integral=integral,
         max_discrepancy=disc, monotone_ok=monotone,
     )
-
-
-# Knots per block of verify_envelope: whole-path temporaries would raise
-# the peak memory of a 20,001-knot check by about 0.6 MB.
-_ENVELOPE_BLOCK = 1024
 
 
 def _dual_rows(P: SaddleProblem, L: np.ndarray, Y: np.ndarray):

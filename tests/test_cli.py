@@ -635,6 +635,25 @@ class TestConfigErrors:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("command, name, patch, named", [
+        ("solve-di", "sign_di.json", {"T": 1e13}, "config.T"),
+        ("run --steps 1000000000000000", "toy_two_timescale.json", {}, "config.steps"),
+        ("run --replicas 2 --steps 1000000000000000", "toy_two_timescale.json", {},
+         "config.steps"),
+    ], ids=["solve-di", "run", "run-replicas"])
+    def test_run_length_that_cannot_be_allocated_named(
+        self, tmp_path, capsys, command, name, patch, named
+    ):
+        # Both lengths ask numpy for petabytes, which it refuses at once.
+        cfg = dict(json.loads((CONFIGS / name).read_text()), **patch)
+        cfg["out"] = str(tmp_path / "out")
+        argv = [*command.split(), "--config", str(write_config(tmp_path, cfg))]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{named}: ") and "do not fit in memory" in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestFlags:
     # "CFG" stands for the path of a valid config.
     @pytest.mark.parametrize("argv, message", [

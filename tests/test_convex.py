@@ -270,15 +270,11 @@ def qp_projection(V, p):
 
 
 def error_scale(V, p):
-    """Length scale of ``project``'s error at (V, p).
-
-    Dimensions 1 and 2 are exact up to rounding, relative to the cloud's
-    distance from p.  Wolfe's loop stops once no generator improves by
-    PROJECTION_TOL relative to max(1, |q - p|)^2, so below unit scale its
-    error bound is absolute.
-    """
-    s = float(np.abs(V - p).max())
-    return s if V.shape[1] <= 2 else max(1.0, s)
+    """Length scale of ``project``'s error at (V, p): the cloud's distance
+    from p.  Dimensions 1 and 2 are exact up to rounding, and Wolfe's loop
+    stops once no generator improves by PROJECTION_TOL relative to
+    max |q - p|^2, at every scale."""
+    return float(np.abs(V - p).max())
 
 
 def point_tol(V, p):
@@ -334,6 +330,21 @@ class TestProjectProperties:
         assert lhs <= np.linalg.norm(p - q) + point_tol(V, p) + point_tol(V, q)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6])
+class TestProject3dScales:
+    @PROPERTY
+    @given(data=st.data())
+    def test_matches_qp_oracle(self, scale, data):
+        # Wolfe's loop is held to a tolerance relative to the cloud's
+        # distance from p, below unit scale as above it.
+        V, p = data.draw(clouds(3, scale=scale))
+        pr = project(ConvexSet(V), p)
+        tol = point_tol(V, p)
+        assert np.linalg.norm(p - pr) <= np.linalg.norm(p - qp_projection(V, p)) + tol
+        assert np.linalg.norm(qp_projection(V, pr) - pr) <= tol
+        assert np.all((V - pr) @ (p - pr) <= 1e-9 * error_scale(V, p) ** 2)
+
+
 class TestProjectExact:
     def test_interior_point_bit_exact(self):
         # A point of the set, on its boundary too, is its own projection,
@@ -350,6 +361,15 @@ class TestProjectExact:
         for V, p in cases:
             p = np.array(p)
             assert np.array_equal(project(ConvexSet(V), p), p)
+
+    def test_3d_cloud_at_the_point(self):
+        # Every generator equals p, at a scale where Q is zero, and near it.
+        for p in ([1.0, 2.0, 3.0], [1e-300, 0.0, -1e-300], [0.0, 0.0, 0.0]):
+            p = np.array(p)
+            assert np.array_equal(project(ConvexSet([p, p, p]), p), p)
+        V = np.array([[1e-7, 0.0, 0.0], [0.0, 1e-7, 0.0], [0.0, 0.0, 1e-7]])
+        pr = project(ConvexSet(V), np.zeros(3))
+        assert np.abs(pr - np.full(3, 1e-7 / 3)).max() <= 1e-20
 
     def test_vertex_answer_is_generator(self):
         # A generator within rounding of the vertex (0, 0), as Minkowski sums

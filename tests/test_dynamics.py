@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import twoscale.dynamics as dynamics
 from twoscale.convex import ConvexSet, support, direction_net
 from twoscale.dynamics import (
     DIPath,
+    ImpureFieldError,
     apt_metric,
     attractor_check,
     chain_search,
@@ -281,3 +283,116 @@ class TestBatchedPath:
             path.to_csv(tmp_path / "p.csv")
         with pytest.raises(ValueError, match="single path"):
             path.membership_residual(decay_field())
+
+
+def row_field(f, dim=1, growth_K=1.0):
+    """The row field ``f`` and its set form, the singleton of ``f`` on one
+    row, which ``di_solve`` steps knot by knot."""
+    rows = MeanField(evaluate=None, dim=dim, growth_K=growth_K, evaluate_rows=f)
+    sets = MeanField(
+        evaluate=lambda z: ConvexSet.singleton(f(z[None])[0]), dim=dim, growth_K=growth_K
+    )
+    return rows, sets
+
+
+def counted(f):
+    """``f`` with a count of the rows it has evaluated."""
+    seen = [0]
+
+    def g(Z):
+        seen[0] += len(Z)
+        return f(Z)
+
+    return g, seen
+
+
+def same_path(a, b):
+    """Equal knots and velocities, NaN counted as equal."""
+    return np.array_equal(a.states, b.states, equal_nan=True) and np.array_equal(
+        a.selections, b.selections, equal_nan=True
+    )
+
+
+def van_der_pol(Z):
+    return np.column_stack([Z[:, 1], -Z[:, 0] + 2.0 * (1.0 - Z[:, 0] * Z[:, 0]) * Z[:, 1]])
+
+
+def sign_rows(Z):
+    return -np.sign(Z)
+
+
+def square_rows(Z):
+    # Overflows to inf in its first coordinate, then to NaN in its second.
+    q = Z[:, :1] * Z[:, :1]
+    return np.column_stack([q, q - 2.0 * q + Z[:, 1:]])
+
+
+BLOCKS = pytest.mark.parametrize("rows", [1, 7, dynamics.ROWS])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestBlockSweep:
+    """``di_solve`` on a field with ``evaluate_rows`` sweeps blocks of knots;
+    its path equals the knot-by-knot loop over the set form bit for bit."""
+
+    @BLOCKS
+    @pytest.mark.parametrize(
+        "f, Z0, T, dt",
+        [
+            (van_der_pol, [[2.0, 0.0], [0.5, -1.0], [-3.0, 1.0]], 3.0, 0.01),
+            (sign_rows, [[1.0], [-0.37], [0.0]], 1.5, 0.01),
+            (square_rows, [[1.0, 0.0], [0.5, 1.0], [2.0, 3.0]], 8.0, 0.25),
+        ],
+        ids=["van_der_pol", "sign", "overflow"],
+    )
+    def test_equals_sequential_set_form(self, f, Z0, T, dt, rows, monkeypatch):
+        # With 1 and 3 starts: blocks of one knot, of a few knots with a short
+        # last block, and one block longer than the path.
+        Z0 = np.array(Z0)
+        field, sets = row_field(f, dim=Z0.shape[1])
+        monkeypatch.setattr(dynamics, "ROWS", rows)
+        batched = di_solve(field, Z0, T=T, dt=dt)
+        for r, z0 in enumerate(Z0):
+            seq = di_solve(sets, z0, T=T, dt=dt)
+            col = DIPath(batched.times, batched.states[:, r], batched.selections[:, r])
+            assert same_path(col, seq)
+            if r == 0:
+                assert same_path(di_solve(field, z0, T=T, dt=dt), seq)
+        if f is square_rows:
+            assert np.isinf(batched.states[-1, :, 0]).all()
+            assert np.isnan(batched.states[-1, :, 1]).all()
+
+    @pytest.mark.parametrize("rows", [7, dynamics.ROWS])
+    def test_impure_field_raises(self, rows, monkeypatch):
+        # A row's value depends on how many rows the call has.
+        field, _ = row_field(lambda Z: -Z + 1e-3 * len(Z))
+        monkeypatch.setattr(dynamics, "ROWS", rows)
+        with pytest.raises(ImpureFieldError):
+            di_solve(field, [1.0], T=1.0, dt=0.01)
+
+    def test_stiff_field_rows_bounded(self):
+        # dt * L = 1.9, near the Euler limit 2: each sweep fixes about one
+        # knot, so the blocks finish one knot at a time within the budget.
+        f, seen = counted(lambda Z: -190.0 * Z)
+        field, sets = row_field(f, growth_K=190.0)
+        n = 3000
+        Z0 = np.array([[1.0], [-0.5]])
+        path = di_solve(field, Z0, T=n * 0.01, dt=0.01)
+        assert seen[0] <= (dynamics.SWEEP_BUDGET + 1) * n * len(Z0)
+        for r, z0 in enumerate(Z0):
+            col = DIPath(path.times, path.states[:, r], path.selections[:, r])
+            assert same_path(col, di_solve(sets, z0, T=n * 0.01, dt=0.01))
+
+    def test_guess_outside_domain_is_not_an_error(self):
+        # Guessed states of a stiff block leave the field's domain; the path's
+        # own states stay in it, so the path comes back as the loop's.
+        def f(Z):
+            if np.abs(Z).max() > 10.0:
+                raise ValueError("outside the domain")
+            return -190.0 * Z
+
+        field, sets = row_field(f, growth_K=190.0)
+        path = di_solve(field, [1.0], T=5.0, dt=0.01)
+        assert same_path(path, di_solve(sets, [1.0], T=5.0, dt=0.01))
+        with pytest.raises(ValueError, match="outside the domain"):
+            di_solve(field, [11.0], T=5.0, dt=0.01)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twoscale.dynamics as dynamics
 import twoscale.saddle as saddle
 from twoscale.convex import ConvexSet, hausdorff
 from twoscale.dynamics import di_solve
@@ -640,7 +641,7 @@ class TestBatchedDualFlow:
             verify_envelope(P, batched)
 
 
-# Problems the warm-start chain and the envelope blocks are checked on: two
+# Problems the dual-flow velocity and the envelope blocks are checked on: two
 # states in 2-d, three states in 3-d, curvature that makes the result depend
 # on the start, and a start on a kink that takes the projection branch.
 CHAIN_PROBLEMS = pytest.mark.parametrize(
@@ -678,31 +679,20 @@ def flow_knots(P):
     return di_solve(dual_ode_field(P), np.full(P.d2, 0.4), T=0.3, dt=1e-2)
 
 
-def lambda_min_chain(P, ys):
-    """Scalar ``lambda_min`` calls, each started at the previous minimizer."""
-    warm, out = None, []
-    for y in ys:
-        warm = lambda_min(P, y, x0=warm)
-        out.append(warm)
-    return np.array(out)
-
-
+# The dual-flow velocity tests.  The class keeps the name of the warm-start
+# chain that the velocity once ran on, so the ids of its tests stay put.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestWarmChain:
     @CHAIN_PROBLEMS
-    def test_chain_equals_lambda_min_chain(self, make):
-        ys = flow_knots(make()).states
-        chained, n_chained = counting(make())
-        plain, n_plain = counting(make())
-        solve = saddle._WarmChain(chained)
-        assert np.array_equal(
-            np.array([solve(y) for y in ys]), lambda_min_chain(plain, ys)
-        )
-        # Every solve after the first starts at the point the one before
-        # returned, and takes its first value and gradient from its entry.
-        saved = (len(ys) - 1) * len(chained._solver.weighted)
-        assert n_plain["objective"] - n_chained["objective"] == saved
-        assert n_plain["subgrad_rows"] - n_chained["subgrad_rows"] == saved
+    def test_rows_equal_cold_scalar_velocities(self, make):
+        P = make()
+        ys = flow_knots(P).states
+        field = dual_ode_field(P)
+        cold = np.array([P.C_mu @ lambda_min(make(), y) - P.w_mu for y in ys])
+        assert np.array_equal(field.evaluate_rows(ys), cold)
+        assert np.array_equal(field.evaluate_rows(ys[::-1]), cold[::-1])
+        for y, v in zip(ys, cold):
+            assert np.array_equal(field.evaluate(y).points[0], v)
 
     @CHAIN_PROBLEMS
     def test_scalar_call_between_evaluations_changes_nothing(self, make):
@@ -741,10 +731,30 @@ class TestWarmChain:
             saddle, "project", lambda K, z: calls.append(K.n_points) or real_project(K, z)
         )
         P = abs_kink_problem()
-        solve = saddle._WarmChain(P)
         for y in flow_knots(abs_kink_problem()).states:
-            solve(y)
+            lambda_min(P, y)
         assert calls and max(calls) >= 2
+
+    @CHAIN_PROBLEMS
+    @pytest.mark.parametrize("rows", [1, 7, dynamics.ROWS])
+    def test_block_sweep_equals_set_form(self, make, rows, monkeypatch):
+        # One start and a block of starts, each against the knot-by-knot loop
+        # over the set form, with blocks of one knot, of a few knots and a
+        # short last block, and of more knots than the path has.
+        P = make()
+        set_form = MeanField(evaluate=dual_ode_field(make()).evaluate,
+                             dim=P.d2, growth_K=1.0)
+        Y0 = np.array([np.full(P.d2, v) for v in (0.4, -1.0, 2.0)])
+        monkeypatch.setattr(dynamics, "ROWS", rows)
+        batched = di_solve(dual_ode_field(P), Y0, T=0.3, dt=1e-2)
+        single = di_solve(dual_ode_field(P), Y0[0], T=0.3, dt=1e-2)
+        for r, y0 in enumerate(Y0):
+            sets = di_solve(set_form, y0, T=0.3, dt=1e-2)
+            assert np.array_equal(batched.states[:, r], sets.states)
+            assert np.array_equal(batched.selections[:, r], sets.selections)
+            if r == 0:
+                assert np.array_equal(single.states, sets.states)
+                assert np.array_equal(single.selections, sets.selections)
 
 
 def envelope_by_knots(P, path):
@@ -764,12 +774,12 @@ def envelope_by_knots(P, path):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestEnvelopeBlocks:
     @CHAIN_PROBLEMS
-    @pytest.mark.parametrize("block", [1, 7, saddle._ENVELOPE_BLOCK])
+    @pytest.mark.parametrize("block", [1, 7, dynamics.ROWS])
     def test_matches_per_knot_lagrangian(self, make, block, monkeypatch):
         P = make()
         path = flow_knots(P)
         V, integral, disc = envelope_by_knots(make(), path)
-        monkeypatch.setattr(saddle, "_ENVELOPE_BLOCK", block)
+        monkeypatch.setattr(dynamics, "ROWS", block)
         rep = verify_envelope(P, path)
         assert np.array_equal(rep.V, V)
         assert np.array_equal(rep.integral, integral)
