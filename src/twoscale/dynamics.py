@@ -256,39 +256,39 @@ def _sweep_block(rows, S: np.ndarray, V: np.ndarray, dt: float) -> None:
     sweep starts at p = c.  Knot p is evaluated again at the state it was
     evaluated at before, so a pure field returns the same velocity there and
     c > p: the block ends, no velocity changed bit for bit, after the guess
-    and at most m sweeps.  Past the row budget the block is finished one knot at a time,
-    as it is when a sweep raises (a guessed state may lie outside the
-    field's domain), so errors come from the path's own states.
+    and at most m sweeps.  Past the row budget the block is finished one
+    knot at a time, as it is when a sweep raises (a guessed state may lie
+    outside the field's domain), so errors come from the path's own states.
+    Guessed states may also overflow where the path does not, so sweeps
+    ignore floating-point warnings.
     """
-    m = len(V)
-    shape = V.shape[1:]
+    m, _, k = V.shape
     V[:] = rows(S[0])
     p, used = 0, 1
-    while True:
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        while True:
             np.cumsum(np.concatenate([S[p:p + 1], dt * V[p:]]), axis=0, out=S[p:])
-        if used + (m - p) > SWEEP_BUDGET * m:
-            break
-        try:
-            with np.errstate(all="ignore"):
-                new = np.ascontiguousarray(
-                    rows(S[p:m].reshape((-1,) + shape[1:])), dtype=float
-                ).reshape((m - p,) + shape)
-        except Exception:
-            break
-        used += m - p
-        moved = (new.view(np.int64) != V[p:].view(np.int64)).reshape(m - p, -1)
-        changed = np.flatnonzero(moved.any(axis=1))
-        if not len(changed):
-            return
-        c = p + int(changed[0])
-        if c == p:
-            raise ImpureFieldError(
-                f"evaluate_rows gave two velocities for the state of knot {p} "
-                "of a block; each row's value must depend on that row alone"
-            )
-        V[c:] = new[c - p:]
-        p = c
+            if used + (m - p) > SWEEP_BUDGET * m:
+                break
+            try:
+                new = np.ascontiguousarray(rows(S[p:m].reshape(-1, k)), dtype=float)
+            except Exception:
+                break
+            used += m - p
+            # Bits, not values: NaN must equal NaN and -0.0 differ from 0.0.
+            bits = new.reshape(m - p, -1).view(np.int64)
+            moved = (bits != V[p:].reshape(m - p, -1).view(np.int64)).any(axis=1)
+            changed = np.flatnonzero(moved)
+            if not len(changed):
+                return
+            c = p + int(changed[0])
+            if c == p:
+                raise ImpureFieldError(
+                    f"evaluate_rows gave two velocities for the state of knot {p} "
+                    "of a block; each row's value must depend on that row alone"
+                )
+            V[c:] = new.reshape(V[p:].shape)[c - p:]
+            p = c
     # V[p] is the velocity at S[p], and S[p + 1] follows from it.
     for j in range(p + 1, m):
         V[j] = rows(S[j])
