@@ -363,9 +363,14 @@ class TestBlockSweep:
             assert np.isnan(batched.states[-1, :, 1]).all()
 
     @pytest.mark.parametrize("rows", [7, dynamics.ROWS])
-    def test_impure_field_raises(self, rows, monkeypatch):
-        # A row's value depends on how many rows the call has.
-        field, _ = row_field(lambda Z: -Z + 1e-3 * len(Z))
+    @pytest.mark.parametrize(
+        "f",
+        [lambda Z: -Z + 1e-3 * len(Z), lambda Z: -Z + 1e-3 * Z.mean(axis=0)],
+        ids=["row_count", "row_mean"],
+    )
+    def test_impure_field_raises(self, f, rows, monkeypatch):
+        # A row's value depends on how many rows the call has, or on them.
+        field, _ = row_field(f)
         monkeypatch.setattr(dynamics, "ROWS", rows)
         with pytest.raises(ImpureFieldError):
             di_solve(field, [1.0], T=1.0, dt=0.01)
