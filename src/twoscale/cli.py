@@ -3,7 +3,7 @@
 One JSON config document describes an experiment; subcommands validate it,
 drive the recursion and emit plot-ready CSVs, or integrate a differential
 inclusion.  Exit codes: 0 ok, 1 validation failure, 2 runtime divergence,
-3 I/O error.
+3 I/O error, 4 numerical failure (the inner solver stalled).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .recursion import (
 )
 from .saddle import (
     SaddleProblem,
+    SolverStallError,
     dual_drift,
     dual_ode_field,
     lambda_min,
@@ -51,6 +52,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_DIVERGENCE = 2
 EXIT_IO = 3
+EXIT_NUMERICAL = 4
 
 
 class ConfigError(ValueError):
@@ -617,6 +619,15 @@ def _di_settings(cfg: dict, field: MeanField):
         raise ConfigError(f"config.dt: must be > 0, got {dt}")
     if not dt <= T < math.inf:
         raise ConfigError(f"config.T: must be finite and at least dt, got {T}")
+    try:
+        # The knots di_solve allocates; numpy refuses a size past memory at
+        # once, without touching it.
+        np.empty((round(T / dt) + 1, field.dim))
+    except (MemoryError, ValueError, OverflowError):
+        raise ConfigError(
+            f"config.T: {T} makes {T / dt:.0f} Euler steps of dt {dt}, "
+            "which do not fit in memory"
+        ) from None
     selection = _get(cfg, "selection", "config", required=False, default="least_norm")
     if selection != "least_norm":
         raise ConfigError(
@@ -630,13 +641,7 @@ def cmd_solve_di(cfg: dict, out_dir: Path, envelope: bool) -> int:
     if envelope and P is None:
         raise ConfigError("config.field: --envelope needs a saddle_dual field")
     z0, T, dt = _di_settings(cfg, field)
-    try:
-        path = di_solve(field, z0, T=T, dt=dt)
-    except MemoryError:
-        raise ConfigError(
-            f"config.T: {T} makes {round(T / dt)} Euler steps of dt {dt}, "
-            "which do not fit in memory"
-        ) from None
+    path = di_solve(field, z0, T=T, dt=dt)
     out_dir.mkdir(parents=True, exist_ok=True)
     path.to_csv(out_dir / "di_path.csv")
     if envelope:
@@ -712,6 +717,9 @@ def main(argv=None) -> int:
     except DivergenceError as err:
         print(f"divergence at step {err.step}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    except SolverStallError as err:
+        print(f"numerical failure: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except OSError as err:
         print(f"I/O error: {err}", file=sys.stderr)
         return EXIT_IO

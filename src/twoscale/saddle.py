@@ -69,6 +69,10 @@ class SolverStallError(RuntimeError):
         self.residual = residual
         self.iterations = iterations
 
+    def __reduce__(self):
+        # Rebuilt from its fields, so it crosses a process pool intact.
+        return type(self), (self.residual, self.iterations)
+
 
 class SaddleProblem:
     """Data of the penalized state-averaged constrained convex program.
@@ -346,19 +350,6 @@ def _raw_subgrad_mu(P: SaddleProblem, x: np.ndarray) -> ConvexSet:
     return minkowski_combine(P.mu, [P.subgrad(x, s) for s in range(P.alphabet)])
 
 
-def _prox_penalty(P: SaddleProblem, v: np.ndarray, gamma: float) -> np.ndarray:
-    """Exact proximal map of the penalty terms (radial piecewise quadratic)."""
-    nv = math.sqrt(float(v @ v))
-    if nv == 0.0:
-        return np.zeros_like(v)
-    a = gamma * P.epsilon / P.radius**2
-    rho = nv / (1.0 + a)
-    if rho > P.radius:
-        rho_out = nv / (1.0 + a + gamma * (P.growth_K + 1))
-        rho = rho_out if rho_out >= P.radius else P.radius
-    return (rho / nv) * v
-
-
 def lagrangian(P: SaddleProblem, x, y) -> float:
     """Frozen Lagrangian J_mu-hat(x) + <y, C_mu x - w_mu>."""
     x = np.asarray(x, dtype=float)
@@ -386,83 +377,16 @@ def lambda_min(P: SaddleProblem, y, x0=None) -> np.ndarray:
     The result depends only on the arguments: nothing is kept on ``P``
     between calls.  A 2-d ``y`` of shape ``(R, d2)`` is a block of
     multipliers, with ``x0`` None or of shape ``(R, d1)``; the result has
-    shape ``(R, d1)`` and row r equals the call on ``y[r]`` from ``x0[r]``
-    bit for bit (see ``_lambda_min_rows``).
+    shape ``(R, d1)``.  A 1-d ``y`` is solved as the block of its one row.
+    One kernel serves both (``_lambda_min_rows``), and row r depends only on
+    ``y[r]`` and ``x0[r]``, so it equals the 1-d call on them bit for bit.
+    A row that does not converge raises ``SolverStallError``; in a block,
+    that of the lowest such row, once every row has run.
     """
     y = np.asarray(y, dtype=float)
-    if y.ndim == 2:
-        return _lambda_min_rows(P, y, x0)
-    return _solve(P, y, x0)
-
-
-def _solve(P: SaddleProblem, y: np.ndarray, x0) -> np.ndarray:
-    """The scalar kernel of ``lambda_min``: the minimizer at the 1-d ``y``
-    from ``x0``."""
-    cy = P.C_mu.T @ y
-    x = np.array(x0, dtype=float) if x0 is not None else P.reference_point().copy()
-    objective, k = P.objective, P._solver
-    weighted = k.weighted
-
-    def base(z):
-        # Jhat_mu(z) over the states that carry weight; the value adds <cy, z>.
-        J = 0
-        for s, m in weighted:
-            J += m * objective(z, s)
-        return float(J) + _penalty_value(P, z)
-
-    def smooth_grad(z, g_mu):
-        # g_mu is the averaged subgradient row at z, NaN if set-valued there.
-        if np.isnan(g_mu).any():
-            return project(_raw_subgrad_mu(P, z), -cy) + cy
-        return g_mu + cy
-
-    fx = base(x) + float(cy @ x)
-    g = smooth_grad(x, _subgrad_mu_rows(P, x[None])[0])
-    gamma = 1.0
-    prev_x = prev_g = None
-    residual = np.inf
-    for it in range(MAX_ITER):
-        if prev_x is not None:
-            dx = x - prev_x
-            dg = g - prev_g
-            denom = float(dg @ dg)
-            if denom > 0:
-                gamma = min(max(float(dx @ dg) / denom, 1e-12), 1e3)
-        step = gamma
-        # Rounding slack keeps the sufficient-decrease test meaningful once
-        # the true decrease falls below float resolution of the value.
-        slack = k.eps8 * (1.0 + abs(fx))
-        for _ in range(60):
-            x_new = _prox_penalty(P, x - step * g, step)
-            f_new = base(x_new) + float(cy @ x_new)
-            dx = x_new - x
-            move2 = float((dx * dx).sum())
-            if f_new <= fx - (0.25 / step) * move2 + slack:
-                break
-            step *= 0.5
-        else:
-            raise SolverStallError(residual, it)
-        residual = math.sqrt(float(dx @ dx)) / step
-        prev_x, prev_g = x, g
-        x, fx = x_new, f_new
-        if residual <= GRAD_TOL:
-            break
-        g = smooth_grad(x, _subgrad_mu_rows(P, x[None])[0])
-    else:
-        raise SolverStallError(residual, MAX_ITER)
-    # 0 in d_x L(x, y) via support functions: every direction must see a
-    # nonnegative support value.  On the barrier band or a NaN row the
-    # subdifferential is a set, read from the set forms.
-    shift = _penalty_shift(P, x)
-    g_mu = _subgrad_mu_rows(P, x[None])[0]
-    if shift is None or np.isnan(g_mu).any():
-        full = _subgrad_mu(P, x).points
-    else:
-        full = (g_mu + shift)[None, :]
-    worst = float(((full + cy) @ k.net_T).max(axis=0).min())
-    if worst < -MEMBERSHIP_TOL:
-        raise SolverStallError(abs(worst), MAX_ITER)
-    return x
+    if y.ndim == 1:
+        return _lambda_min_rows(P, y[None], x0)[0]
+    return _lambda_min_rows(P, y, x0)
 
 
 def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -471,8 +395,9 @@ def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _prox_penalty_rows(P: SaddleProblem, V: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """``_prox_penalty`` applied to each row of V with its own step; a zero
-    row divides by zero, under the caller's ``np.errstate``."""
+    """Exact proximal map of the penalty terms (radial piecewise quadratic)
+    applied to each row of V with its own step; a zero row divides by zero,
+    under the caller's ``np.errstate``, and maps to zero."""
     nv = np.sqrt(_rowdot(V, V))
     a = gamma * P.epsilon / P.radius**2
     rho = nv / (1.0 + a)
@@ -486,36 +411,31 @@ def _prox_penalty_rows(P: SaddleProblem, V: np.ndarray, gamma: np.ndarray) -> np
 def _lambda_min_rows(P: SaddleProblem, Y: np.ndarray, X0) -> np.ndarray:
     """``lambda_min`` on every row of Y at once, under masks.
 
-    Each row takes the scalar solver's steps (spectral step, Armijo halving,
-    radial prox, residual test, support-function certificate) on plain
-    arrays, with every inner product formed as the scalar code forms it, so
-    the rows are bit-identical to scalar calls.  A row that leaves this path
-    (a stall, a set-valued subgradient, a minimizer on the barrier band or a
-    failed certificate) is solved again by the scalar ``lambda_min`` from
-    its own start, which raises or projects exactly as a scalar call would.
+    Each row takes its own steps (spectral step, Armijo halving, radial
+    prox, residual test, support-function certificate) on plain arrays, with
+    every inner product formed as a 1-d ``@`` forms it, so a row does not
+    depend on the other rows of its block.  Every row is computed at every
+    pass and masks decide which results a row keeps, which on a few rows is
+    cheaper than gathering the live ones.
+
+    The set-valued rows are taken one at a time, over the rows the masks
+    flag: a NaN subgradient row steps along the projection of the set form,
+    and a row that ends on the barrier band or on a NaN row is certified on
+    the set form's cloud.  A row fails if its Armijo search stalls, if it
+    runs out of iterations or if its certificate fails; the others go on,
+    and after the block the lowest failed row raises its
+    ``SolverStallError``.
     """
-    R = Y.shape[0]
-    if Y.shape[1] != P.d2:
+    if Y.ndim != 2 or Y.shape[1] != P.d2:
         raise ValueError(f"multipliers have shape {Y.shape}, need (R, {P.d2})")
+    R = len(Y)
     if X0 is None:
         X0 = P.reference_point()
-    start = np.array(np.broadcast_to(np.asarray(X0, dtype=float), (R, P.d1)))
-    X, redo = _batched_steps(P, Y, start)
-    for r in np.flatnonzero(redo):
-        X[r] = lambda_min(P, Y[r], x0=start[r])
-    return X
-
-
-def _batched_steps(P, Y, X):
-    """Run the scalar iteration on the rows of X; return where the rows end
-    and a mask of the rows the scalar solver must take over.
-
-    Every row is computed at every pass and masks decide which results a
-    row keeps, which on a few rows is cheaper than gathering the live ones.
-    """
+    X = np.array(np.broadcast_to(np.asarray(X0, dtype=float), (R, P.d1)))
     k, pen = P._solver, P._penalty
     weighted = k.weighted
     CY = np.matmul(P.C_mu.T, Y[:, :, None])[:, :, 0]
+    failed = {}  # row -> (residual, iterations) of its SolverStallError
 
     def value(Z):
         J = 0
@@ -523,11 +443,20 @@ def _batched_steps(P, Y, X):
             J = J + m * P.objective_rows(Z, s)
         return J + _penalty_rows(P, Z) + _rowdot(CY, Z)
 
+    def gradient(Z, rows):
+        # The averaged subgradient plus C_mu^T y; on the given rows where the
+        # subgradient row is NaN, the projection of the set form onto -C_mu^T y.
+        G_mu = _subgrad_mu_rows(P, Z)
+        G = G_mu + CY
+        for r in np.flatnonzero(rows & np.isnan(G_mu).any(axis=1)):
+            G[r] = project(_raw_subgrad_mu(P, Z[r]), -CY[r]) + CY[r]
+        return G
+
+    live = np.ones(R, dtype=bool)
     F = value(X)
-    G = _subgrad_mu_rows(P, X) + CY
-    live = np.isfinite(G).all(axis=1)
-    redo = ~live
-    gamma = np.ones(len(X))
+    G = gradient(X, live)
+    gamma = np.ones(R)
+    residual = np.full(R, np.inf)
     prev_X, prev_G = X, G  # arrays here are replaced, never written in place
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for it in range(MAX_ITER):
@@ -539,6 +468,8 @@ def _batched_steps(P, Y, X):
                 bb = np.minimum(np.maximum(_rowdot(dX, dG) / denom, 1e-12), 1e3)
                 gamma = np.where(live & (denom > 0), bb, gamma)
             step = gamma
+            # Rounding slack keeps the sufficient-decrease test meaningful
+            # once the true decrease falls below float resolution of the value.
             slack = k.eps8 * (1.0 + np.abs(F))
             trying = live.copy()
             for tries in range(60):
@@ -555,29 +486,41 @@ def _batched_steps(P, Y, X):
                 if not trying.any():
                     break
                 step = np.where(trying, step * 0.5, step)
-            # Rows still trying stalled; the scalar solver raises for them.
-            live &= ~trying
-            redo |= trying
+            else:
+                # The rows still trying stalled, with the last residual.
+                for r in np.flatnonzero(trying):
+                    failed[r] = (float(residual[r]), it)
+                live &= ~trying
             residual = np.sqrt(_rowdot(move, move)) / step
             moved = live[:, None]
             prev_X, prev_G = np.where(moved, X, prev_X), np.where(moved, G, prev_G)
             X, F = np.where(moved, X_new, X), np.where(live, F_new, F)
             live &= ~(residual <= GRAD_TOL)
             if live.any():
-                G = np.where(live[:, None], _subgrad_mu_rows(P, X) + CY, G)
-                bad = live & ~np.isfinite(G).all(axis=1)
-                live &= ~bad
-                redo |= bad
-        redo |= live
-        # 0 in d_x L(x, y) via support functions, as in the scalar solver.
+                G = np.where(live[:, None], gradient(X, live), G)
+        for r in np.flatnonzero(live):
+            failed[r] = (float(residual[r]), MAX_ITER)
+        # 0 in d_x L(x, y) via support functions: every direction must see a
+        # nonnegative support value.
         shift = pen.c_shift * X
         nrm = np.sqrt(_rowdot(X, X))
         outer = nrm > P.radius + pen.band
         shift[outer] = shift[outer] + (P.growth_K + 1) * X[outer]
         on_band = ~(nrm < P.radius - pen.band) & ~outer
-        g = (_subgrad_mu_rows(P, X) + shift) + CY
-        worst = np.matmul(g[:, None, :], k.net_T)[:, 0, :].min(axis=1)
-    return X, redo | on_band | ~(worst >= -MEMBERSHIP_TOL)
+        G_mu = _subgrad_mu_rows(P, X)
+        worst = np.matmul(((G_mu + shift) + CY)[:, None, :], k.net_T)[:, 0, :].min(axis=1)
+        # On the barrier band or a NaN row the subdifferential is a set,
+        # read from the set forms.
+        set_valued = on_band | np.isnan(G_mu).any(axis=1)
+        for r in np.flatnonzero(set_valued):
+            if r not in failed:
+                full = _subgrad_mu(P, X[r]).points
+                worst[r] = ((full + CY[r]) @ k.net_T).max(axis=0).min()
+    for r in np.flatnonzero(worst < -MEMBERSHIP_TOL):
+        failed.setdefault(r, (float(abs(worst[r])), MAX_ITER))
+    if failed:
+        raise SolverStallError(*failed[min(failed)])
+    return X
 
 
 def dual_value(P: SaddleProblem, y, x0=None) -> float:
@@ -640,7 +583,7 @@ def dual_ode_field(P: SaddleProblem) -> MeanField:
 
     One velocity serves as ``evaluate_rows`` for a state ``(d2,)`` or a block
     ``(R, d2)``; ``evaluate`` is its singleton.  Every minimizer is solved
-    cold by ``lambda_min``, whose rows equal its scalar calls bit for bit, so
+    cold by ``lambda_min``, where no row of a block depends on another, so
     each row's velocity is a pure function of that row.
     """
     C_mu, w_mu = P.C_mu, P.w_mu

@@ -260,17 +260,11 @@ def test_c07_faster_timescale_tracking(canonical_problem, replicas):
     trajs, _ = replicas
     fractions = []
     for traj in trajs:
-        start = N_CANONICAL - N_CANONICAL // 10
-        hits = 0
-        total = 0
-        warm = None
-        for n in range(start, N_CANONICAL + 1, 10):
-            lam = lambda_min(P, traj.Y[n], x0=warm)
-            warm = lam
-            total += 1
-            if np.linalg.norm(traj.X[n] - lam) <= 5e-2:
-                hits += 1
-        fractions.append(hits / total)
+        knots = np.arange(N_CANONICAL - N_CANONICAL // 10, N_CANONICAL + 1, 10)
+        # lambda(y) is unique, so one cold block solve serves every knot.
+        lam = lambda_min(P, traj.Y[knots])
+        hits = np.linalg.norm(traj.X[knots] - lam, axis=1) <= 5e-2
+        fractions.append(hits.sum() / len(knots))
     worst = min(fractions)
     check(
         "C7 faster-timescale tracking",

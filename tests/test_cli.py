@@ -373,6 +373,18 @@ class TestSolveDi:
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "di_path.csv").exists()
 
+    def test_solver_stall_exits_4(self, tmp_path, capsys):
+        # From 1e12 the first minimizer the dual flow asks for stalls.
+        cfg = json.loads((CONFIGS / "dual_envelope.json").read_text())
+        cfg["z0"] = [1e12]
+        cfg["out"] = str(tmp_path / "out")
+        code = main(["solve-di", "--config", str(write_config(tmp_path, cfg))])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: inner solver stalled after ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestSaddleCommand:
     def test_requires_saddle_kind(self, tmp_path, capsys):
@@ -652,6 +664,14 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"{named}: ") and "do not fit in memory" in err
         assert not (tmp_path / "out").exists()
+
+    def test_validate_refuses_knots_that_do_not_fit(self, tmp_path, capsys):
+        cfg = dict(json.loads((CONFIGS / "sign_di.json").read_text()), T=1e13)
+        cfg["out"] = str(tmp_path / "out")
+        assert main(["validate", "--config", str(write_config(tmp_path, cfg))]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] field construction: config.T: " in out
+        assert "do not fit in memory" in out
 
 
 class TestFlags:

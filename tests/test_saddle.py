@@ -1,3 +1,6 @@
+import math
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -567,8 +570,22 @@ def kink_problem():
     )
 
 
+def prox_penalty(P, v, gamma):
+    """Exact proximal map of the penalty terms at one point: the radial
+    piecewise quadratic, solved as the scalar formula."""
+    nv = math.sqrt(float(v @ v))
+    if nv == 0.0:
+        return np.zeros_like(v)
+    a = gamma * P.epsilon / P.radius**2
+    rho = nv / (1.0 + a)
+    if rho > P.radius:
+        rho_out = nv / (1.0 + a + gamma * (P.growth_K + 1))
+        rho = rho_out if rho_out >= P.radius else P.radius
+    return (rho / nv) * v
+
+
 class TestBatchedLambdaMin:
-    @pytest.mark.parametrize("make", [canonical, three_state, anisotropic])
+    @pytest.mark.parametrize("make", [canonical, three_state, anisotropic, abs_kink_problem])
     @pytest.mark.parametrize("warm", [False, True])
     def test_rows_equal_scalar_calls(self, make, warm):
         P = make()
@@ -587,9 +604,9 @@ class TestBatchedLambdaMin:
         norms = np.linalg.norm(batched, axis=1)
         assert (norms > P.radius).any() and (norms < P.radius).any()
 
-    def test_failed_certificate_goes_to_scalar_solver(self, monkeypatch):
+    def test_failed_certificate_raises(self, monkeypatch):
         # A loose residual target stops every row short of the minimizer, so
-        # the certificate fails and the scalar solver raises for the row.
+        # the certificate fails and the block raises for the row.
         P = anisotropic()
         monkeypatch.setattr(saddle, "GRAD_TOL", 0.1)
         with pytest.raises(saddle.SolverStallError):
@@ -605,7 +622,7 @@ class TestBatchedLambdaMin:
         with np.errstate(divide="ignore", invalid="ignore"):
             rows = saddle._prox_penalty_rows(P, V, gamma)
         for v, g, row in zip(V, gamma, rows):
-            assert np.array_equal(row, saddle._prox_penalty(P, v, float(g)))
+            assert np.array_equal(row, prox_penalty(P, v, float(g)))
 
     def test_kink_still_stalls(self):
         # From the reference point (0, 0.5), on the kink, every row reaches
@@ -618,6 +635,27 @@ class TestBatchedLambdaMin:
         for x0 in ([0.3, 0.5], [-0.001, 0.5]):
             with pytest.raises(saddle.SolverStallError):
                 lambda_min(P, Y, x0=np.array(x0))
+
+    def test_lowest_failed_row_raises(self):
+        # Row 0 converges from the kink, rows 1 and 2 stall; the block raises
+        # row 1's error, as the call on row 1 alone does.
+        P = kink_problem()
+        Y = np.array([[-1.0], [0.0], [2.0]])
+        X0 = np.array([[0.0, 0.5], [0.3, 0.5], [-0.001, 0.5]])
+        with pytest.raises(saddle.SolverStallError) as block:
+            lambda_min(P, Y, x0=X0)
+        with pytest.raises(saddle.SolverStallError) as row:
+            lambda_min(P, Y[1], x0=X0[1])
+        assert (block.value.residual, block.value.iterations) == (
+            row.value.residual, row.value.iterations
+        )
+        assert block.value.iterations == saddle.MAX_ITER
+
+    def test_stall_error_survives_pickling(self):
+        # A replica's stall crosses the process pool to the command's exit.
+        err = saddle.SolverStallError(1.5, 7)
+        back = pickle.loads(pickle.dumps(err))
+        assert (back.residual, back.iterations, str(back)) == (1.5, 7, str(err))
 
 
 class TestBatchedDualFlow:
@@ -759,7 +797,7 @@ class TestWarmChain:
 
 def envelope_by_knots(P, path):
     """verify_envelope as a per-knot loop over ``lagrangian``, every knot
-    solved cold by the scalar ``lambda_min``."""
+    solved cold by a one-row ``lambda_min`` call."""
     V, resid2 = [], []
     for y in path.states:
         lam = lambda_min(P, y)
