@@ -571,8 +571,8 @@ def kink_problem():
 
 
 def prox_penalty(P, v, gamma):
-    """Exact proximal map of the penalty terms at one point: the radial
-    piecewise quadratic, solved as the scalar formula."""
+    """Exact proximal map of the penalty terms (radial piecewise quadratic)
+    at one point: the reference ``_prox_penalty_rows`` is checked against."""
     nv = math.sqrt(float(v @ v))
     if nv == 0.0:
         return np.zeros_like(v)
