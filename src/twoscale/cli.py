@@ -221,12 +221,13 @@ def build_problem(cfg: dict, path: str = "problem") -> SaddleProblem:
     w = _matrix(_get(cfg, "w", path), f"{path}.w")
     if C.ndim != 3:
         raise ConfigError(f"{path}.C: expected per-state matrices (|S|, d2, d1)")
-    for key, arr in (("w", w), ("theta", theta)):
-        if arr.shape[0] != C.shape[0]:
+    S, d2, d1 = C.shape
+    for key, arr, cols in (("w", w, d2), ("theta", theta, d1)):
+        if arr.shape != (S, cols):
             raise ConfigError(
-                f"{path}.{key}: {arr.shape[0]} rows for {C.shape[0]} constraint states"
+                f"{path}.{key}: shape {arr.shape}, need ({S}, {cols}) to match {path}.C"
             )
-    kernel = _build_kernel(_get(cfg, "kernel", path), C.shape[0], f"{path}.kernel")
+    kernel = _build_kernel(_get(cfg, "kernel", path), S, f"{path}.kernel")
     feas = _get(cfg, "feasible_points", path, required=False)
     epsilon = _number(cfg, "epsilon", path)
     radius = _number(cfg, "radius", path)

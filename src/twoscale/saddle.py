@@ -77,23 +77,22 @@ class SolverStallError(RuntimeError):
 class SaddleProblem:
     """Data of the penalized state-averaged constrained convex program.
 
-    ``objective(x, s)`` and the set form ``subgrad(x, s) -> ConvexSet``
-    describe a per-state convex coercive objective with compact
-    subdifferentials of linear growth ``growth_K``; ``C[s]`` and ``w[s]``
-    give per-state affine equality constraints witnessed feasible by
-    ``feasible_points[s]``.  ``radius`` must enclose the witnesses and clear
-    the sampled coercivity check; ``epsilon`` sets both the strong-convexity
-    term and the optimality slack the penalized solution is allowed versus
-    the original problem.
+    ``objective_rows(X, s) -> (R,)``, the one objective oracle, gives a
+    per-state convex coercive J(x, s) at each row x of X; a single point is
+    the block of its one row.  ``subgrad_rows(X, s) -> (R, d1)`` gives one
+    subgradient per row, NaN where the subdifferential has more than one
+    point, and the set form ``subgrad(x, s) -> ConvexSet`` the compact
+    subdifferential, of linear growth ``growth_K``.  ``subgrad`` is read
+    only where a value is set-valued (``penalized_subgrad``, a NaN row, the
+    barrier sphere band) and by ``validate_sam``, which checks the point
+    form of ``primal_drift`` against its set form.
 
-    ``objective_rows(X, s) -> (R,)`` and ``subgrad_rows(X, s) -> (R, d1)``
-    are the same oracles over a leading batch axis, row r equal to the
-    scalar oracle at ``X[r]`` bit for bit.  Every single subgradient point
-    is read from ``subgrad_rows``, where a row of NaN marks a set-valued
-    subdifferential; ``subgrad`` is read only where a value is set-valued
-    (``penalized_subgrad``, a NaN row, the barrier sphere band) and by
-    ``validate_sam``, which checks the point form of ``primal_drift``
-    against its set form.
+    ``C[s]`` and ``w[s]`` give per-state affine equality constraints
+    witnessed feasible by ``feasible_points[s]``.  ``radius`` must enclose
+    the witnesses and clear the sampled coercivity check; ``epsilon`` sets
+    both the strong-convexity term and the optimality slack the penalized
+    solution is allowed versus the original problem.  Every number is
+    finite, and ``epsilon``, ``radius`` and ``growth_K`` are positive.
 
     A problem is not written to after construction: its stationary-law data
     and solver constants are cached from its fields.
@@ -101,7 +100,6 @@ class SaddleProblem:
 
     def __init__(
         self,
-        objective: Callable,
         subgrad: Callable,
         C,
         w,
@@ -113,7 +111,6 @@ class SaddleProblem:
         objective_rows: Callable,
         subgrad_rows: Callable,
     ):
-        self.objective = objective
         self.subgrad = subgrad
         self.objective_rows = objective_rows
         self.subgrad_rows = subgrad_rows
@@ -124,17 +121,23 @@ class SaddleProblem:
         self.alphabet, self.d2, self.d1 = self.C.shape
         if self.w.shape != (self.alphabet, self.d2):
             raise ValueError(f"w has shape {self.w.shape}")
+        _require_finite(C=self.C, w=self.w)
         if kernel.alphabet != self.alphabet:
             raise ValueError("kernel alphabet does not match constraint data")
         self.kernel = kernel
-        if epsilon <= 0 or radius <= 0 or growth_K <= 0:
-            raise ValueError("epsilon, radius and growth_K must be positive")
         self.epsilon = float(epsilon)
         self.radius = float(radius)
         self.growth_K = float(growth_K)
+        for name in ("epsilon", "radius", "growth_K"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not 0 < self.radius * self.radius < math.inf:
+            raise ValueError(f"radius {self.radius} has no finite positive square")
         self.feasible_points = np.atleast_2d(np.asarray(feasible_points, dtype=float))
         if self.feasible_points.shape != (self.alphabet, self.d1):
             raise ValueError("need one feasible witness per state")
+        _require_finite(feasible_points=self.feasible_points)
         self._validate()
 
     def _validate(self) -> None:
@@ -154,11 +157,10 @@ class SaddleProblem:
         # the best witness value, which by convexity pushes it above that
         # level outside the ball as well.
         m1 = max(
-            self.objective(self.feasible_points[s], sp)
-            for s in range(self.alphabet)
+            self.objective_rows(self.feasible_points, sp).max()
             for sp in range(self.alphabet)
         )
-        level = max(0.0, m1)
+        level = max(0.0, float(m1))
         rng = np.random.default_rng(_COERCIVITY_SEED)
         rays = rng.standard_normal((_COERCIVITY_RAYS, self.d1))
         rays /= np.linalg.norm(rays, axis=1, keepdims=True)
@@ -209,6 +211,14 @@ class SaddleProblem:
         )
 
     @cached_property
+    def _bounds(self) -> SimpleNamespace:
+        """``max_s ||C[s]||_2`` and ``max |w|``, the drift growth bounds."""
+        return SimpleNamespace(
+            cmax=max(float(np.linalg.norm(C_s, 2)) for C_s in self.C),
+            wmax=float(np.abs(self.w).max(initial=0.0)),
+        )
+
+    @cached_property
     def _solver(self) -> SimpleNamespace:
         """Per-problem constants of ``lambda_min``, computed once: the states
         that carry stationary weight, the Armijo rounding factor and the
@@ -220,14 +230,11 @@ class SaddleProblem:
         )
 
     def J_mu(self, x) -> float:
-        mu, objective = self.mu, self.objective
-        total = 0
-        for s in range(self.alphabet):
-            total += mu[s] * objective(x, s)
-        return float(total)
+        return float(_J_mu_rows(self, np.asarray(x, dtype=float)[None])[0])
 
     def Jhat_mu(self, x) -> float:
-        return self.J_mu(x) + _penalty_value(self, np.asarray(x, dtype=float))
+        Z = np.asarray(x, dtype=float)[None]
+        return float((_J_mu_rows(self, Z) + _penalty_rows(self, Z))[0])
 
     def K_prime(self) -> float:
         """Growth constant of the minimizer map: max of growth, radius, ||C_mu^T||."""
@@ -246,10 +253,8 @@ def quadratic_problem(
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
     C = np.asarray(C, dtype=float)
     w = np.asarray(w, dtype=float)
-
-    def objective(x, s):
-        d = np.asarray(x, dtype=float) - theta[s]
-        return 0.5 * float((d * d).sum())
+    # Before the witnesses' least squares, which fails on non-finite data.
+    _require_finite(theta=theta, C=C, w=w)
 
     def subgrad(x, s):
         return ConvexSet._trusted((np.asarray(x, dtype=float) - theta[s])[None, :])
@@ -269,7 +274,6 @@ def quadratic_problem(
             np.linalg.lstsq(C[s], w[s], rcond=None)[0] for s in range(C.shape[0])
         ]
     return SaddleProblem(
-        objective=objective,
         subgrad=subgrad,
         C=C,
         w=w,
@@ -283,14 +287,23 @@ def quadratic_problem(
     )
 
 
-def _penalty_value(P: SaddleProblem, x: np.ndarray) -> float:
-    k = P._penalty
-    n2 = float(x @ x)
-    return k.c_strong * n2 + k.c_outer * max(n2 - k.r2, 0.0)
+def _require_finite(**arrays) -> None:
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite")
+
+
+def _J_mu_rows(P: SaddleProblem, Z: np.ndarray) -> np.ndarray:
+    """Averaged objective at each row of Z: ``m * J(., s)`` summed over the
+    states of nonzero stationary weight, in order."""
+    J = 0
+    for s, m in P._solver.weighted:
+        J = J + m * P.objective_rows(Z, s)
+    return J
 
 
 def _penalty_rows(P: SaddleProblem, Z: np.ndarray) -> np.ndarray:
-    """``_penalty_value`` of each row of Z."""
+    """Strong-convexity term plus outer quadratic barrier at each row of Z."""
     k = P._penalty
     n2 = _rowdot(Z, Z)
     return k.c_strong * n2 + k.c_outer * np.maximum(n2 - k.r2, 0.0)
@@ -298,8 +311,8 @@ def _penalty_rows(P: SaddleProblem, Z: np.ndarray) -> np.ndarray:
 
 def penalized_objective(P: SaddleProblem, x, s: int) -> float:
     """Objective plus strong-convexity term plus outer quadratic barrier."""
-    x = np.asarray(x, dtype=float)
-    return float(P.objective(x, s)) + _penalty_value(P, x)
+    Z = np.asarray(x, dtype=float)[None]
+    return float((P.objective_rows(Z, s) + _penalty_rows(P, Z))[0])
 
 
 def penalized_subgrad(P: SaddleProblem, x, s: int) -> ConvexSet:
@@ -313,7 +326,7 @@ def penalized_subgrad(P: SaddleProblem, x, s: int) -> ConvexSet:
     shift = _penalty_shift(P, x)
     if shift is not None:
         return base.translate(shift)
-    shift = (P.epsilon / P.radius**2) * x
+    shift = P._penalty.c_shift * x
     segment = ConvexSet(np.vstack([np.zeros(P.d1), (P.growth_K + 1) * x]))
     return minkowski_combine([1.0, 1.0], [base.translate(shift), segment])
 
@@ -433,15 +446,11 @@ def _lambda_min_rows(P: SaddleProblem, Y: np.ndarray, X0) -> np.ndarray:
         X0 = P.reference_point()
     X = np.array(np.broadcast_to(np.asarray(X0, dtype=float), (R, P.d1)))
     k, pen = P._solver, P._penalty
-    weighted = k.weighted
     CY = np.matmul(P.C_mu.T, Y[:, :, None])[:, :, 0]
     failed = {}  # row -> (residual, iterations) of its SolverStallError
 
     def value(Z):
-        J = 0
-        for s, m in weighted:
-            J = J + m * P.objective_rows(Z, s)
-        return J + _penalty_rows(P, Z) + _rowdot(CY, Z)
+        return _J_mu_rows(P, Z) + _penalty_rows(P, Z) + _rowdot(CY, Z)
 
     def gradient(Z, rows):
         # The averaged subgradient plus C_mu^T y; on the given rows where the
@@ -537,10 +546,7 @@ def primal_drift(P: SaddleProblem) -> SetValuedMap:
     one generator in the set form's order; it is ``None`` on the barrier
     sphere band and where that row is NaN.
     """
-    cmax = max(
-        float(np.linalg.norm(P.C[s], 2)) for s in range(P.alphabet)
-    )
-    growth = max(2 * P.growth_K + 1 + P.epsilon / P.radius**2, cmax)
+    growth = max(2 * P.growth_K + 1 + P._penalty.c_shift, P._bounds.cmax)
     CT = [P.C[s].T for s in range(P.alphabet)]
 
     def evaluate(x, y, s):
@@ -565,16 +571,13 @@ def primal_drift(P: SaddleProblem) -> SetValuedMap:
 def dual_drift(P: SaddleProblem) -> SetValuedMap:
     """Slow drift {C(s) x - w(s)}, the observed constraint residual; a
     singleton everywhere, so its point form is C(s) x - w(s)."""
-    cmax = max(float(np.linalg.norm(P.C[s], 2)) for s in range(P.alphabet))
-    wmax = float(np.abs(P.w).max(initial=0.0))
-
     def point(x, y, s):
         return P.C[s] @ x - P.w[s]
 
     return SetValuedMap(
         dims=(P.d1, P.d2, P.d2), alphabet=P.alphabet,
         evaluate=lambda x, y, s: ConvexSet.singleton(point(x, y, s)),
-        growth_K=max(cmax, wmax, 1e-12), point=point,
+        growth_K=max(P._bounds.cmax, P._bounds.wmax, 1e-12), point=point,
     )
 
 
@@ -608,9 +611,7 @@ def averaged_slow_field(P: SaddleProblem) -> MeanField:
     kernel; on a uniquely ergodic chain this coincides with
     ``dual_ode_field`` and is the object the slow iterates track.
     """
-    cmax = max(float(np.linalg.norm(P.C[s], 2)) for s in range(P.alphabet))
-    wmax = float(np.abs(P.w).max(initial=0.0))
-    growth = cmax * P.K_prime() + wmax + 1e-12
+    growth = P._bounds.cmax * P.K_prime() + P._bounds.wmax + 1e-12
     return slow_field(
         dual_drift(P), P.kernel, lambda y: lambda_min(P, y)[None, :], growth_K=growth
     )
@@ -744,10 +745,8 @@ def verify_envelope(P: SaddleProblem, y_path: DIPath) -> EnvelopeReport:
 
 
 def _dual_rows(P: SaddleProblem, L: np.ndarray, Y: np.ndarray):
-    """``lagrangian(P, L[r], Y[r])`` and ``||C_mu L[r] - w_mu||^2`` of each row."""
-    # J_mu over every state in order, as J_mu sums it.
-    J = 0
-    for s in range(P.alphabet):
-        J = J + P.mu[s] * P.objective_rows(L, s)
+    """``lagrangian(P, L[r], Y[r])`` and ``||C_mu L[r] - w_mu||^2`` of each
+    row, with the averaged objective from ``_J_mu_rows`` as ``J_mu`` reads it."""
     resid = np.matmul(P.C_mu, L[:, :, None])[:, :, 0] - P.w_mu
-    return J + _penalty_rows(P, L) + _rowdot(Y, resid), (resid**2).sum(axis=1)
+    V = _J_mu_rows(P, L) + _penalty_rows(P, L) + _rowdot(Y, resid)
+    return V, (resid**2).sum(axis=1)

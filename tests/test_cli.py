@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import math
 import os
 import subprocess
 import sys
@@ -621,6 +622,29 @@ class TestConfigErrors:
         ("validate", SIGN_DI, "T", 1e-4, "config.T"),
         ("solve-di", SIGN_DI, "selection", "bogus", "config.selection"),
         ("validate", SIGN_DI, "selection", "bogus", "config.selection"),
+        # Non-finite problem data, and a radius whose square overflows.
+        *(
+            (command, CANONICAL, field, value, "problem")
+            for command in ("saddle", "validate")
+            for field, value in [
+                ("problem.radius", math.inf),
+                ("problem.radius", math.nan),
+                ("problem.radius", 1e200),
+                ("problem.epsilon", math.nan),
+                ("problem.growth", math.nan),
+                ("problem.theta", [[math.nan, 0.0], [0.0, 1.0]]),
+                ("problem.w", [[math.inf], [0.0]]),
+            ]
+        ),
+        # theta and w whose columns do not match C's d1 and d2.
+        *(
+            (command, CANONICAL, field, value, field)
+            for command in ("saddle", "validate")
+            for field, value in [
+                ("problem.theta", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+                ("problem.w", [[2.0, 0.0], [0.0, 0.0]]),
+            ]
+        ),
     ])
     def test_value_the_constructors_refuse_named(
         self, tmp_path, capsys, command, base, field, value, named

@@ -60,14 +60,9 @@ def abs_kink_problem():
 
     The reference point (0, 0.5) sits on the kink x_0 = 0, where the
     subdifferential is a segment, so a solve from there must take the
-    projection branch; lambda(y) = (1, 1 - y) / (1 + 2 C_PEN).  The row
-    oracles take the same steps as the scalar ones and give a NaN
-    subgradient row on the kink.
+    projection branch; lambda(y) = (1, 1 - y) / (1 + 2 C_PEN).  The
+    subgradient row is NaN on the kink.
     """
-    def objective(x, s):
-        a, b = x[0] - 2.0, x[1] - 1.0
-        return 0.5 * (a * a + b * b) + abs(x[0])
-
     def subgrad(x, s):
         g = [x[0] - 2.0, x[1] - 1.0]
         if x[0] == 0.0:
@@ -84,8 +79,7 @@ def abs_kink_problem():
         return G
 
     return SaddleProblem(
-        objective=objective, subgrad=subgrad,
-        C=[[[0.0, 1.0]]], w=[[0.5]],
+        subgrad=subgrad, C=[[[0.0, 1.0]]], w=[[0.5]],
         kernel=FiniteKernel.constant([[1.0]]),
         epsilon=EPS, radius=R, growth_K=2.0, feasible_points=[[0.0, 0.5]],
         objective_rows=objective_rows, subgrad_rows=subgrad_rows,
@@ -520,10 +514,6 @@ def anisotropic():
     C = rng.standard_normal((3, 2, 4))
     w = rng.standard_normal((3, 2))
 
-    def objective(x, s):
-        d = np.asarray(x, dtype=float) - theta[s]
-        return 0.5 * float((a[s] * d * d).sum())
-
     def subgrad(x, s):
         return ConvexSet.singleton(a[s] * (np.asarray(x, dtype=float) - theta[s]))
 
@@ -535,7 +525,7 @@ def anisotropic():
         return a[s] * (X - theta[s])
 
     return SaddleProblem(
-        objective=objective, subgrad=subgrad, C=C, w=w,
+        subgrad=subgrad, C=C, w=w,
         kernel=FiniteKernel.constant([[0.2, 0.5, 0.3], [0.4, 0.4, 0.2], [0.3, 0.3, 0.4]]),
         epsilon=EPS, radius=10.0, growth_K=21.0,
         feasible_points=[np.linalg.lstsq(C[s], w[s], rcond=None)[0] for s in range(3)],
@@ -546,9 +536,6 @@ def anisotropic():
 def kink_problem():
     """J(x) = |x_0| + 0.5 (x_1 - 1)^2 with x_1 = 0.5, kinked on x_0 = 0, where
     the minimizer lies: lambda(y) = (0, (1 - y) / (1 + EPS / R^2))."""
-    def objective(x, s):
-        return abs(x[0]) + 0.5 * (x[1] - 1.0) ** 2
-
     def subgrad(x, s):
         if x[0] == 0.0:
             return ConvexSet([[-1.0, x[1] - 1.0], [1.0, x[1] - 1.0]])
@@ -563,7 +550,7 @@ def kink_problem():
         return G
 
     return SaddleProblem(
-        objective=objective, subgrad=subgrad, C=[[[0.0, 1.0]]], w=[[0.5]],
+        subgrad=subgrad, C=[[[0.0, 1.0]]], w=[[0.5]],
         kernel=FiniteKernel.constant([[1.0]]), epsilon=EPS, radius=R,
         growth_K=2.0, feasible_points=[[0.0, 0.5]],
         objective_rows=objective_rows, subgrad_rows=subgrad_rows,
@@ -690,25 +677,25 @@ CHAIN_PROBLEMS = pytest.mark.parametrize(
 
 
 def counting(P):
-    """A copy of P whose scalar objective and subgradient rows count their
-    calls after construction."""
-    calls = {"objective": 0, "subgrad_rows": 0}
+    """A copy of P whose objective and subgradient rows count their calls
+    after construction."""
+    calls = {"objective_rows": 0, "subgrad_rows": 0}
 
-    def objective(x, s):
-        calls["objective"] += 1
-        return P.objective(x, s)
+    def objective_rows(X, s):
+        calls["objective_rows"] += 1
+        return P.objective_rows(X, s)
 
     def subgrad_rows(X, s):
         calls["subgrad_rows"] += 1
         return P.subgrad_rows(X, s)
 
     Q = SaddleProblem(
-        objective=objective, subgrad=P.subgrad, C=P.C, w=P.w, kernel=P.kernel,
+        subgrad=P.subgrad, C=P.C, w=P.w, kernel=P.kernel,
         epsilon=P.epsilon, radius=P.radius, growth_K=P.growth_K,
         feasible_points=P.feasible_points,
-        objective_rows=P.objective_rows, subgrad_rows=subgrad_rows,
+        objective_rows=objective_rows, subgrad_rows=subgrad_rows,
     )
-    calls.update(objective=0, subgrad_rows=0)
+    calls.update(objective_rows=0, subgrad_rows=0)
     return Q, calls
 
 
@@ -742,7 +729,7 @@ class TestWarmChain:
             field.evaluate(y1)
             if interleave:
                 lambda_min(P, other)
-            calls.update(objective=0, subgrad_rows=0)
+            calls.update(objective_rows=0, subgrad_rows=0)
             return field.evaluate(y2).points, dict(calls)
 
         v, n = second_evaluation(interleave=False)
@@ -795,13 +782,73 @@ class TestWarmChain:
                 assert np.array_equal(single.selections, sets.selections)
 
 
+def lagrangian_reference(P, x, y):
+    """The frozen Lagrangian at one point, written out: the averaged objective
+    ``mu[s] * J(x, s)`` summed over every state in order, the penalty terms
+    and ``<y, C_mu x - w_mu>``, returned as ``(J_mu, penalty, lagrangian)``.
+    The reference ``J_mu``, ``Jhat_mu``, ``penalized_objective``,
+    ``lagrangian`` and the envelope blocks are checked against."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    J = 0
+    for s in range(P.alphabet):
+        J = J + P.mu[s] * P.objective_rows(x[None], s)[0]
+    n2 = float(x @ x)
+    r2 = P.radius**2
+    penalty = P.epsilon / (2 * r2) * n2 + 0.5 * (P.growth_K + 1) * max(n2 - r2, 0.0)
+    return J, penalty, (J + penalty) + float(y @ (P.C_mu @ x - P.w_mu))
+
+
+def transient_state():
+    """Three states in 2-d whose state 0 is transient: the chain leaves it
+    at once, so mu = (0, 1/2, 1/2) and state 0 carries no stationary weight."""
+    rng = np.random.default_rng(3)
+    return quadratic_problem(
+        theta=rng.standard_normal((3, 2)),
+        C=rng.standard_normal((3, 1, 2)),
+        w=rng.standard_normal((3, 1)),
+        kernel=FiniteKernel.constant([[0.0, 0.5, 0.5]] * 3),
+        epsilon=EPS,
+        radius=20.0,
+    )
+
+
+class TestObjectiveValues:
+    @pytest.mark.parametrize(
+        "make", [canonical, three_state, anisotropic, abs_kink_problem, transient_state]
+    )
+    def test_values_equal_written_out_reference(self, make):
+        # Points from the origin, the witnesses and the kink out past the
+        # radius sphere, against the written-out sums bit for bit.
+        P = make()
+        rng = np.random.default_rng(4)
+        scale = np.logspace(-1, 0.5, 12)[:, None] * P.radius
+        X = np.vstack([
+            np.zeros((1, P.d1)), P.feasible_points, rng.standard_normal((12, P.d1)) * scale,
+        ])
+        assert (np.linalg.norm(X, axis=1) > P.radius).any()
+        for x in X:
+            y = rng.standard_normal(P.d2)
+            J, penalty, L = lagrangian_reference(P, x, y)
+            assert P.J_mu(x) == J
+            assert P.Jhat_mu(x) == J + penalty
+            assert lagrangian(P, x, y) == L
+            for s in range(P.alphabet):
+                assert penalized_objective(P, x, s) == (
+                    P.objective_rows(x[None], s)[0] + penalty
+                )
+
+    def test_transient_state_has_zero_weight(self):
+        P = transient_state()
+        assert P.mu[0] == 0.0 and [s for s, _ in P._solver.weighted] == [1, 2]
+
+
 def envelope_by_knots(P, path):
-    """verify_envelope as a per-knot loop over ``lagrangian``, every knot
-    solved cold by a one-row ``lambda_min`` call."""
+    """verify_envelope as a per-knot loop over ``lagrangian_reference``, every
+    knot solved cold by a one-row ``lambda_min`` call."""
     V, resid2 = [], []
     for y in path.states:
         lam = lambda_min(P, y)
-        V.append(lagrangian(P, lam, y))
+        V.append(lagrangian_reference(P, lam, y)[2])
         resid2.append(float(np.sum((P.C_mu @ lam - P.w_mu) ** 2)))
     V, resid2 = np.array(V), np.array(resid2)
     dt = np.diff(path.times)

@@ -16,7 +16,8 @@ their own, with the same relative ``--out`` path, so the manifests' config
 hashes agree.  One line is printed per output file with its digest, marked
 ``MISMATCH`` (with both digests) where the sides differ; a mismatched CSV
 also gets how many rows differ and the largest absolute difference of
-their cells.  The exit code is 1 when any file or exit code differs.
+their cells, and an exit code that differs gets each side's last stderr
+line.  The exit code is 1 when any file or exit code differs.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ def jobs(checkout: Path, seeds: list[int]):
 
 
 def run_side(checkout: Path, work: Path, name: str, cfg: dict, argv: list[str]):
-    """Exit code and ``{file: sha256}`` of one command run in ``work``."""
+    """Exit code, ``{file: sha256}`` and last stderr line of one command run
+    in ``work``."""
     config = work / "configs" / f"{name}.json"
     config.parent.mkdir(parents=True, exist_ok=True)
     config.write_text(json.dumps(cfg))
@@ -71,7 +73,7 @@ def run_side(checkout: Path, work: Path, name: str, cfg: dict, argv: list[str]):
     return proc.returncode, {
         str(p.relative_to(work / out)): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in files
-    }
+    }, (proc.stderr.strip().splitlines() or ["(none)"])[-1]
 
 
 def csv_difference(before: Path, after: Path) -> str:
@@ -110,11 +112,12 @@ def main(argv=None) -> int:
                 side: run_side(root, Path(tmp) / side, name, cfg, cmd)
                 for side, root in sides.items()
             }
-            (b_code, b_files), (a_code, a_files) = res["before"], res["after"]
+            (b_code, b_files, b_err), (a_code, a_files, a_err) = res["before"], res["after"]
             outs = {side: Path(tmp) / side / "out" / name for side in sides}
             if b_code != a_code:
                 bad += 1
                 print(f"{name}: MISMATCH exit code before={b_code} after={a_code}")
+                print(f"  before stderr: {b_err}\n  after stderr: {a_err}")
             for f in sorted(set(b_files) | set(a_files)):
                 b, a = b_files.get(f, "missing"), a_files.get(f, "missing")
                 if a == b:
