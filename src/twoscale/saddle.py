@@ -220,9 +220,9 @@ class SaddleProblem:
 
     @cached_property
     def _solver(self) -> SimpleNamespace:
-        """Per-problem constants of ``lambda_min``, computed once: the states
-        that carry stationary weight, the Armijo rounding factor and the
-        transposed direction net of the certificate."""
+        """Per-problem constants, computed once: the states that carry
+        stationary weight, over which every average runs, and ``lambda_min``'s
+        Armijo rounding factor and the certificate's transposed direction net."""
         return SimpleNamespace(
             weighted=[(s, m) for s, m in enumerate(self.mu) if m != 0.0],
             eps8=8 * np.finfo(float).eps,
