@@ -92,10 +92,12 @@ def _matrix(value, path: str) -> np.ndarray:
 
 
 def _vector(value, n: int, path: str) -> np.ndarray:
-    """A flat list of ``n`` numbers as a float array."""
+    """A flat list of ``n`` finite numbers as a float array."""
     arr = _matrix(value, path)
     if arr.shape != (n,):
         raise ConfigError(f"{path}: expected {n} numbers, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{path}: must be finite, got {arr.tolist()}")
     return arr
 
 

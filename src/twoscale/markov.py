@@ -95,6 +95,8 @@ def _check_stochastic(P: np.ndarray, tol: float = ROW_TOL) -> None:
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError(f"transition matrix must be square, got {P.shape}")
     for i, row in enumerate(P):
+        if not np.isfinite(row).all():
+            raise ValueError(f"row {i} has a non-finite entry: {row}")
         if np.any(row < -tol):
             raise ValueError(f"row {i} has a negative entry: {row}")
         if abs(row.sum() - 1.0) > tol:
@@ -119,77 +121,28 @@ class StationarySet:
         return np.abs(self.vertices @ P - self.vertices).max(axis=1)
 
 
-def _tarjan_scc(adj: list[list[int]]) -> list[list[int]]:
-    """Iterative Tarjan strongly-connected components."""
-    n = len(adj)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for i in range(pi, len(adj[v])):
-                w = adj[v][i]
-                if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return comps
-
-
 def stationary_set(P) -> StationarySet:
     """Vertices of the stationary polytope of a row-stochastic matrix.
 
-    Recurrent communicating classes are found with Tarjan's algorithm on the
-    support graph (an edge per positive entry); each class contributes the unique stationary row of its
-    restricted chain, solved by LU with partial pivoting.
+    The reachability matrix of the support graph (an edge per positive
+    entry) is closed under boolean squaring.  A state is recurrent when every
+    state it reaches reaches it back, and its reach row is then its closed
+    class.  Classes are taken in order of their lowest state; each
+    contributes the unique stationary row of its restricted chain, solved by
+    LU with partial pivoting.
     """
     P = np.asarray(P, dtype=float)
     _check_stochastic(P)
     n = P.shape[0]
-    adj = [list(np.nonzero(P[i] > 0.0)[0]) for i in range(n)]
-    comps = _tarjan_scc(adj)
-    comp_of = np.empty(n, dtype=int)
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    recurrent = []
-    for ci, comp in enumerate(comps):
-        if all(comp_of[w] == ci for v in comp for w in adj[v]):
-            recurrent.append(sorted(comp))
+    reach = (P > 0.0) | np.eye(n, dtype=bool)
+    while not np.array_equal(closed := reach @ reach, reach):
+        reach = closed
+    recurrent = (reach <= reach.T).all(axis=1)
     vertices = []
-    for comp in sorted(recurrent):
-        idx = np.array(comp)
+    for i in np.flatnonzero(recurrent):
+        idx = np.flatnonzero(reach[i])
+        if idx[0] != i:  # the class was taken at its lowest state
+            continue
         Q = P[np.ix_(idx, idx)]
         m = len(idx)
         # mu Q = mu with sum(mu) = 1: replace one equation by normalization.
@@ -204,7 +157,7 @@ def stationary_set(P) -> StationarySet:
         if resid > STATIONARY_TOL:
             raise RuntimeError(
                 f"stationary solve residual {resid} exceeds {STATIONARY_TOL} "
-                f"for class {comp}"
+                f"for class {idx.tolist()}"
             )
         vertices.append(np.clip(mu, 0.0, None))
     return StationarySet(np.array(vertices))

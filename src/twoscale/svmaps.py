@@ -19,7 +19,9 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .convex import ConvexSet, distance, minkowski_combine, project, unit_ball_set
+from .convex import (
+    ConvexSet, direction_net, distance, minkowski_combine, project, unit_ball_set,
+)
 
 __all__ = [
     "SetValuedMap",
@@ -32,7 +34,6 @@ __all__ = [
 ]
 
 CLOSED_GRAPH_TOL = 1e-8
-_BALL_NET_SEED = 77003
 
 
 class SetValuedMap:
@@ -255,31 +256,19 @@ def _point_mismatch(F: SetValuedMap, p) -> Optional[str]:
     return None
 
 
-_BALL_NET_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
 def _ball_net(dim: int, size: int) -> np.ndarray:
     """Points in the closed unit ball: the origin, then unit directions.
 
-    The directions are a fixed master sequence per dimension, so nets at
+    The directions are a prefix of ``direction_net(dim)``, so nets at
     consecutive levels are radially aligned prefixes of each other; this is
     what makes the sampled approximants nest on affine map families.
+    Dimension 1 takes evenly spaced points of [-1, 1] instead.
     """
-    key = (dim, size)
-    if key not in _BALL_NET_CACHE:
-        if dim == 1:
-            inner = np.linspace(-1.0, 1.0, size - 1).reshape(-1, 1)
-            net = np.vstack([[[0.0]], inner])
-        else:
-            rng = np.random.default_rng(_BALL_NET_SEED + dim)
-            raw = rng.standard_normal((max(size * 2, 512), dim))
-            dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-            axes = np.vstack([np.eye(dim), -np.eye(dim)])
-            master = np.vstack([axes, dirs])[: size - 1]
-            net = np.vstack([np.zeros((1, dim)), master])
-        net.flags.writeable = False
-        _BALL_NET_CACHE[key] = net
-    return _BALL_NET_CACHE[key]
+    if dim == 1:
+        dirs = np.linspace(-1.0, 1.0, size - 1).reshape(-1, 1)
+    else:
+        dirs = direction_net(dim)[: size - 1]
+    return np.vstack([np.zeros((1, dim)), dirs])
 
 
 def upper_approx(

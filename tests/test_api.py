@@ -1,4 +1,6 @@
 import importlib
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,29 @@ def test_every_export_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names missing attributes: {missing}"
+
+
+def _tracer_targets():
+    """``TARGETS`` of ``perfbench/tracing.py``, loaded by file path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.TARGETS
+
+
+@pytest.mark.parametrize(
+    "module, attr", [(m, a) for m, a, _, _ in _tracer_targets()],
+    ids=lambda v: v,
+)
+def test_every_traced_name_resolves(module, attr):
+    # The tracer wraps these by name; a deleted or renamed one breaks it.
+    owner = importlib.import_module(f"twoscale.{module}")
+    if "." in attr:
+        cls_name, meth = attr.split(".")
+        assert meth in vars(getattr(owner, cls_name))
+    else:
+        assert callable(getattr(owner, attr))
 
 
 def _jump(v):

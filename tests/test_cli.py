@@ -496,6 +496,8 @@ DUAL_DI = {"kind": "di", "field": {"saddle_dual": CANONICAL["problem"]}, "z0": [
            "T": 0.01, "dt": 0.001}
 # A constant kernel with two stationary laws.
 TWO_LAWS = [[1.0, 0.0], [0.0, 1.0]]
+# A constant kernel whose first row holds NaN.
+NAN_KERNEL = [[math.nan, 0.5], [0.5, 0.5]]
 # A field value that deletes the field.
 MISSING = object()
 # The line of `twoscale validate` that reports construction, by kind.
@@ -643,6 +645,26 @@ class TestConfigErrors:
             for field, value in [
                 ("problem.theta", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
                 ("problem.w", [[2.0, 0.0], [0.0, 0.0]]),
+            ]
+        ),
+        # A kernel row with NaN, which passes both sign and sum checks.
+        ("saddle", CANONICAL, "problem.kernel", NAN_KERNEL, "problem.kernel"),
+        ("validate", CANONICAL, "problem.kernel", NAN_KERNEL, "problem.kernel"),
+        ("solve-di", DUAL_DI, "field.saddle_dual.kernel", NAN_KERNEL,
+         "config.field.saddle_dual.kernel"),
+        # Non-finite starting iterates.
+        *(
+            (command, base, field, value, f"config.{field}")
+            for command, base, field, value in [
+                ("saddle", CANONICAL, "x0", [math.nan, 0.0]),
+                ("saddle", CANONICAL, "y0", [math.inf]),
+                ("run", GENERIC, "x0", [math.nan]),
+                ("run", GENERIC, "y0", [-math.inf]),
+                ("solve-di", SIGN_DI, "z0", [math.nan]),
+                ("validate", CANONICAL, "x0", [math.nan, 0.0]),
+                ("validate", CANONICAL, "y0", [math.inf]),
+                ("validate", GENERIC, "x0", [math.nan]),
+                ("validate", SIGN_DI, "z0", [math.inf]),
             ]
         ),
     ])

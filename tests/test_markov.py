@@ -47,9 +47,40 @@ class TestStationarySet:
         assert stat.n_vertices == 1
         np.testing.assert_allclose(stat.vertices[0], [0.0, 1.0], atol=1e-12)
 
+    def test_classes_in_order_of_lowest_state(self):
+        # Closed classes {0, 3} and {2}; state 1 is transient into both.
+        P = np.array(
+            [
+                [0.5, 0.0, 0.0, 0.5],
+                [0.25, 0.25, 0.5, 0.0],
+                [0.0, 0.0, 1.0, 0.0],
+                [0.4, 0.0, 0.0, 0.6],
+            ]
+        )
+        stat = stationary_set(P)
+        np.testing.assert_allclose(
+            stat.vertices, [[4 / 9, 0.0, 0.0, 5 / 9], [0.0, 0.0, 1.0, 0.0]], atol=1e-12
+        )
+
+    def test_long_path_into_absorbing_state(self):
+        # The longest reach: state 0 reaches state 299 only after 299 steps.
+        n = 300
+        P = np.zeros((n, n))
+        P[np.arange(n - 1), np.arange(1, n)] = 1.0
+        P[-1, -1] = 1.0
+        np.testing.assert_array_equal(stationary_set(P).vertices, np.eye(n)[[-1]])
+
     def test_non_stochastic_rejected(self):
         with pytest.raises(ValueError, match="row 1"):
             stationary_set(np.array([[0.5, 0.5], [0.2, 0.2]]))
+
+    def test_nan_rejected(self):
+        # NaN passes both the sign and the row-sum comparison.
+        P = np.array([[np.nan, 0.5], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="row 0 has a non-finite entry"):
+            stationary_set(P)
+        with pytest.raises(ValueError, match="row 0 has a non-finite entry"):
+            FiniteKernel.constant(P)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
