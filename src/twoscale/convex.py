@@ -33,12 +33,14 @@ class ConvexSet:
 
     Points are stored as an (n, dim) float array and frozen after
     construction; all operations on the set are pure functions.  A 2-d set
-    keeps its hull vertices in ``_hull`` once ``project`` has needed them;
-    the slot stays unset until then, and ``points`` is read-only, so the
-    cached hull cannot go stale.
+    keeps its hull vertices in ``_hull`` once ``project`` has needed them,
+    and any set keeps its least-norm element, read-only, in ``_least_norm``
+    once ``dynamics.select_velocity`` has needed it.  Each slot stays unset
+    until then, and ``points`` is read-only, so neither cached value can go
+    stale.
     """
 
-    __slots__ = ("points", "dim", "_hull")
+    __slots__ = ("points", "dim", "_hull", "_least_norm")
 
     def __init__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))

@@ -139,14 +139,27 @@ def select_velocity(
     u: Optional[np.ndarray] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:
-    """Pick one admissible velocity from a set by the named rule."""
+    """Pick one admissible velocity from a set by the named rule.
+
+    A singleton gives its point.  ``least_norm`` gives the projection of the
+    origin, snapped to exact zeros within ``1e-12 (1 + max_norm)``; it is
+    computed the first time a set needs it, then kept read-only in the set's
+    ``_least_norm`` slot, so a set shared across steps is projected once.
+    The other rules depend on their arguments and are computed every call.
+    """
     if K.n_points == 1:
         return K.points[0]
     if rule == "least_norm":
+        try:
+            return K._least_norm
+        except AttributeError:
+            pass
         v = project(K, np.zeros(K.dim))
         # Equilibria must be exact fixed points of the integrator.
         if float(np.linalg.norm(v)) <= 1e-12 * (1.0 + K.max_norm()):
-            return np.zeros(K.dim)
+            v = np.zeros(K.dim)
+        v.flags.writeable = False
+        K._least_norm = v
         return v
     if rule == "target":
         if target is None:

@@ -10,7 +10,9 @@ there, which is the product form that generates the slow averaging family.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -66,13 +68,6 @@ class FiniteKernel:
     def check_state(self, s: int) -> None:
         if not 0 <= s < self.alphabet:
             raise ValueError(f"state {s} outside alphabet of size {self.alphabet}")
-
-    def cum_row(self, x, y, s: int) -> np.ndarray:
-        """Cumulative transition row; a constant kernel's are computed once."""
-        if self._cum is None:
-            return np.cumsum(self.row(x, y, s))
-        self.check_state(s)
-        return self._cum[s]
 
     def frozen(self, x, y) -> np.ndarray:
         """Transition matrix with the iterates held fixed."""
@@ -164,20 +159,28 @@ def stationary_set(P) -> StationarySet:
 
 
 def sample_next(K: FiniteKernel, x, y, s: int, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw of the next noise state; advances ``rng`` in place."""
-    cum = K.cum_row(x, y, s)
-    return next_state(cum, rng.random())
+    """Inverse-CDF draw of the next noise state, ``next_state`` at one
+    ``rng.random()``; advances ``rng`` in place."""
+    return next_state(K, x, y, s, rng.random())
 
 
-def next_state(cum: np.ndarray, u: float) -> int:
-    """The state whose cumulative-row interval holds the uniform ``u``."""
-    return int(min(np.searchsorted(cum, u), len(cum) - 1))
+def next_state(K: FiniteKernel, x, y, s: int, u: float) -> int:
+    """The state whose cumulative-row interval holds the uniform ``u``.
+
+    The row ``K.row(x, y, s)`` is summed left to right on Python floats and
+    searched by ``bisect_left``; the index is clipped to the last state.
+    Both steps match numpy's, so this is ``min(np.searchsorted(
+    np.cumsum(row), u), n - 1)`` on every row, but without numpy's per-call
+    overhead, which dominates on rows this short.
+    """
+    row = K.row(x, y, s).tolist()
+    return min(bisect_left(list(accumulate(row)), u), len(row) - 1)
 
 
 def constant_walk(K: FiniteKernel, s: int, u: np.ndarray) -> list:
     """States s_1..s_B of a constant kernel's chain from s_0 = ``s``, where
-    s_{i+1} = ``next_state(K.cum_row(., ., s_i), u[i])``: one vectorized
-    search per state, then a walk over plain lists."""
+    s_{i+1} = ``next_state(K, ., ., s_i, u[i])``: one vectorized search per
+    state over the cumulative rows, then a walk over plain lists."""
     last = K.alphabet - 1
     table = [np.minimum(np.searchsorted(c, u), last).tolist() for c in K._cum]
     states = []

@@ -329,11 +329,11 @@ def run(
                     n, f"iterates diverged at step {n}: |X|, |Y| left the finite range"
                 )
         i = n - start
-        s1 = next1[i] if walk1 else next_state(K1.cum_row(x, y, s1), next1[i])
+        s1 = next1[i] if walk1 else next_state(K1, x, y, s1, next1[i])
         if share_noise_chain:
             s2 = s1
         else:
-            s2 = next2[i] if walk2 else next_state(K2.cum_row(x, y, s2), next2[i])
+            s2 = next2[i] if walk2 else next_state(K2, x, y, s2, next2[i])
         S1[n + 1] = s1
         S2[n + 1] = s2
     return Trajectory(

@@ -262,10 +262,12 @@ def _ball_net(dim: int, size: int) -> np.ndarray:
     The directions are a prefix of ``direction_net(dim)``, so nets at
     consecutive levels are radially aligned prefixes of each other; this is
     what makes the sampled approximants nest on affine map families.
-    Dimension 1 takes evenly spaced points of [-1, 1] instead.
+    Dimension 1 takes evenly spaced points of [-1, 1] instead, less the 0.0
+    among them (an odd count holds it), so the origin comes once.
     """
     if dim == 1:
-        dirs = np.linspace(-1.0, 1.0, size - 1).reshape(-1, 1)
+        dirs = np.linspace(-1.0, 1.0, size - 1)
+        dirs = dirs[dirs != 0.0].reshape(-1, 1)
     else:
         dirs = direction_net(dim)[: size - 1]
     return np.vstack([np.zeros((1, dim)), dirs])

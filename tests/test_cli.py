@@ -588,85 +588,155 @@ class TestConfigErrors:
         assert field in err and "expected a number" in err
         assert "Traceback" not in err
 
+    # Each case names itself, so inserting a case renames no other test.  The
+    # ids below are the ones pytest generated from the cases' positions
+    # before they were written out, kept so that a test name recorded
+    # earlier still finds its case; a new case takes "command-field-tag",
+    # such as "saddle-problem.kernel-nan".  ``test_refusal_ids_unique``
+    # checks that no two cases share an id.
     @pytest.mark.parametrize("command, base, field, value, named", [
-        ("saddle", CANONICAL, "x0", [1.0], "config.x0"),
-        ("saddle", CANONICAL, "x0", ["a", "b"], "config.x0"),
-        ("saddle", CANONICAL, "y0", [1.0, 2.0], "config.y0"),
-        ("saddle", CANONICAL, "y0", "z", "config.y0"),
-        ("run", GENERIC, "x0", [1.0, 2.0], "config.x0"),
-        ("run", GENERIC, "y0", [], "config.y0"),
-        ("run", GENERIC, "s1_0", 1, "config.s1_0"),
-        ("run", GENERIC, "s2_0", -1, "config.s2_0"),
-        ("run", GENERIC, "d1", 0, "config.d1"),
-        ("run", GENERIC, "d2", 0, "config.d2"),
-        ("solve-di", SIGN_DI, "dim", 0, "config.dim"),
-        ("saddle", CANONICAL, "problem.theta", [[1.0, 0.0]], "problem.theta"),
-        ("solve-di", DUAL_DI, "field.saddle_dual.theta", [[1.0, 0.0]],
-         "config.field.saddle_dual.theta"),
-        ("saddle", CANONICAL, "problem.kernel", TWO_LAWS, "problem.kernel"),
-        ("solve-di", DUAL_DI, "field.saddle_dual.kernel", TWO_LAWS,
-         "config.field.saddle_dual.kernel"),
-        ("validate", CANONICAL, "problem.kernel", TWO_LAWS, "problem.kernel"),
-        ("validate", CANONICAL, "problem.theta", [[1.0, 0.0]], "problem.theta"),
-        ("saddle", CANONICAL, "noise.kind", "cauchy", "noise"),
-        ("validate", CANONICAL, "noise.kind", "cauchy", "noise"),
-        ("validate", GENERIC, "noise.kind", "cauchy", "noise"),
-        ("validate", CANONICAL, "x0", [1.0], "config.x0"),
-        ("validate", CANONICAL, "y0", [1.0, 2.0], "config.y0"),
-        ("run --replicas 2", GENERIC, "x0", [1.0, 2.0], "config.x0"),
-        ("saddle --replicas 2", CANONICAL, "y0", [1.0, 2.0], "config.y0"),
-        ("solve-di", DUAL_DI, "z0", [0.0, 1.0], "config.z0"),
-        ("validate", DUAL_DI, "z0", [0.0, 1.0], "config.z0"),
-        ("validate", DUAL_DI, "T", MISSING, "config.T"),
-        ("solve-di", SIGN_DI, "dt", 0.0, "config.dt"),
-        ("validate", SIGN_DI, "dt", 0.0, "config.dt"),
-        ("solve-di", SIGN_DI, "T", 1e-4, "config.T"),
-        ("validate", SIGN_DI, "T", 1e-4, "config.T"),
-        ("solve-di", SIGN_DI, "selection", "bogus", "config.selection"),
-        ("validate", SIGN_DI, "selection", "bogus", "config.selection"),
+        pytest.param("saddle", CANONICAL, "x0", [1.0], "config.x0",
+                     id="saddle-base0-x0-value0-config.x0"),
+        pytest.param("saddle", CANONICAL, "x0", ["a", "b"], "config.x0",
+                     id="saddle-base1-x0-value1-config.x0"),
+        pytest.param("saddle", CANONICAL, "y0", [1.0, 2.0], "config.y0",
+                     id="saddle-base2-y0-value2-config.y0"),
+        pytest.param("saddle", CANONICAL, "y0", "z", "config.y0",
+                     id="saddle-base3-y0-z-config.y0"),
+        pytest.param("run", GENERIC, "x0", [1.0, 2.0], "config.x0",
+                     id="run-base4-x0-value4-config.x0"),
+        pytest.param("run", GENERIC, "y0", [], "config.y0",
+                     id="run-base5-y0-value5-config.y0"),
+        pytest.param("run", GENERIC, "s1_0", 1, "config.s1_0",
+                     id="run-base6-s1_0-1-config.s1_0"),
+        pytest.param("run", GENERIC, "s2_0", -1, "config.s2_0",
+                     id="run-base7-s2_0--1-config.s2_0"),
+        pytest.param("run", GENERIC, "d1", 0, "config.d1",
+                     id="run-base8-d1-0-config.d1"),
+        pytest.param("run", GENERIC, "d2", 0, "config.d2",
+                     id="run-base9-d2-0-config.d2"),
+        pytest.param("solve-di", SIGN_DI, "dim", 0, "config.dim",
+                     id="solve-di-base10-dim-0-config.dim"),
+        pytest.param("saddle", CANONICAL, "problem.theta", [[1.0, 0.0]], "problem.theta",
+                     id="saddle-base11-problem.theta-value11-problem.theta"),
+        pytest.param("solve-di", DUAL_DI, "field.saddle_dual.theta", [[1.0, 0.0]],
+                     "config.field.saddle_dual.theta",
+                     id="solve-di-base12-field.saddle_dual.theta-value12"
+                        "-config.field.saddle_dual.theta"),
+        pytest.param("saddle", CANONICAL, "problem.kernel", TWO_LAWS, "problem.kernel",
+                     id="saddle-base13-problem.kernel-value13-problem.kernel"),
+        pytest.param("solve-di", DUAL_DI, "field.saddle_dual.kernel", TWO_LAWS,
+                     "config.field.saddle_dual.kernel",
+                     id="solve-di-base14-field.saddle_dual.kernel-value14"
+                        "-config.field.saddle_dual.kernel"),
+        pytest.param("validate", CANONICAL, "problem.kernel", TWO_LAWS, "problem.kernel",
+                     id="validate-base15-problem.kernel-value15-problem.kernel"),
+        pytest.param("validate", CANONICAL, "problem.theta", [[1.0, 0.0]], "problem.theta",
+                     id="validate-base16-problem.theta-value16-problem.theta"),
+        pytest.param("saddle", CANONICAL, "noise.kind", "cauchy", "noise",
+                     id="saddle-base17-noise.kind-cauchy-noise"),
+        pytest.param("validate", CANONICAL, "noise.kind", "cauchy", "noise",
+                     id="validate-base18-noise.kind-cauchy-noise"),
+        pytest.param("validate", GENERIC, "noise.kind", "cauchy", "noise",
+                     id="validate-base19-noise.kind-cauchy-noise"),
+        pytest.param("validate", CANONICAL, "x0", [1.0], "config.x0",
+                     id="validate-base20-x0-value20-config.x0"),
+        pytest.param("validate", CANONICAL, "y0", [1.0, 2.0], "config.y0",
+                     id="validate-base21-y0-value21-config.y0"),
+        pytest.param("run --replicas 2", GENERIC, "x0", [1.0, 2.0], "config.x0",
+                     id="run --replicas 2-base22-x0-value22-config.x0"),
+        pytest.param("saddle --replicas 2", CANONICAL, "y0", [1.0, 2.0], "config.y0",
+                     id="saddle --replicas 2-base23-y0-value23-config.y0"),
+        pytest.param("solve-di", DUAL_DI, "z0", [0.0, 1.0], "config.z0",
+                     id="solve-di-base24-z0-value24-config.z0"),
+        pytest.param("validate", DUAL_DI, "z0", [0.0, 1.0], "config.z0",
+                     id="validate-base25-z0-value25-config.z0"),
+        pytest.param("validate", DUAL_DI, "T", MISSING, "config.T",
+                     id="validate-base26-T-value26-config.T"),
+        pytest.param("solve-di", SIGN_DI, "dt", 0.0, "config.dt",
+                     id="solve-di-base27-dt-0.0-config.dt"),
+        pytest.param("validate", SIGN_DI, "dt", 0.0, "config.dt",
+                     id="validate-base28-dt-0.0-config.dt"),
+        pytest.param("solve-di", SIGN_DI, "T", 1e-4, "config.T",
+                     id="solve-di-base29-T-0.0001-config.T"),
+        pytest.param("validate", SIGN_DI, "T", 1e-4, "config.T",
+                     id="validate-base30-T-0.0001-config.T"),
+        pytest.param("solve-di", SIGN_DI, "selection", "bogus", "config.selection",
+                     id="solve-di-base31-selection-bogus-config.selection"),
+        pytest.param("validate", SIGN_DI, "selection", "bogus", "config.selection",
+                     id="validate-base32-selection-bogus-config.selection"),
         # Non-finite problem data, and a radius whose square overflows.
-        *(
-            (command, CANONICAL, field, value, "problem")
-            for command in ("saddle", "validate")
-            for field, value in [
-                ("problem.radius", math.inf),
-                ("problem.radius", math.nan),
-                ("problem.radius", 1e200),
-                ("problem.epsilon", math.nan),
-                ("problem.growth", math.nan),
-                ("problem.theta", [[math.nan, 0.0], [0.0, 1.0]]),
-                ("problem.w", [[math.inf], [0.0]]),
-            ]
-        ),
+        pytest.param("saddle", CANONICAL, "problem.radius", math.inf, "problem",
+                     id="saddle-base33-problem.radius-inf-problem"),
+        pytest.param("saddle", CANONICAL, "problem.radius", math.nan, "problem",
+                     id="saddle-base34-problem.radius-nan-problem"),
+        pytest.param("saddle", CANONICAL, "problem.radius", 1e200, "problem",
+                     id="saddle-base35-problem.radius-1e+200-problem"),
+        pytest.param("saddle", CANONICAL, "problem.epsilon", math.nan, "problem",
+                     id="saddle-base36-problem.epsilon-nan-problem"),
+        pytest.param("saddle", CANONICAL, "problem.growth", math.nan, "problem",
+                     id="saddle-base37-problem.growth-nan-problem"),
+        pytest.param("saddle", CANONICAL, "problem.theta", [[math.nan, 0.0], [0.0, 1.0]],
+                     "problem",
+                     id="saddle-base38-problem.theta-value38-problem"),
+        pytest.param("saddle", CANONICAL, "problem.w", [[math.inf], [0.0]], "problem",
+                     id="saddle-base39-problem.w-value39-problem"),
+        pytest.param("validate", CANONICAL, "problem.radius", math.inf, "problem",
+                     id="validate-base40-problem.radius-inf-problem"),
+        pytest.param("validate", CANONICAL, "problem.radius", math.nan, "problem",
+                     id="validate-base41-problem.radius-nan-problem"),
+        pytest.param("validate", CANONICAL, "problem.radius", 1e200, "problem",
+                     id="validate-base42-problem.radius-1e+200-problem"),
+        pytest.param("validate", CANONICAL, "problem.epsilon", math.nan, "problem",
+                     id="validate-base43-problem.epsilon-nan-problem"),
+        pytest.param("validate", CANONICAL, "problem.growth", math.nan, "problem",
+                     id="validate-base44-problem.growth-nan-problem"),
+        pytest.param("validate", CANONICAL, "problem.theta", [[math.nan, 0.0], [0.0, 1.0]],
+                     "problem",
+                     id="validate-base45-problem.theta-value45-problem"),
+        pytest.param("validate", CANONICAL, "problem.w", [[math.inf], [0.0]], "problem",
+                     id="validate-base46-problem.w-value46-problem"),
         # theta and w whose columns do not match C's d1 and d2.
-        *(
-            (command, CANONICAL, field, value, field)
-            for command in ("saddle", "validate")
-            for field, value in [
-                ("problem.theta", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
-                ("problem.w", [[2.0, 0.0], [0.0, 0.0]]),
-            ]
-        ),
+        pytest.param("saddle", CANONICAL, "problem.theta",
+                     [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "problem.theta",
+                     id="saddle-base47-problem.theta-value47-problem.theta"),
+        pytest.param("saddle", CANONICAL, "problem.w", [[2.0, 0.0], [0.0, 0.0]],
+                     "problem.w",
+                     id="saddle-base48-problem.w-value48-problem.w"),
+        pytest.param("validate", CANONICAL, "problem.theta",
+                     [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "problem.theta",
+                     id="validate-base49-problem.theta-value49-problem.theta"),
+        pytest.param("validate", CANONICAL, "problem.w", [[2.0, 0.0], [0.0, 0.0]],
+                     "problem.w",
+                     id="validate-base50-problem.w-value50-problem.w"),
         # A kernel row with NaN, which passes both sign and sum checks.
-        ("saddle", CANONICAL, "problem.kernel", NAN_KERNEL, "problem.kernel"),
-        ("validate", CANONICAL, "problem.kernel", NAN_KERNEL, "problem.kernel"),
-        ("solve-di", DUAL_DI, "field.saddle_dual.kernel", NAN_KERNEL,
-         "config.field.saddle_dual.kernel"),
+        pytest.param("saddle", CANONICAL, "problem.kernel", NAN_KERNEL, "problem.kernel",
+                     id="saddle-base51-problem.kernel-value51-problem.kernel"),
+        pytest.param("validate", CANONICAL, "problem.kernel", NAN_KERNEL, "problem.kernel",
+                     id="validate-base52-problem.kernel-value52-problem.kernel"),
+        pytest.param("solve-di", DUAL_DI, "field.saddle_dual.kernel", NAN_KERNEL,
+                     "config.field.saddle_dual.kernel",
+                     id="solve-di-base53-field.saddle_dual.kernel-value53"
+                        "-config.field.saddle_dual.kernel"),
         # Non-finite starting iterates.
-        *(
-            (command, base, field, value, f"config.{field}")
-            for command, base, field, value in [
-                ("saddle", CANONICAL, "x0", [math.nan, 0.0]),
-                ("saddle", CANONICAL, "y0", [math.inf]),
-                ("run", GENERIC, "x0", [math.nan]),
-                ("run", GENERIC, "y0", [-math.inf]),
-                ("solve-di", SIGN_DI, "z0", [math.nan]),
-                ("validate", CANONICAL, "x0", [math.nan, 0.0]),
-                ("validate", CANONICAL, "y0", [math.inf]),
-                ("validate", GENERIC, "x0", [math.nan]),
-                ("validate", SIGN_DI, "z0", [math.inf]),
-            ]
-        ),
+        pytest.param("saddle", CANONICAL, "x0", [math.nan, 0.0], "config.x0",
+                     id="saddle-base54-x0-value54-config.x0"),
+        pytest.param("saddle", CANONICAL, "y0", [math.inf], "config.y0",
+                     id="saddle-base55-y0-value55-config.y0"),
+        pytest.param("run", GENERIC, "x0", [math.nan], "config.x0",
+                     id="run-base56-x0-value56-config.x0"),
+        pytest.param("run", GENERIC, "y0", [-math.inf], "config.y0",
+                     id="run-base57-y0-value57-config.y0"),
+        pytest.param("solve-di", SIGN_DI, "z0", [math.nan], "config.z0",
+                     id="solve-di-base58-z0-value58-config.z0"),
+        pytest.param("validate", CANONICAL, "x0", [math.nan, 0.0], "config.x0",
+                     id="validate-base59-x0-value59-config.x0"),
+        pytest.param("validate", CANONICAL, "y0", [math.inf], "config.y0",
+                     id="validate-base60-y0-value60-config.y0"),
+        pytest.param("validate", GENERIC, "x0", [math.nan], "config.x0",
+                     id="validate-base61-x0-value61-config.x0"),
+        pytest.param("validate", SIGN_DI, "z0", [math.inf], "config.z0",
+                     id="validate-base62-z0-value62-config.z0"),
     ])
     def test_value_the_constructors_refuse_named(
         self, tmp_path, capsys, command, base, field, value, named
@@ -691,6 +761,15 @@ class TestConfigErrors:
         assert err.startswith(f"{named}: ")
         # Refused before anything runs: nothing is written.
         assert not (tmp_path / "out").exists()
+
+    def test_refusal_ids_unique(self):
+        (mark,) = [
+            m for m in self.test_value_the_constructors_refuse_named.pytestmark
+            if m.name == "parametrize"
+        ]
+        ids = [case.id for case in mark.args[1]]
+        assert None not in ids
+        assert len(set(ids)) == len(ids)
 
 
     @pytest.mark.parametrize("command, name, patch, named", [

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
 
+import twoscale.dynamics as dynamics
 from twoscale.convex import (
     PROJECTION_TOL,
     ConvexSet,
@@ -17,6 +18,7 @@ from twoscale.convex import (
     support,
     unit_ball_set,
 )
+from twoscale.dynamics import select_velocity
 
 RNG = np.random.default_rng(1234)
 
@@ -415,6 +417,60 @@ class TestProjectExact:
         pr = project(ConvexSet(V), np.array([0.3, -10.0]))
         assert np.array_equal(pr, V[3])
         assert {tuple(h) for h in _hull_2d(V)} == {tuple(V[0]), tuple(V[3])}
+
+
+def fresh_least_norm(V):
+    """The least-norm rule on a new set: the projection of the origin,
+    snapped to exact zeros within 1e-12 (1 + max_norm)."""
+    K = ConvexSet(V)
+    v = project(K, np.zeros(K.dim))
+    if float(np.linalg.norm(v)) <= 1e-12 * (1.0 + K.max_norm()):
+        return np.zeros(K.dim)
+    return v
+
+
+class TestLeastNormCache:
+    @PROPERTY
+    @given(st.sampled_from([1, 2, 3]).flatmap(CASES.get), st.booleans())
+    def test_equals_fresh_projection(self, case, centred):
+        # Centred clouds hold the origin, where the snap decides the value.
+        V, _ = case
+        if centred:
+            V = V - V.mean(axis=0)
+        K = ConvexSet(V)
+        first = select_velocity(K, "least_norm", None, 0.1)
+        assert select_velocity(K, "least_norm", None, 0.1) is first
+        assert not first.flags.writeable
+        want = fresh_least_norm(K.points.copy())
+        assert first.dtype == want.dtype and first.shape == want.shape
+        assert first.tobytes() == want.tobytes()
+
+    def test_projected_once_per_set(self, monkeypatch):
+        calls = []
+
+        def counted(K, p):
+            calls.append(1)
+            return project(K, p)
+
+        monkeypatch.setattr(dynamics, "project", counted)
+        K = ConvexSet(RNG.standard_normal((12, 2)) + 3.0)
+        assert not hasattr(K, "_least_norm")
+        v = select_velocity(K, "least_norm", None, 0.1)
+        for _ in range(3):
+            assert select_velocity(K, "least_norm", None, 0.1) is v
+        assert len(calls) == 1 and K._least_norm is v
+        with pytest.raises(ValueError, match="read-only"):
+            v[0] = 0.0
+        assert not hasattr(K.translate(np.ones(2)), "_least_norm")
+
+    def test_other_rules_not_cached(self):
+        K = ConvexSet([[-1.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+        z = np.zeros(2)
+        t1 = select_velocity(K, "target", z, 0.1, target=np.array([5.0, 0.0]))
+        t2 = select_velocity(K, "target", z, 0.1, target=np.array([-5.0, 0.0]))
+        assert t1[0] > 0.0 > t2[0]
+        select_velocity(K, "random_vertex", z, 0.1, rng=np.random.default_rng(0))
+        assert not hasattr(K, "_least_norm")
 
 
 def support_sweep(V, n=20_000):

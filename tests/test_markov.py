@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from twoscale.markov import (
     FiniteKernel,
     SlowMeasure,
+    next_state,
     sample_next,
     slow_measure_family,
     stationary_set,
@@ -134,6 +135,48 @@ class TestSampleNext:
         K = FiniteKernel.constant([[1.0]])
         with pytest.raises(ValueError):
             sample_next(K, Y, Y, 3, np.random.default_rng(0))
+
+
+def draw_rows(rng, count):
+    """Rows of 1-6 entries: stochastic, with zeros, summing short of 1, and
+    with negative entries, whose partial sums are not monotone."""
+    for i in range(count):
+        n = int(rng.integers(1, 7))
+        kind = i % 4
+        if kind == 0:
+            row = rng.dirichlet(np.ones(n))
+        elif kind == 1:
+            row = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.6)
+        elif kind == 2:
+            row = rng.dirichlet(np.ones(n)) * (1.0 - 1e-3 * rng.random())
+        else:
+            row = rng.normal(0.3, 0.5, n)
+        yield row
+
+
+class TestNextState:
+    def test_matches_searchsorted_on_cumsum(self):
+        # The helper sums and bisects on Python floats; the formula is the
+        # numpy one it replaces.  u runs over random draws, the ends of
+        # [0, 1) and every partial sum with its neighbouring doubles.
+        rng = np.random.default_rng(2026)
+        for row in draw_rows(rng, 4000):
+            n = len(row)
+            K = FiniteKernel(n, lambda x, y, s, r=row: r)
+            cum = np.cumsum(row)
+            us = [rng.random(), 0.0, np.nextafter(1.0, 0.0)]
+            for c in cum:
+                us += [c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf)]
+            for u in us:
+                want = int(min(np.searchsorted(cum, u), n - 1))
+                assert next_state(K, Y, Y, 0, float(u)) == want
+
+    def test_goes_through_the_row_oracle(self):
+        K = FiniteKernel(2, lambda x, y, s: np.array([0.5, 0.5, 0.0]))
+        with pytest.raises(ValueError, match="shape"):
+            next_state(K, Y, Y, 0, 0.3)
+        with pytest.raises(ValueError, match="outside alphabet"):
+            next_state(K, Y, Y, 2, 0.3)
 
 
 class TestSlowMeasureFamily:

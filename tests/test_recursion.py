@@ -1,6 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import twoscale.convex as convex
+import twoscale.dynamics as dynamics
+from twoscale.cli import NAMED_KERNELS, drift_map
 from twoscale.convex import ConvexSet
 from twoscale.dynamics import select_velocity
 from twoscale.markov import FiniteKernel
@@ -371,7 +376,13 @@ def reference_run(
     selection_fast="least_norm", selection_slow="least_norm",
     share_noise_chain=False, divergence_bound=1e12,
 ):
-    """One set evaluation, selection, noise draw and chain draw per step."""
+    """One set evaluation, selection, noise draw and chain draw per step.
+
+    Each selection runs on a fresh copy of the drift's set, so no value kept
+    on a shared set (``ConvexSet._least_norm``) reaches the reference.  The
+    copy skips the constructor's checks, so a non-finite point still reaches
+    the divergence check, as in ``run``.
+    """
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     d1, d2 = H1.dims[0], H2.dims[1]
@@ -391,8 +402,10 @@ def reference_run(
     for n in range(N):
         x, y = X[n], Y[n]
         s1, s2 = int(S1[n]), int(S2[n])
-        v1 = select_velocity(H1(x, y, s1), selection_fast, x, a[n], rng=rng)
-        v2 = select_velocity(H2(x, y, s2), selection_slow, y, b[n], rng=rng)
+        K1n = ConvexSet._trusted(H1(x, y, s1).points.copy())
+        K2n = ConvexSet._trusted(H2(x, y, s2).points.copy())
+        v1 = select_velocity(K1n, selection_fast, x, a[n], rng=rng)
+        v2 = select_velocity(K2n, selection_slow, y, b[n], rng=rng)
         m1 = _reference_draw(noise, rng, noise.fast_scale, d1)
         m2 = _reference_draw(noise, rng, noise.slow_scale, d2)
         V1[n], V2[n], M1[n], M2[n] = v1, v2, m1, m2
@@ -421,11 +434,13 @@ def pointed_map(fn, dims, alphabet, with_point=True, growth=1.0):
     )
 
 
-def kink_map(dims, alphabet, with_point=True, calls=None):
+def kink_map(dims, alphabet, with_point=True, calls=None, shared=False):
     """-sign(x_0) in every coordinate, shifted by the state; the segment
     [-1, 1]^k for |x_0| < 1/4.  ``calls`` collects one entry per set
-    evaluation."""
+    evaluation.  ``shared`` returns one prebuilt segment at every kink
+    evaluation, as the ``sign`` z-map does."""
     k = dims[2]
+    segment = ConvexSet(np.vstack([-np.ones(k), np.ones(k)]))
 
     def point(x, y, s):
         if abs(x[0]) < 0.25:
@@ -437,7 +452,7 @@ def kink_map(dims, alphabet, with_point=True, calls=None):
             calls.append(1)
         p = point(x, y, s)
         if p is None:
-            return ConvexSet(np.vstack([-np.ones(k), np.ones(k)]))
+            return segment if shared else ConvexSet(segment.points)
         return ConvexSet.singleton(p)
 
     return SetValuedMap(
@@ -480,6 +495,12 @@ EQUIVALENCE_CASES = {
     "iterate_kernel_shared": dict(
         noise=GAUSSIAN, K1=threshold_kernel(), share_noise_chain=True
     ),
+    # The set-valued benchmark's shape: the fast iterate comes to rest on a
+    # kink whose value is one set object, under iterate-dependent chains.
+    "shared_kink_iterate_kernel": dict(
+        noise=NoiseModel(fast_scale=0.0, slow_scale=0.2), kink=True, shared=True,
+        K1=threshold_kernel(), K2=threshold_kernel(),
+    ),
     "no_point_forms": dict(noise=UNIFORM, with_point=False),
     "no_point_kink_random_vertex": dict(
         noise=UNIFORM, kink=True, with_point=False, selection_fast="random_vertex",
@@ -487,10 +508,12 @@ EQUIVALENCE_CASES = {
 }
 
 
-def equivalence_setup(kink=False, with_point=True, K1=CONST2, K2=CONST2, **kw):
+def equivalence_setup(
+    kink=False, with_point=True, K1=CONST2, K2=CONST2, shared=False, **kw
+):
     dims1, dims2 = (2, 1, 2), (2, 1, 1)
     if kink:
-        H1 = kink_map(dims1, 2, with_point)
+        H1 = kink_map(dims1, 2, with_point, shared=shared)
     else:
         H1 = pointed_map(lambda x, y, s: -x + (0.5 * s) * y[0], dims1, 2, with_point)
     H2 = pointed_map(lambda x, y, s: x[:1] - y - 0.25 * s, dims2, 2, with_point)
@@ -514,13 +537,15 @@ class TestBlockRunMatchesReference:
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
 
-    @pytest.mark.parametrize(
-        "case", ["random_vertex_kink", "least_norm_kink", "kink_with_noise"]
-    )
+    @pytest.mark.parametrize("case", [
+        "random_vertex_kink", "least_norm_kink", "kink_with_noise",
+        "shared_kink_iterate_kernel",
+    ])
     def test_kink_cases_take_both_paths(self, case):
-        (_, H2, K1, K2, *rest), kw = equivalence_setup(**EQUIVALENCE_CASES[case])
+        spec = EQUIVALENCE_CASES[case]
+        (_, H2, K1, K2, *rest), kw = equivalence_setup(**spec)
         calls = []
-        H1 = kink_map((2, 1, 2), 2, calls=calls)
+        H1 = kink_map((2, 1, 2), 2, calls=calls, shared=spec.get("shared", False))
         traj = run(H1, H2, K1, K2, *rest, N=1025, seed=2024, **kw)
         assert 0 < len(calls) < 1025
         if case == "random_vertex_kink":
@@ -606,3 +631,34 @@ class TestBlockRunMatchesReference:
     def test_noise_scale_must_be_finite(self, scale):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             NoiseModel(fast_scale=scale)
+
+
+class TestSetValuedStepCost:
+    def test_shared_kink_projected_once(self, monkeypatch):
+        # The set-valued benchmark's shape: sign_fast held at its kink, whose
+        # value is one set, and the x_threshold chain on the fast scale.  The
+        # set is projected once; the chain's row is read once per step.
+        H1 = drift_map("sign_fast", 1, 1, 2)
+        H2 = drift_map("negate_y", 1, 1, 2)
+        K1 = NAMED_KERNELS["x_threshold"](2)
+        K2 = FiniteKernel.constant([[0.5, 0.5], [0.5, 0.5]])
+        calls = Counter()
+
+        def count(owner, name):
+            orig = getattr(owner, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return orig(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(convex, "project")
+        count(dynamics, "project")
+        count(FiniteKernel, "row")
+        traj = run(
+            H1, H2, K1, K2, StepSchedule(alpha=0.6, beta=0.9), [0.0], [0.7], 0, 0,
+            N=5000, seed=11, noise=NoiseModel(fast_scale=0.0, slow_scale=0.5),
+        )
+        assert not traj.X.any() and not traj.V1.any()
+        assert calls == {"project": 1, "row": 5000}

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from twoscale.convex import ConvexSet, direction_net, hausdorff, support
+from twoscale.convex import (
+    ConvexSet,
+    direction_net,
+    hausdorff,
+    minkowski_combine,
+    support,
+    unit_ball_set,
+)
 from twoscale.markov import FiniteKernel
 from twoscale.recursion import StepSchedule, run
 from twoscale.svmaps import (
@@ -303,6 +310,31 @@ class TestUpperApprox:
             assert d <= (3 * 1 + 1) * 2**-l + 1e-9
             dists.append(d)
         assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
+
+    @pytest.mark.parametrize("l", [1, 2, 5])
+    def test_1d_net_evaluates_the_base_point_once(self, l):
+        # The evenly spaced net of [-1, 1] holds 0.0; with the origin that
+        # leads the net it would be evaluated twice.  The value is the one
+        # the net with the duplicate gives, byte for byte.
+        calls = []
+
+        def evaluate(x, y, s):
+            calls.append(float(x[0]))
+            return ConvexSet([x - 0.5 * x**2, x + np.sin(3.0 * x)])
+
+        F = SetValuedMap(dims=(1, 0, 1), alphabet=1, evaluate=evaluate, growth_K=4.0)
+        level = ApproxLevel.for_map(F, l)
+        x = np.array([0.7])
+        K = upper_approx(F, level, x, Y0, 0)
+        assert len(calls) == level.net_size - 1 == {1: 15, 2: 31, 5: 255}[l]
+        assert calls.count(0.7) == 1
+        net = np.concatenate([[0.0], np.linspace(-1.0, 1.0, level.net_size - 1)])
+        union = np.vstack([evaluate(x + t * level.radius, Y0, 0).points for t in net])
+        want = minkowski_combine(
+            [1.0, level.inflation], [ConvexSet(union).reduced(), unit_ball_set(1)]
+        )
+        assert K.points.shape == want.points.shape
+        assert K.points.tobytes() == want.points.tobytes()
 
     def test_growth_transfer(self):
         F = linear_map()
