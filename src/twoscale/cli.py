@@ -71,12 +71,15 @@ def _get(cfg: dict, key: str, path: str, required: bool = True, default=None):
 
 def _number(cfg: dict, key: str, path: str, default=None, kind=float, low=None):
     """A numeric field as ``kind``, required when it has no default; a
-    non-numeric value, or one below ``low``, is a ``ConfigError`` naming the
-    field."""
+    non-numeric value, a float that is not integral where ``kind`` is int
+    (such as 1.5 or inf), or one below ``low``, is a ``ConfigError`` naming
+    the field."""
     value = _get(cfg, key, path, required=default is None, default=default)
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
     try:
         value = kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{path}.{key}: expected a number, got {value!r}") from None
     if low is not None and not value >= low:
         raise ConfigError(f"{path}.{key}: must be >= {low}, got {value}")
@@ -613,8 +616,8 @@ def _build_di_field(cfg: dict):
 
 def _di_settings(cfg: dict, field: MeanField):
     """``(z0, T, dt)`` of a ``di`` config, checked as ``di_solve`` would check
-    them.  The selection rule must be ``least_norm``: the other rules need a
-    target, a ball point or an RNG, which no config key supplies."""
+    them.  ``di_solve`` steps by the least-norm selection, so ``selection``,
+    where a config sets it, must be ``least_norm``."""
     z0 = _vector(_get(cfg, "z0", "config"), field.dim, "config.z0")
     T = _number(cfg, "T", "config")
     dt = _number(cfg, "dt", "config")

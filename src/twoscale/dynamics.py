@@ -1,16 +1,15 @@
 """Differential inclusions: explicit-Euler solving and dynamical diagnostics.
 
-Solutions are built by choosing one admissible velocity per step.  The
-default Filippov-style choice is the least-norm element, which makes sliding
-modes and equilibria fixed points of the integrator; target and
-parametrized selections probe other branches of the solution set.
+Solutions step by one admissible velocity per step, the Filippov-style
+least-norm element, which makes sliding modes and equilibria fixed points of
+the integrator.  The probes follow other branches of the solution set on
+single-valued fields of parametrized or target-steered selections.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -130,74 +129,42 @@ class DIPath:
         )
 
 
-def select_velocity(
-    K: ConvexSet,
-    rule: str,
-    z,
-    dt: float,
-    target: Optional[np.ndarray] = None,
-    u: Optional[np.ndarray] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Pick one admissible velocity from a set by the named rule.
+def select_velocity(K: ConvexSet) -> np.ndarray:
+    """The least-norm element of a set: the velocity every driver steps by.
 
-    A singleton gives its point.  ``least_norm`` gives the projection of the
-    origin, snapped to exact zeros within ``1e-12 (1 + max_norm)``; it is
-    computed the first time a set needs it, then kept read-only in the set's
+    A singleton gives its point.  Otherwise the projection of the origin,
+    snapped to exact zeros within ``1e-12 (1 + max_norm)``; it is computed
+    the first time a set needs it, then kept read-only in the set's
     ``_least_norm`` slot, so a set shared across steps is projected once.
-    The other rules depend on their arguments and are computed every call.
     """
     if K.n_points == 1:
         return K.points[0]
-    if rule == "least_norm":
-        try:
-            return K._least_norm
-        except AttributeError:
-            pass
-        v = project(K, np.zeros(K.dim))
-        # Equilibria must be exact fixed points of the integrator.
-        if float(np.linalg.norm(v)) <= 1e-12 * (1.0 + K.max_norm()):
-            v = np.zeros(K.dim)
-        v.flags.writeable = False
-        K._least_norm = v
-        return v
-    if rule == "target":
-        if target is None:
-            raise ValueError("target rule needs a target point")
-        gap = np.asarray(target, dtype=float) - np.asarray(z, dtype=float)
-        return project(K, gap / max(dt, float(np.linalg.norm(gap))))
-    if rule == "param":
-        if u is None:
-            raise ValueError("param rule needs a ball point u")
-        c = K.centroid()
-        R = float(np.linalg.norm(K.points - c, axis=1).max()) + 1e-12
-        return parametrize(K, u, R)
-    if rule == "random_vertex":
-        if rng is None:
-            raise ValueError("random_vertex rule needs an rng")
-        return K.points[rng.integers(K.n_points)]
-    raise ValueError(f"unknown selection rule {rule!r}")
+    try:
+        return K._least_norm
+    except AttributeError:
+        pass
+    v = project(K, np.zeros(K.dim))
+    # Equilibria must be exact fixed points of the integrator.
+    if float(np.linalg.norm(v)) <= 1e-12 * (1.0 + K.max_norm()):
+        v = np.zeros(K.dim)
+    v.flags.writeable = False
+    K._least_norm = v
+    return v
 
 
-def di_solve(
-    H: MeanField,
-    z0,
-    T: float,
-    dt: float,
-    selection: str = "least_norm",
-    target: Optional[np.ndarray] = None,
-    u: Optional[np.ndarray] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> DIPath:
-    """Explicit Euler integration of dz/dt in H(z) with a selection rule.
+def di_solve(H: MeanField, z0, T: float, dt: float) -> DIPath:
+    """Explicit Euler integration of dz/dt in H(z), stepping by the
+    least-norm selection.
 
     A field without ``evaluate_rows`` is evaluated as a set at every step
-    and the rule picks the velocity (``select_velocity``).
+    and ``select_velocity`` picks the velocity.  To follow another branch
+    of the solution set, pass a single-valued field whose value is the
+    chosen element (as ``attractor_check`` and ``chain_search`` do).
 
-    A field with ``evaluate_rows`` is single-valued, so the rule is moot;
-    such a field also takes a 2-d ``z0`` of shape ``(R, dim)``, R starts
-    stepped at once, and the result is one batched ``DIPath`` whose column r
-    is the path from ``z0[r]``.  Its knots are taken in blocks of
+    A field with ``evaluate_rows`` is single-valued, so no selection is
+    made; such a field also takes a 2-d ``z0`` of shape ``(R, dim)``, R
+    starts stepped at once, and the result is one batched ``DIPath`` whose
+    column r is the path from ``z0[r]``.  Its knots are taken in blocks of
     m = max(1, ROWS // R), each solved by waveform relaxation: a sweep
     evaluates the velocities of the block's unsettled knots in one call and
     rebuilds the states as a cumulative sum, which keeps
@@ -227,9 +194,7 @@ def di_solve(
         sels = np.empty((n,) + z0.shape)
         states[0] = z0
         for i in range(n):
-            sels[i] = select_velocity(
-                H(states[i]), selection, states[i], dt, target=target, u=u, rng=rng
-            )
+            sels[i] = select_velocity(H(states[i]))
             states[i + 1] = states[i] + dt * sels[i]
     max_norm = float(np.linalg.norm(states, axis=-1).max())
     if dt * H.growth_K * (1.0 + max_norm) > 0.1:
@@ -308,6 +273,37 @@ def _sweep_block(rows, S: np.ndarray, V: np.ndarray, dt: float) -> None:
         S[j + 1] = S[j] + dt * V[j]
 
 
+def _selection_field(H: MeanField, select) -> MeanField:
+    """The single-valued field whose value at z is the singleton of
+    ``select(H(z), z)``, or H(z) itself where that is a singleton."""
+
+    def evaluate(z):
+        K = H(z)
+        return K if K.n_points == 1 else ConvexSet.singleton(select(K, z))
+
+    return MeanField(evaluate=evaluate, dim=H.dim, growth_K=H.growth_K)
+
+
+def _param_field(H: MeanField, u) -> MeanField:
+    """Selections ``parametrize(K, u, R)``, R the largest generator distance
+    from the centroid plus 1e-12."""
+    return _selection_field(H, lambda K, z: parametrize(
+        K, u, float(np.linalg.norm(K.points - K.centroid(), axis=1).max()) + 1e-12
+    ))
+
+
+def _target_field(H: MeanField, target, dt: float) -> MeanField:
+    """Selections nearest ``gap / max(dt, |gap|)``, gap = target - z: a step
+    of dt toward the target where the set allows it."""
+    target = np.asarray(target, dtype=float)
+
+    def toward(K, z):
+        gap = target - z
+        return project(K, gap / max(dt, float(np.linalg.norm(gap))))
+
+    return _selection_field(H, toward)
+
+
 def limit_set(path: DIPath, burn_in: float, tol: float = 1e-3) -> np.ndarray:
     """Representatives of the path's tail after ``burn_in``.
 
@@ -339,8 +335,9 @@ def attractor_check(
 ):
     """Empirical attracting-set test around the point cloud ``A``.
 
-    Starts are sampled in the radius-neighborhood of A; each runs under the
-    least-norm rule plus four random parametrized selections.  Returns
+    Starts are sampled in the radius-neighborhood of A; each runs on H
+    itself (the least-norm selection) and on four fields of random
+    parametrized selections (``_param_field``).  Returns
     (status, witness) with status ``"attracting"`` when every path enters
     and stays in the eps-neighborhood by T_max, ``"not_attracting"`` when a
     path ends outside it, and ``"inconclusive"`` when a path is still
@@ -357,11 +354,10 @@ def attractor_check(
     def dist_to_A(z):
         return float(np.linalg.norm(A - z, axis=1).min())
 
-    selections = [("least_norm", None)]
+    fields = [H]
     for _ in range(4):
         raw = rng.standard_normal(H.dim)
-        u = raw / max(1.0, float(np.linalg.norm(raw)))
-        selections.append(("param", u))
+        fields.append(_param_field(H, raw / max(1.0, float(np.linalg.norm(raw)))))
 
     for _ in range(n_starts):
         anchor = A[rng.integers(len(A))]
@@ -370,8 +366,8 @@ def attractor_check(
             1e-12, float(np.linalg.norm(offset))
         )
         z0 = anchor + offset
-        for rule, u in selections:
-            path = di_solve(H, z0, T_max, dt, selection=rule, u=u, rng=rng)
+        for field in fields:
+            path = di_solve(field, z0, T_max, dt)
             dists = np.array([dist_to_A(z) for z in path.states])
             inside = dists <= eps
             if inside.any():
@@ -414,15 +410,18 @@ def chain_search(
     lands within eps of ``b``; returns ``"not_found"`` when the budget is
     exhausted.  Absence of a chain within budget never disproves chain
     transitivity.
+    Each fragment follows, with probability 0.75, the selection steered
+    toward ``b`` (``_target_field``), and otherwise the least-norm one.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     rng = np.random.default_rng(seed)
+    toward_b = _target_field(H, b, dt)
     for _ in range(n_attempts):
         z = a + eps * rng.standard_normal(H.dim) / max(1.0, np.sqrt(H.dim))
         for _ in range(max_fragments):
-            rule = "target" if rng.random() < 0.75 else "least_norm"
-            path = di_solve(H, z, T=T, dt=dt, selection=rule, target=b)
+            field = toward_b if rng.random() < 0.75 else H
+            path = di_solve(field, z, T=T, dt=dt)
             end = path.states[-1]
             if float(np.linalg.norm(end - b)) <= eps:
                 return "found"

@@ -171,10 +171,15 @@ def next_state(K: FiniteKernel, x, y, s: int, u: float) -> int:
     searched by ``bisect_left``; the index is clipped to the last state.
     Both steps match numpy's, so this is ``min(np.searchsorted(
     np.cumsum(row), u), n - 1)`` on every row, but without numpy's per-call
-    overhead, which dominates on rows this short.
+    overhead, which dominates on rows this short.  A row whose last partial
+    sum is not within ``ROW_TOL`` of 1 (also caught: NaN and inf), or with
+    an entry below ``-ROW_TOL``, is refused.
     """
     row = K.row(x, y, s).tolist()
-    return min(bisect_left(list(accumulate(row)), u), len(row) - 1)
+    cum = list(accumulate(row))
+    if not (abs(cum[-1] - 1.0) <= ROW_TOL and min(row) >= -ROW_TOL):
+        raise ValueError(f"kernel row for state {s} is not a probability row: {row}")
+    return min(bisect_left(cum, u), len(row) - 1)
 
 
 def constant_walk(K: FiniteKernel, s: int, u: np.ndarray) -> list:

@@ -230,8 +230,6 @@ def run(
     N: int,
     seed: int,
     noise: NoiseModel = NoiseModel(),
-    selection_fast: str = "least_norm",
-    selection_slow: str = "least_norm",
     share_noise_chain: bool = False,
 ) -> Trajectory:
     """Drive the coupled recursion for N steps, deterministic given seed.
@@ -243,15 +241,12 @@ def run(
     index; no stabilization device is applied.
 
     Each drift's point form, where it has one, gives the velocity; only
-    where it returns ``None`` is the set evaluated and a velocity selected.
-    The RNG stream is consumed in a fixed per-step order: the fast
-    selection's draw, the slow selection's draw (only ``random_vertex`` on
-    a set with more than one generator draws), the fast noise, the slow
-    noise, the chain-1 uniform, then the chain-2 uniform (none for a shared
-    chain).  Noise and uniforms are drawn for blocks of up to
-    ``BLOCK_STEPS`` steps at once (``NoiseModel.draw_block``), which keeps
-    that order; a ``random_vertex`` rule draws mid-step, so it makes every
-    block one step long.  A constant kernel's states for a block come from
+    where it returns ``None`` is the set evaluated and its least-norm
+    element taken (``select_velocity``), which draws nothing.  The RNG
+    stream is read only through ``NoiseModel.draw_block``, for blocks of up
+    to ``BLOCK_STEPS`` steps, in a fixed per-step order: the fast noise, the
+    slow noise, the chain-1 uniform, then the chain-2 uniform (none for a
+    shared chain).  A constant kernel's states for a block come from
     ``constant_walk``; an iterate-dependent kernel evaluates its row at the
     step-n iterates.
     """
@@ -286,25 +281,11 @@ def run(
     k1, k2 = (H1.dims[2],), (H2.dims[2],)
     walk1 = K1.matrix is not None
     walk2 = K2.matrix is not None and not share_noise_chain
-    block = 1 if "random_vertex" in (selection_fast, selection_slow) else BLOCK_STEPS
     bound = DIVERGENCE_BOUND
     start = end = 0
     for n in range(N):
-        x, y = X[n], Y[n]
-        v1 = None if point1 is None else point1(x, y, s1)
-        if v1 is None:
-            v1 = select_velocity(H1(x, y, s1), selection_fast, x, a[n], rng=rng)
-        elif v1.shape != k1:
-            raise H1.dim_error(v1.shape[0] if v1.ndim == 1 else v1.shape)
-        v2 = None if point2 is None else point2(x, y, s2)
-        if v2 is None:
-            v2 = select_velocity(H2(x, y, s2), selection_slow, y, b[n], rng=rng)
-        elif v2.shape != k2:
-            raise H2.dim_error(v2.shape[0] if v2.ndim == 1 else v2.shape)
         if n == end:
-            # After this step's selections: a one-step block keeps a
-            # random_vertex draw ahead of the step's noise.
-            start, end = n, min(n + block, N)
+            start, end = n, min(n + BLOCK_STEPS, N)
             m1, m2, U = noise.draw_block(
                 rng, end - start, d1, d2, 1 if share_noise_chain else 2
             )
@@ -317,6 +298,17 @@ def run(
             if not share_noise_chain:
                 u2 = U[:, 1]
                 next2 = constant_walk(K2, s2, u2) if walk2 else u2.tolist()
+        x, y = X[n], Y[n]
+        v1 = None if point1 is None else point1(x, y, s1)
+        if v1 is None:
+            v1 = select_velocity(H1(x, y, s1))
+        elif v1.shape != k1:
+            raise H1.dim_error(v1.shape[0] if v1.ndim == 1 else v1.shape)
+        v2 = None if point2 is None else point2(x, y, s2)
+        if v2 is None:
+            v2 = select_velocity(H2(x, y, s2))
+        elif v2.shape != k2:
+            raise H2.dim_error(v2.shape[0] if v2.ndim == 1 else v2.shape)
         V1[n] = v1
         V2[n] = v2
         X[n + 1] = xn = x + a[n] * (v1 + M1[n])
@@ -400,11 +392,11 @@ def interpolation_gap(
     logged selected velocities (the realized values of every level's
     parametrized drift, so no level needs choosing); the supremum of the gap
     to the logged path over a window of clock length ``T`` is returned per
-    window, for trend testing against the noise partial-sum bound.  A window from slow time t holds the knots whose time
-    lies in [t, t + T] (at least two) and is re-integrated from the first of
-    them.  Up to ``n_windows`` windows start at knots spaced evenly in step
-    index, or, when ``starts`` is given, one window starts at each of these
-    slow-clock times.
+    window, for trend testing against the noise partial-sum bound.  A window
+    from slow time t holds the knots whose time lies in [t, t + T] (at least
+    two) and is re-integrated from the first of them.  Up to ``n_windows``
+    windows start at knots spaced evenly in step index, or, when ``starts``
+    is given, one window starts at each of these slow-clock times.
     """
     b = traj.schedule.b(np.arange(traj.n_steps))[:, None]
     drift_prefix = np.vstack(

@@ -649,8 +649,6 @@ def run_primal_dual(
         N,
         seed,
         noise=noise,
-        selection_fast="least_norm",
-        selection_slow="least_norm",
         share_noise_chain=True,
     )
 

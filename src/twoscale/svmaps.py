@@ -46,10 +46,10 @@ class SetValuedMap:
     ``point`` is an optional point form of the oracle.  Where the value has
     exactly one generator, ``point(x, y, s)`` returns that generator, bit for
     bit, as a float ``(k,)`` array; everywhere else it returns ``None``.  A
-    single generator is the selection of every rule and takes no random
-    draw, so a driver may use the point in place of the set.  ``recursion.run``
-    calls the point form first and evaluates the set only where it gives
-    ``None``; ``validate_sam`` checks the contract at every probe.
+    single generator is the least-norm selection, so a driver may use the
+    point in place of the set.  ``recursion.run`` calls the point form first
+    and evaluates the set only where it gives ``None``; ``validate_sam``
+    checks the contract at every probe.
     """
 
     def __init__(

@@ -588,6 +588,18 @@ class TestConfigErrors:
         assert field in err and "expected a number" in err
         assert "Traceback" not in err
 
+    def test_integral_floats_accepted(self, tmp_path):
+        # An integer field may be written as an integral float: the run is
+        # the one of the integer config.
+        outs = []
+        for patch in ({}, {"steps": 50.0, "seed": 0.0, "d1": 1.0,
+                           "diagnostics": {"n_windows": 16.0}}):
+            cfg = dict(json.loads(json.dumps(GENERIC)), **patch)
+            cfg["out"] = str(tmp_path / f"out{len(outs)}")
+            assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+            outs.append((Path(cfg["out"]) / "trajectory.csv").read_bytes())
+        assert outs[0] == outs[1]
+
     # Each case names itself, so inserting a case renames no other test.  The
     # ids below are the ones pytest generated from the cases' positions
     # before they were written out, kept so that a test name recorded
@@ -737,6 +749,26 @@ class TestConfigErrors:
                      id="validate-base61-x0-value61-config.x0"),
         pytest.param("validate", SIGN_DI, "z0", [math.inf], "config.z0",
                      id="validate-base62-z0-value62-config.z0"),
+        # Integer fields: infinite or fractional values.
+        pytest.param("run", GENERIC, "steps", math.inf, "config.steps",
+                     id="run-config.steps-inf"),
+        pytest.param("saddle", CANONICAL, "steps", math.inf, "config.steps",
+                     id="saddle-config.steps-inf"),
+        pytest.param("run", GENERIC, "seed", math.inf, "config.seed",
+                     id="run-config.seed-inf"),
+        pytest.param("run", GENERIC, "diagnostics.n_windows", math.inf,
+                     "config.diagnostics.n_windows",
+                     id="run-config.diagnostics.n_windows-inf"),
+        pytest.param("validate", GENERIC, "diagnostics.n_windows", math.inf,
+                     "config.diagnostics.n_windows",
+                     id="validate-config.diagnostics.n_windows-inf"),
+        pytest.param("run", GENERIC, "steps", 1.5, "config.steps",
+                     id="run-config.steps-frac"),
+        pytest.param("run", GENERIC, "d1", 1.7, "config.d1", id="run-config.d1-frac"),
+        pytest.param("validate", GENERIC, "d1", 1.7, "config.d1",
+                     id="validate-config.d1-frac"),
+        pytest.param("solve-di", SIGN_DI, "dim", 1.5, "config.dim",
+                     id="solve-di-config.dim-frac"),
     ])
     def test_value_the_constructors_refuse_named(
         self, tmp_path, capsys, command, base, field, value, named
@@ -756,7 +788,11 @@ class TestConfigErrors:
         out, err = capsys.readouterr()
         assert "Traceback" not in err
         if command == "validate":
-            assert f"[FAIL] {CONSTRUCTION_LINE[cfg['kind']]}: {named}: " in out
+            line = (
+                "diagnostics" if named.startswith("config.diagnostics.")
+                else CONSTRUCTION_LINE[cfg["kind"]]
+            )
+            assert f"[FAIL] {line}: {named}: " in out
             return
         assert err.startswith(f"{named}: ")
         # Refused before anything runs: nothing is written.

@@ -438,8 +438,8 @@ class TestLeastNormCache:
         if centred:
             V = V - V.mean(axis=0)
         K = ConvexSet(V)
-        first = select_velocity(K, "least_norm", None, 0.1)
-        assert select_velocity(K, "least_norm", None, 0.1) is first
+        first = select_velocity(K)
+        assert select_velocity(K) is first
         assert not first.flags.writeable
         want = fresh_least_norm(K.points.copy())
         assert first.dtype == want.dtype and first.shape == want.shape
@@ -455,22 +455,13 @@ class TestLeastNormCache:
         monkeypatch.setattr(dynamics, "project", counted)
         K = ConvexSet(RNG.standard_normal((12, 2)) + 3.0)
         assert not hasattr(K, "_least_norm")
-        v = select_velocity(K, "least_norm", None, 0.1)
+        v = select_velocity(K)
         for _ in range(3):
-            assert select_velocity(K, "least_norm", None, 0.1) is v
+            assert select_velocity(K) is v
         assert len(calls) == 1 and K._least_norm is v
         with pytest.raises(ValueError, match="read-only"):
             v[0] = 0.0
         assert not hasattr(K.translate(np.ones(2)), "_least_norm")
-
-    def test_other_rules_not_cached(self):
-        K = ConvexSet([[-1.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
-        z = np.zeros(2)
-        t1 = select_velocity(K, "target", z, 0.1, target=np.array([5.0, 0.0]))
-        t2 = select_velocity(K, "target", z, 0.1, target=np.array([-5.0, 0.0]))
-        assert t1[0] > 0.0 > t2[0]
-        select_velocity(K, "random_vertex", z, 0.1, rng=np.random.default_rng(0))
-        assert not hasattr(K, "_least_norm")
 
 
 def support_sweep(V, n=20_000):

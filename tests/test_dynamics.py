@@ -83,7 +83,9 @@ class TestDiSolve:
         field = MeanField(
             evaluate=lambda z: ConvexSet.interval(-2, 2), dim=1, growth_K=3.0
         )
-        path = di_solve(field, [0.0], T=0.5, dt=0.01, selection="param", u=np.array([1.0]))
+        path = di_solve(
+            dynamics._param_field(field, np.array([1.0])), [0.0], T=0.5, dt=0.01
+        )
         assert np.all(path.selections == 2.0)
 
 
@@ -162,8 +164,7 @@ class TestChainSearch:
             evaluate=lambda z: ConvexSet.interval(-1.0, 1.0), dim=1, growth_K=2.0
         )
         path = di_solve(
-            field, [0.0], T=2.0, dt=0.01, selection="target",
-            target=np.array([1.5]),
+            dynamics._target_field(field, np.array([1.5]), 0.01), [0.0], T=2.0, dt=0.01
         )
         assert path.states[-1][0] == pytest.approx(1.5, abs=0.02)
 

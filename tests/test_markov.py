@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from twoscale.markov import (
+    ROW_TOL,
     FiniteKernel,
     SlowMeasure,
     next_state,
@@ -138,8 +139,9 @@ class TestSampleNext:
 
 
 def draw_rows(rng, count):
-    """Rows of 1-6 entries: stochastic, with zeros, summing short of 1, and
-    with negative entries, whose partial sums are not monotone."""
+    """``(kind, row)`` pairs, rows of 1-6 entries: stochastic (kind 0), with
+    zeros (1), summing short of 1 (2), and with negative entries, whose
+    partial sums are not monotone (3)."""
     for i in range(count):
         n = int(rng.integers(1, 7))
         kind = i % 4
@@ -151,16 +153,26 @@ def draw_rows(rng, count):
             row = rng.dirichlet(np.ones(n)) * (1.0 - 1e-3 * rng.random())
         else:
             row = rng.normal(0.3, 0.5, n)
-        yield row
+        yield kind, row
+
+
+def is_probability_row(row):
+    return bool(
+        np.isfinite(row).all() and row.min() >= -ROW_TOL
+        and abs(row.sum() - 1.0) <= ROW_TOL
+    )
 
 
 class TestNextState:
     def test_matches_searchsorted_on_cumsum(self):
         # The helper sums and bisects on Python floats; the formula is the
         # numpy one it replaces.  u runs over random draws, the ends of
-        # [0, 1) and every partial sum with its neighbouring doubles.
+        # [0, 1) and every partial sum with its neighbouring doubles.  Only
+        # the stochastic rows draw a state; the others are refused (below).
         rng = np.random.default_rng(2026)
-        for row in draw_rows(rng, 4000):
+        for kind, row in draw_rows(rng, 4000):
+            if kind != 0:
+                continue
             n = len(row)
             K = FiniteKernel(n, lambda x, y, s, r=row: r)
             cum = np.cumsum(row)
@@ -170,6 +182,42 @@ class TestNextState:
             for u in us:
                 want = int(min(np.searchsorted(cum, u), n - 1))
                 assert next_state(K, Y, Y, 0, float(u)) == want
+
+    def test_refuses_non_probability_rows(self):
+        rng = np.random.default_rng(2026)
+        rows = [row for kind, row in draw_rows(rng, 4000) if kind != 0]
+        rows += [
+            np.array([np.nan, -3.0]), np.array([np.nan]), np.array([0.5, np.nan, 0.5]),
+            np.array([np.inf, 0.0]), np.array([np.inf, -np.inf]), np.array([-np.inf]),
+            np.array([1.5, -0.5]), np.array([-1e-9, 1.0 + 1e-9]),
+            np.array([0.5, 0.5 + 1e-9]),
+            # Within ROW_TOL: accepted.
+            np.array([0.5, 0.5 - 1e-13]), np.array([-1e-13, 1.0 + 1e-13]),
+        ]
+        refused = 0
+        for row in rows:
+            K = FiniteKernel(len(row), lambda x, y, s, r=row: r)
+            if is_probability_row(row):
+                want = int(min(np.searchsorted(np.cumsum(row), 0.75), len(row) - 1))
+                assert next_state(K, Y, Y, 0, 0.75) == want
+                continue
+            with pytest.raises(ValueError) as err:
+                next_state(K, Y, Y, 0, 0.5)
+            assert str(err.value) == (
+                f"kernel row for state 0 is not a probability row: {row.tolist()}"
+            )
+            refused += 1
+        # Of the 3,000 drawn rows, only kind-1 rows that kept every entry
+        # are probability rows.
+        assert refused > 2700
+
+    def test_refusal_names_state_and_row(self):
+        K = FiniteKernel(2, lambda x, y, s: np.array([np.nan, -3.0]))
+        with pytest.raises(ValueError) as err:
+            next_state(K, Y, Y, 1, 0.3)
+        assert str(err.value) == (
+            "kernel row for state 1 is not a probability row: [nan, -3.0]"
+        )
 
     def test_goes_through_the_row_oracle(self):
         K = FiniteKernel(2, lambda x, y, s: np.array([0.5, 0.5, 0.0]))

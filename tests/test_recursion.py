@@ -333,21 +333,6 @@ class TestMoreRunPaths:
         assert np.abs(traj.M1).max() <= 3.0  # 6 sigma clip
         assert abs(traj.M1.mean()) <= 0.05
 
-    def test_random_vertex_selection(self):
-        H1 = SetValuedMap(
-            dims=(1, 1, 1),
-            alphabet=1,
-            evaluate=lambda x, y, s: ConvexSet([[-1.0], [1.0]]),
-            growth_K=2.0,
-        )
-        H2 = singleton_map(lambda x, y, s: np.zeros(1))
-        K = FiniteKernel.constant([[1.0]])
-        traj = run(
-            H1, H2, K, K, SCHED, [0.0], [0.0], 0, 0, N=200, seed=3,
-            selection_fast="random_vertex",
-        )
-        assert set(np.unique(traj.V1)) == {-1.0, 1.0}
-
     def test_noise_sup_window_too_long(self):
         H1, H2, K = decay_pair()
         traj = run(H1, H2, K, K, SCHED, [1.0], [1.0], 0, 0, N=10, seed=0)
@@ -373,7 +358,6 @@ def _reference_sample_next(K, x, y, s, rng):
 
 def reference_run(
     H1, H2, K1, K2, schedule, x0, y0, s1_0, s2_0, N, seed, noise=NoiseModel(),
-    selection_fast="least_norm", selection_slow="least_norm",
     share_noise_chain=False, divergence_bound=1e12,
 ):
     """One set evaluation, selection, noise draw and chain draw per step.
@@ -404,8 +388,8 @@ def reference_run(
         s1, s2 = int(S1[n]), int(S2[n])
         K1n = ConvexSet._trusted(H1(x, y, s1).points.copy())
         K2n = ConvexSet._trusted(H2(x, y, s2).points.copy())
-        v1 = select_velocity(K1n, selection_fast, x, a[n], rng=rng)
-        v2 = select_velocity(K2n, selection_slow, y, b[n], rng=rng)
+        v1 = select_velocity(K1n)
+        v2 = select_velocity(K2n)
         m1 = _reference_draw(noise, rng, noise.fast_scale, d1)
         m2 = _reference_draw(noise, rng, noise.slow_scale, d2)
         V1[n], V2[n], M1[n], M2[n] = v1, v2, m1, m2
@@ -483,11 +467,6 @@ EQUIVALENCE_CASES = {
         noise=NoiseModel(kind="gaussian", fast_scale=0.3, slow_scale=0.0)
     ),
     "no_noise": dict(),
-    "random_vertex_kink": dict(
-        noise=NoiseModel(fast_scale=0.0, slow_scale=0.2), kink=True,
-        selection_fast="random_vertex", selection_slow="random_vertex",
-    ),
-    "random_vertex_pointed": dict(noise=UNIFORM, selection_fast="random_vertex"),
     "least_norm_kink": dict(noise=NoiseModel(fast_scale=0.0, slow_scale=0.2), kink=True),
     "kink_with_noise": dict(noise=UNIFORM, kink=True),
     "shared_chain": dict(noise=UNIFORM, share_noise_chain=True),
@@ -502,9 +481,7 @@ EQUIVALENCE_CASES = {
         K1=threshold_kernel(), K2=threshold_kernel(),
     ),
     "no_point_forms": dict(noise=UNIFORM, with_point=False),
-    "no_point_kink_random_vertex": dict(
-        noise=UNIFORM, kink=True, with_point=False, selection_fast="random_vertex",
-    ),
+    "no_point_kink": dict(noise=UNIFORM, kink=True, with_point=False),
 }
 
 
@@ -538,18 +515,15 @@ class TestBlockRunMatchesReference:
             assert got.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("case", [
-        "random_vertex_kink", "least_norm_kink", "kink_with_noise",
-        "shared_kink_iterate_kernel",
+        "least_norm_kink", "kink_with_noise", "shared_kink_iterate_kernel",
     ])
     def test_kink_cases_take_both_paths(self, case):
         spec = EQUIVALENCE_CASES[case]
         (_, H2, K1, K2, *rest), kw = equivalence_setup(**spec)
         calls = []
         H1 = kink_map((2, 1, 2), 2, calls=calls, shared=spec.get("shared", False))
-        traj = run(H1, H2, K1, K2, *rest, N=1025, seed=2024, **kw)
+        run(H1, H2, K1, K2, *rest, N=1025, seed=2024, **kw)
         assert 0 < len(calls) < 1025
-        if case == "random_vertex_kink":
-            assert {-1.0, 1.0} <= set(np.unique(traj.V1[:, 0]))
 
     @pytest.mark.parametrize("with_point", [True, False])
     @pytest.mark.parametrize("noise", [UNIFORM, GAUSSIAN], ids=["uniform", "gaussian"])
