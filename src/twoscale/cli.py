@@ -31,6 +31,8 @@ from .recursion import (
     interpolate,
     interpolation_gap,
     run,
+    start_knots,
+    window_starts,
 )
 from .saddle import (
     SaddleProblem,
@@ -312,17 +314,23 @@ def _build_generic(cfg: dict):
     d1, d2 = (_number(cfg, k, "config", kind=int, low=1) for k in ("d1", "d2"))
     alphabet = _number(cfg, "alphabet", "config", 1, int, low=1)
 
-    def drift(key):
+    def drift(key, scale, dim):
         path = f"config.{key}"
         name = _get(_get(cfg, key, "config"), "name", path)
         if name not in DRIFTS:
             raise ConfigError(
                 f"{path}.name: unknown drift {name!r}; have {sorted(DRIFTS)}"
             )
-        return drift_map(name, d1, d2, alphabet)
+        H = drift_map(name, d1, d2, alphabet)
+        if H.dims[2] != dim:
+            raise ConfigError(
+                f"{path}.name: drift {name!r} has values of dimension {H.dims[2]}, "
+                f"the {scale} iterate has dimension {dim}"
+            )
+        return H
 
-    H1 = drift("drift_fast")
-    H2 = drift("drift_slow")
+    H1 = drift("drift_fast", "fast", d1)
+    H2 = drift("drift_slow", "slow", d2)
 
     def kernel(key):
         spec = cfg.get(key, np.eye(alphabet).tolist())
@@ -384,6 +392,7 @@ def cmd_validate(cfg: dict, out_dir: Path) -> int:
         try:
             _build_noise(cfg.get("noise"))
             H1, H2, K1, K2, x0, y0, _ = _build_generic(cfg)
+            checks.append(("drift construction", True, "ok"))
             grid = [(x0, y0, s) for s in range(H1.alphabet)]
             contract("fast drift SAM", validate_sam(H1, grid))
             contract("slow drift SAM", validate_sam(H2, grid))
@@ -472,40 +481,32 @@ def _diagnostics_settings(cfg: dict, schedule: StepSchedule, steps: int) -> dict
     return d
 
 
-def _saddle_diagnostics(P, traj, out_dir: Path, d: dict) -> None:
-    T_w, n_windows, apt_T = d["window_T"], d["n_windows"], d["apt_horizon"]
-    ts = traj.t_slow
-    last_start_t = ts[-1] - max(T_w, apt_T)
-    starts = np.unique(np.linspace(0.0, max(last_start_t, 0.0), n_windows))
-    gaps = interpolation_gap(traj, T=T_w, starts=starts)
-    # Every window's dual flow in one batched integration, and every
-    # window's minimizer in one batched solve.
-    flows = di_solve(
-        dual_ode_field(P), interpolate(traj, "slow", starts), T=apt_T, dt=d["apt_dt"]
-    )
-    n_idx = np.minimum(np.searchsorted(ts, starts), traj.n_steps)
-    lams = lambda_min(P, traj.Y[n_idx])
-    apts, dists = [], []
-    for w, t0 in enumerate(starts):
-        sampled = interpolate(traj, "slow", np.minimum(t0 + flows.times, ts[-1]))
-        apts.append(
-            apt_metric(flows.times, sampled, flows.states[:, w], K_terms=d["K_terms"])
+def _write_diagnostics(traj, out_dir: Path, d: dict, fast_min=None, slow_field=None):
+    """``diagnostics.csv`` of ``traj``: per window, its slow-clock start, the
+    interpolation gap, the APT metric against the flow of ``slow_field`` and
+    the distance of X from ``fast_min`` of Y at the start knot; a column whose
+    map is ``None`` is NaN."""
+    T_w, apt_T = d["window_T"], d["apt_horizon"]
+    starts = window_starts(traj, max(T_w, apt_T), d["n_windows"])
+    gaps = interpolation_gap(traj, T_w, starts)
+    apts, dists = np.full((2, len(starts)), np.nan)
+    if slow_field is not None:
+        # Every window's flow in one batched integration.
+        flows = di_solve(
+            slow_field, interpolate(traj, "slow", starts), T=apt_T, dt=d["apt_dt"]
         )
-        dists.append(float(np.linalg.norm(traj.X[n_idx[w]] - lams[w])))
+        end = traj.t_slow[-1]
+        for w, t0 in enumerate(starts):
+            sampled = interpolate(traj, "slow", np.minimum(t0 + flows.times, end))
+            apts[w] = apt_metric(flows.times, sampled, flows.states[:, w], d["K_terms"])
+    if fast_min is not None:
+        n_idx = start_knots(traj, starts)
+        for w, lam in enumerate(fast_min(traj.Y[n_idx])):
+            dists[w] = np.linalg.norm(traj.X[n_idx[w]] - lam)
     _write_table(
         out_dir / "diagnostics.csv",
         ["window", "t_slow_start", "interpolation_gap", "apt_metric", "dist_to_lambda"],
-        [np.arange(len(starts)), starts, gaps, np.array(apts), np.array(dists)],
-    )
-
-
-def _generic_diagnostics(traj, out_dir: Path, d: dict) -> None:
-    gaps = interpolation_gap(traj, T=d["window_T"], n_windows=d["n_windows"])
-    nan = np.full(len(gaps), np.nan)
-    _write_table(
-        out_dir / "diagnostics.csv",
-        ["window", "interpolation_gap", "apt_metric", "dist_to_lambda"],
-        [np.arange(len(gaps)), gaps, nan, nan],
+        [np.arange(len(starts)), starts, gaps, apts, dists],
     )
 
 
@@ -544,22 +545,25 @@ def _run_single(cfg: dict, seed: int, out_dir: Path) -> int:
             traj = run_primal_dual(
                 P, schedule, N=steps, seed=seed, noise=noise, x0=x0, y0=y0
             )
+            maps = (lambda Y: lambda_min(P, Y)), dual_ode_field(P)
         else:
             H1, H2, K1, K2, x0, y0, (s1, s2) = model
             traj = run(H1, H2, K1, K2, schedule, x0, y0, s1, s2, steps, seed, noise=noise)
+            maps = None, None
+        out_dir.mkdir(parents=True, exist_ok=True)
+        traj.to_csv(out_dir / "trajectory.csv")
+        _write_diagnostics(traj, out_dir, settings, *maps)
+        if kind == "saddle":
+            rep = optimality_report(P, traj, tail_fraction=settings["tail_fraction"])
+            (out_dir / "report.txt").write_text("\n".join(rep.lines()) + "\n")
     except DivergenceError as err:
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_manifest(out_dir, cfg, seed, {"divergence_step": err.step})
         print(f"divergence at step {err.step}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    out_dir.mkdir(parents=True, exist_ok=True)
-    traj.to_csv(out_dir / "trajectory.csv")
-    if kind == "saddle":
-        _saddle_diagnostics(P, traj, out_dir, settings)
-        rep = optimality_report(P, traj, tail_fraction=settings["tail_fraction"])
-        (out_dir / "report.txt").write_text("\n".join(rep.lines()) + "\n")
-    else:
-        _generic_diagnostics(traj, out_dir, settings)
+    except SolverStallError as err:
+        print(f"numerical failure: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
     _write_manifest(out_dir, cfg, seed)
     return EXIT_OK
 

@@ -257,6 +257,11 @@ def run(
     d1, d2 = H1.dims[0], H2.dims[1]
     if x0.shape != (d1,) or y0.shape != (d2,):
         raise ValueError("initial iterates do not match drift dimensions")
+    if H1.dims[2] != d1 or H2.dims[2] != d2:
+        raise ValueError(
+            f"drift values of dimensions {H1.dims[2]}, {H2.dims[2]} do not match "
+            f"the iterates' dimensions {d1}, {d2}"
+        )
     rng = np.random.default_rng(np.uint64(seed))
     X = np.empty((N + 1, d1))
     Y = np.empty((N + 1, d2))
@@ -353,28 +358,30 @@ def interpolate(traj: Trajectory, scale: str, t) -> np.ndarray:
     raise ValueError(f"unknown scale {scale!r}")
 
 
-def _window_sups(traj: Trajectory, T: float, n_windows: int, starts, deviation):
+def window_starts(traj: Trajectory, room: float, n_windows: int) -> np.ndarray:
+    """Up to ``n_windows`` slow-clock times spaced evenly from 0 to the span
+    less ``room`` (or 0 alone where ``room`` is not shorter than the span),
+    so that a window of length ``room`` from each start fits in the run."""
+    return np.unique(np.linspace(0.0, max(traj.t_slow[-1] - room, 0.0), n_windows))
+
+
+def start_knots(traj: Trajectory, starts) -> np.ndarray:
+    """The first knot at or after each slow time (the last knot past the end)."""
+    return np.minimum(np.searchsorted(traj.t_slow, starts), traj.n_steps)
+
+
+def _window_sups(traj: Trajectory, T: float, starts, deviation):
     """Supremum of the row norms of ``deviation(n0, end)`` per slow window.
 
-    A window from slow time t holds the knots n0..end-1 whose time lies in
-    [t, t + T], at least two while the clock lasts.  By default up to
-    ``n_windows`` windows start at knots spaced evenly in step index over
-    the knots a whole window can follow; given slow-clock ``starts``, each
-    window starts at the first knot at or after its time (the last knot for
-    times past the end).
+    One window starts at each slow-clock time of ``starts``, at the knot
+    ``start_knots`` gives, and holds the knots n0..end-1 whose time lies in
+    [t, t + T], at least two while the clock lasts.
     """
     ts = traj.t_slow
     if T > ts[-1]:
         raise ValueError(f"window T={T} exceeds the slow clock span {ts[-1]}")
-    if starts is None:
-        last_start = int(np.searchsorted(ts, ts[-1] - T, side="right")) - 1
-        n0s = np.unique(
-            np.linspace(0, last_start, min(n_windows, last_start + 1)).astype(int)
-        )
-        t0s = ts[n0s]
-    else:
-        t0s = np.asarray(starts, dtype=float)
-        n0s = np.minimum(np.searchsorted(ts, t0s), len(ts) - 1)
+    t0s = np.asarray(starts, dtype=float)
+    n0s = start_knots(traj, t0s)
     sups = np.empty(len(n0s))
     for w, (n0, t_end) in enumerate(zip(n0s, t0s + T)):
         end = int(np.searchsorted(ts, t_end, side="right"))
@@ -383,20 +390,17 @@ def _window_sups(traj: Trajectory, T: float, n_windows: int, starts, deviation):
     return sups
 
 
-def interpolation_gap(
-    traj: Trajectory, T: float, n_windows: int = 64, starts=None
-) -> np.ndarray:
+def interpolation_gap(traj: Trajectory, T: float, starts) -> np.ndarray:
     """Window suprema of ||slow path - noise-free re-integration||.
 
     From each window start the slow iterate is re-integrated using only the
     logged selected velocities (the realized values of every level's
     parametrized drift, so no level needs choosing); the supremum of the gap
     to the logged path over a window of clock length ``T`` is returned per
-    window, for trend testing against the noise partial-sum bound.  A window
-    from slow time t holds the knots whose time lies in [t, t + T] (at least
-    two) and is re-integrated from the first of them.  Up to ``n_windows``
-    windows start at knots spaced evenly in step index, or, when ``starts``
-    is given, one window starts at each of these slow-clock times.
+    window, for trend testing against the noise partial-sum bound.  One
+    window starts at each slow-clock time of ``starts`` (``window_starts``
+    spaces them evenly); it holds the knots whose time lies in [t, t + T]
+    (at least two) and is re-integrated from the first of them.
     """
     b = traj.schedule.b(np.arange(traj.n_steps))[:, None]
     drift_prefix = np.vstack(
@@ -407,19 +411,19 @@ def interpolation_gap(
         tilde = traj.Y[n0] + (drift_prefix[n0:end] - drift_prefix[n0])
         return traj.Y[n0:end] - tilde
 
-    return _window_sups(traj, T, n_windows, starts, deviation)
+    return _window_sups(traj, T, starts, deviation)
 
 
-def noise_partial_sup(traj: Trajectory, T: float, n_windows: int = 64) -> np.ndarray:
+def noise_partial_sup(traj: Trajectory, T: float, starts) -> np.ndarray:
     """Window suprema of the slow-timescale noise partial sums (the
-    independent bound the interpolation gap is tested against)."""
+    independent bound the interpolation gap is tested against), on the
+    windows ``interpolation_gap`` takes for the same ``T`` and ``starts``."""
     b = traj.schedule.b(np.arange(traj.n_steps))[:, None]
     noise_prefix = np.vstack(
         [np.zeros((1, traj.Y.shape[1])), np.cumsum(b * traj.M2, axis=0)]
     )
     return _window_sups(
-        traj, T, n_windows, None,
-        lambda n0, end: noise_prefix[n0:end] - noise_prefix[n0],
+        traj, T, starts, lambda n0, end: noise_prefix[n0:end] - noise_prefix[n0]
     )
 
 

@@ -22,6 +22,7 @@ from twoscale.recursion import (
     noise_partial_sup,
     occupation,
     run,
+    window_starts,
 )
 from twoscale.saddle import (
     averaged_slow_field,
@@ -343,8 +344,9 @@ def test_c11_interpolation_gap(canonical_problem):
         seed=301,
         noise=NoiseModel(kind="uniform", fast_scale=0.1, slow_scale=0.1),
     )
-    gaps = interpolation_gap(traj, T=1.0, n_windows=48)
-    bounds = noise_partial_sup(traj, T=1.0, n_windows=48)
+    starts = window_starts(traj, 1.0, 48)
+    gaps = interpolation_gap(traj, 1.0, starts)
+    bounds = noise_partial_sup(traj, 1.0, starts)
     # Restrict to window starts in the last three quarters of the run.
     tail = gaps[len(gaps) // 4 :]
     half = len(tail) // 2

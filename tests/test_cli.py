@@ -12,8 +12,8 @@ import pytest
 from twoscale import cli
 from twoscale.cli import build_problem, main
 from twoscale.meanfield import check_marchaud
-from twoscale.recursion import NoiseModel, StepSchedule
-from twoscale.saddle import run_primal_dual
+from twoscale.recursion import NoiseModel, StepSchedule, run
+from twoscale.saddle import dual_ode_field, lambda_min, run_primal_dual
 from twoscale.svmaps import validate_sam
 
 CANONICAL = {
@@ -97,6 +97,18 @@ class TestValidate:
         report = (tmp_path / "validation_report.txt").read_text()
         assert "[PASS] schedule: ok" in report and "[PASS] diagnostics: ok" in report
         assert "[FAIL]" not in report
+
+    def test_two_timescale_construction_line(self, tmp_path, capsys):
+        code = main(["validate", "--config", str(CONFIGS / "toy_two_timescale.json"),
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[:-1] == [
+            "[PASS] schedule: ok",
+            "[PASS] diagnostics: ok",
+            "[PASS] drift construction: ok",
+            "[PASS] fast drift SAM: ok",
+            "[PASS] slow drift SAM: ok",
+        ]
 
     def test_validate_imports_no_scipy(self, tmp_path):
         # numpy is the only runtime dependency: a fresh interpreter that has
@@ -243,6 +255,24 @@ class TestRun:
         assert (tmp_path / "out" / "replica_000" / "trajectory.csv").exists()
         assert (tmp_path / "out" / "replica_001" / "trajectory.csv").exists()
         assert (tmp_path / "out" / "replicas.csv").exists()
+
+    @pytest.mark.parametrize("replicas", [1, 2])
+    def test_solver_stall_exits_4(self, tmp_path, capfd, replicas):
+        # From y0 = 1e8 the first minimizer the diagnostics ask for stalls.
+        cfg = json.loads((CONFIGS / "canonical_saddle.json").read_text())
+        cfg["y0"] = [1e8]
+        cfg["out"] = str(tmp_path / "out")
+        argv = ["saddle", "--config", str(write_config(tmp_path, cfg)), "--steps", "2000",
+                "--replicas", str(replicas)]
+        assert main(argv) == 4
+        # The replicas print from their worker processes.
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == replicas
+        assert all(line.startswith("numerical failure: inner solver stalled after ")
+                   for line in err)
+        if replicas > 1:
+            _, rows = read_csv(tmp_path / "out" / "replicas.csv")
+            assert rows == [["0", "101", "4"], ["1", "102", "4"]]
 
     def test_replica_workers_capped_at_usable_cpus(self, tmp_path, monkeypatch):
         seen = []
@@ -451,30 +481,75 @@ class TestNamedKernel:
         assert "kernel_fast" in capsys.readouterr().err
 
 
+def assert_gap_rows_cover_their_windows(path, traj, T):
+    """Each row's gap is the sup over the knots of [t0, t0 + T], re-integrated
+    by hand from the row's ``t_slow_start``."""
+    _, data = read_csv(path)
+    ts = traj.t_slow
+    b = traj.schedule.b(np.arange(traj.n_steps))
+    for row in data:
+        t0, gap = float(row[1]), float(row[2])
+        n0, *rest = np.flatnonzero((ts >= t0) & (ts <= t0 + T))
+        y, worst = traj.Y[n0].copy(), 0.0
+        for n in rest:
+            y += b[n - 1] * traj.V2[n - 1]
+            worst = max(worst, float(np.linalg.norm(traj.Y[n] - y)))
+        assert worst > 0.0
+        assert gap == pytest.approx(worst, rel=1e-9)
+    return data
+
+
+DIAG = {"window_T": 1.0, "n_windows": 16, "apt_horizon": 1.0, "apt_dt": 0.005,
+        "K_terms": 4}
+
+
 class TestSaddleDiagnostics:
+    # Slow noise makes the gap column nonzero, so a window that does not
+    # start at its row's label shows.
+    NOISE = NoiseModel(kind="uniform", fast_scale=0.1, slow_scale=0.1)
+    SCHEDULE = StepSchedule(alpha=0.6, beta=0.9, a0=0.5, b0=1.0)
+
     def test_gap_rows_cover_their_labelled_windows(self, tmp_path):
-        # Slow noise makes the gap column nonzero, so a window that does not
-        # start at its row's label shows.
         P = build_problem(CANONICAL["problem"])
-        schedule = StepSchedule(alpha=0.6, beta=0.9, a0=0.5, b0=1.0)
-        noise = NoiseModel(kind="uniform", fast_scale=0.1, slow_scale=0.1)
-        traj = run_primal_dual(P, schedule, N=20000, seed=101, noise=noise)
-        diag = {"window_T": 1.0, "n_windows": 16, "apt_horizon": 1.0, "apt_dt": 0.005,
-                "K_terms": 4}
-        cli._saddle_diagnostics(P, traj, tmp_path, diag)
-        _, data = read_csv(tmp_path / "diagnostics.csv")
+        traj = run_primal_dual(P, self.SCHEDULE, N=20000, seed=101, noise=self.NOISE)
+        cli._write_diagnostics(
+            traj, tmp_path, DIAG, lambda Y: lambda_min(P, Y), dual_ode_field(P)
+        )
+        data = assert_gap_rows_cover_their_windows(
+            tmp_path / "diagnostics.csv", traj, 1.0
+        )
         assert len(data) == 16
-        ts = traj.t_slow
-        b = schedule.b(np.arange(traj.n_steps))
-        for row in data:
-            t0, gap = float(row[1]), float(row[2])
-            n0, *rest = np.flatnonzero((ts >= t0) & (ts <= t0 + 1.0))
-            y, worst = traj.Y[n0].copy(), 0.0
-            for n in rest:
-                y += b[n - 1] * traj.V2[n - 1]
-                worst = max(worst, float(np.linalg.norm(traj.Y[n] - y)))
-            assert worst > 0.0
-            assert gap == pytest.approx(worst, rel=1e-9)
+        assert all(math.isfinite(float(v)) for row in data for v in row[3:])
+
+    def test_two_timescale_gap_rows_cover_their_labelled_windows(self, tmp_path):
+        H1, H2, K1, K2, x0, y0, _ = cli._build_generic(GENERIC)
+        traj = run(H1, H2, K1, K2, self.SCHEDULE, x0, y0, 0, 0, 20000, 101,
+                   noise=self.NOISE)
+        cli._write_diagnostics(traj, tmp_path, DIAG)
+        data = assert_gap_rows_cover_their_windows(
+            tmp_path / "diagnostics.csv", traj, 1.0
+        )
+        assert len(data) == 16
+        # The starts spread over the whole clock, not its end.
+        starts = [float(row[1]) for row in data]
+        assert starts[0] == 0.0 and starts[1] < traj.t_slow[-1] / 10
+        assert all(row[3:] == ["nan", "nan"] for row in data)
+
+    def test_run_and_saddle_share_header_and_starts(self, tmp_path):
+        settings = {"schedule": CANONICAL["schedule"], "steps": 1500,
+                    "diagnostics": {"n_windows": 5, "apt_horizon": 1.0, "window_T": 0.5}}
+        tables = []
+        for command, base in (("run", GENERIC), ("saddle", CANONICAL)):
+            cfg = dict(json.loads(json.dumps(base)), **settings)
+            cfg["out"] = str(tmp_path / command)
+            assert main([command, "--config", str(write_config(tmp_path, cfg))]) == 0
+            tables.append(read_csv(tmp_path / command / "diagnostics.csv"))
+        (generic_header, generic), (saddle_header, saddle) = tables
+        assert generic_header == saddle_header == [
+            "window", "t_slow_start", "interpolation_gap", "apt_metric", "dist_to_lambda",
+        ]
+        assert [r[:2] for r in generic] == [r[:2] for r in saddle]
+        assert len(generic) == 5
 
 
 GENERIC = {
@@ -489,6 +564,8 @@ GENERIC = {
     "x0": [1.0],
     "y0": [1.0],
 }
+# A slow iterate of two coordinates, beside a fast one of one.
+GENERIC_2D = dict(GENERIC, d2=2, y0=[1.0, 1.0])
 
 SIGN_DI = {"kind": "di", "field": {"name": "sign"}, "dim": 1, "z0": [1.0], "T": 0.01,
            "dt": 0.001}
@@ -769,6 +846,17 @@ class TestConfigErrors:
                      id="validate-config.d1-frac"),
         pytest.param("solve-di", SIGN_DI, "dim", 1.5, "config.dim",
                      id="solve-di-config.dim-frac"),
+        # Drifts whose values do not live in the space of their iterate.
+        pytest.param("run", GENERIC_2D, "drift_slow.name", "negate_x",
+                     "config.drift_slow.name", id="run-config.drift_slow.name-negate_x"),
+        pytest.param("validate", GENERIC_2D, "drift_slow.name", "negate_x",
+                     "config.drift_slow.name",
+                     id="validate-config.drift_slow.name-negate_x"),
+        pytest.param("run", GENERIC_2D, "drift_fast.name", "negate_y",
+                     "config.drift_fast.name", id="run-config.drift_fast.name-negate_y"),
+        pytest.param("validate", GENERIC_2D, "drift_fast.name", "negate_y",
+                     "config.drift_fast.name",
+                     id="validate-config.drift_fast.name-negate_y"),
     ])
     def test_value_the_constructors_refuse_named(
         self, tmp_path, capsys, command, base, field, value, named
@@ -887,16 +975,13 @@ class TestBuiltins:
 
     @pytest.mark.parametrize("name", sorted(DRIFT_FORMS))
     def test_drift_closed_form(self, name):
-        cfg = dict(GENERIC, d1=2, d2=3, alphabet=2, x0=[0.0] * 2, y0=[0.0] * 3)
-        cfg["drift_fast"] = cfg["drift_slow"] = {"name": name}
-        H1, H2, *_ = cli._build_generic(cfg)
+        H = cli.drift_map(name, 2, 3, 2)
         for x in POINTS:
             y = np.array([-x[0], 0.5, 1.0])
             expect = np.array(DRIFT_FORMS[name](x, y))
-            for H in (H1, H2):
-                assert H.dims == (2, 3, expect.shape[1])
-                for s in (0, 1):
-                    assert np.array_equal(H(x, y, s).points, expect)
+            assert H.dims == (2, 3, expect.shape[1])
+            for s in (0, 1):
+                assert np.array_equal(H(x, y, s).points, expect)
 
     @pytest.mark.parametrize("name", sorted(FIELD_FORMS))
     def test_field_closed_form(self, name):

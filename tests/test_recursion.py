@@ -19,6 +19,8 @@ from twoscale.recursion import (
     noise_partial_sup,
     occupation,
     run,
+    start_knots,
+    window_starts,
 )
 from twoscale.svmaps import SetValuedMap
 
@@ -133,6 +135,19 @@ class TestRun:
         )
         assert np.array_equal(traj.S1, traj.S2)
 
+    @pytest.mark.parametrize("d1, d2, fast, slow", [
+        (1, 2, "negate_x", "negate_x"),
+        (2, 3, "negate_x", "negate_x"),
+        (2, 1, "negate_y", "negate_y"),
+    ])
+    @pytest.mark.parametrize("N", [0, 5])
+    def test_drift_values_outside_their_iterate_refused(self, d1, d2, fast, slow, N):
+        # Each drift's values must live in the space of the iterate it moves.
+        K = FiniteKernel.constant([[1.0]])
+        H1, H2 = (drift_map(name, d1, d2, 1) for name in (fast, slow))
+        with pytest.raises(ValueError, match="drift values of dimensions"):
+            run(H1, H2, K, K, SCHED, np.ones(d1), np.ones(d2), 0, 0, N=N, seed=0)
+
 
 class TestInterpolate:
     def make_traj(self):
@@ -206,8 +221,8 @@ class TestInterpolationGap:
     def test_zero_noise_zero_gap(self):
         H1, H2, K = decay_pair()
         traj = run(H1, H2, K, K, SCHED, [1.0], [1.0], 0, 0, N=2000, seed=0)
-        sups = interpolation_gap(traj, T=1.0)
-        assert np.all(sups <= 1e-12)
+        sups = interpolation_gap(traj, 1.0, window_starts(traj, 1.0, 64))
+        assert len(sups) == 64 and np.all(sups <= 1e-12)
 
     def test_single_step_window(self):
         H1, H2, K = decay_pair()
@@ -225,20 +240,26 @@ class TestInterpolationGap:
         H1, H2, K = decay_pair()
         noise = NoiseModel(fast_scale=0.1, slow_scale=0.1)
         traj = run(H1, H2, K, K, SCHED, [1.0], [1.0], 0, 0, N=3000, seed=8, noise=noise)
-        gaps = interpolation_gap(traj, T=1.0, n_windows=16)
-        bound = noise_partial_sup(traj, T=1.0, n_windows=16)
-        assert gaps.shape == bound.shape
+        starts = window_starts(traj, 1.0, 16)
+        gaps = interpolation_gap(traj, 1.0, starts)
+        bound = noise_partial_sup(traj, 1.0, starts)
+        assert gaps.shape == bound.shape == (16,)
         np.testing.assert_allclose(gaps, bound, atol=1e-10)
 
-    def test_start_times_on_knots_match_default_windows(self):
+    def test_window_starts_spaced_on_the_slow_clock(self):
         H1, H2, K = decay_pair()
-        noise = NoiseModel(fast_scale=0.1, slow_scale=0.1)
-        traj = run(H1, H2, K, K, SCHED, [1.0], [1.0], 0, 0, N=3000, seed=8, noise=noise)
-        default = interpolation_gap(traj, T=1.0, n_windows=16)
-        last = int(np.searchsorted(traj.t_slow, traj.t_slow[-1] - 1.0, side="right")) - 1
-        knots = np.linspace(0, last, 16).astype(int)
-        by_time = interpolation_gap(traj, T=1.0, starts=traj.t_slow[knots])
-        assert np.array_equal(by_time, default)
+        traj = run(H1, H2, K, K, SCHED, [1.0], [1.0], 0, 0, N=3000, seed=8)
+        span = traj.t_slow[-1]
+        starts = window_starts(traj, 1.0, 16)
+        np.testing.assert_allclose(starts, np.linspace(0.0, span - 1.0, 16), rtol=0)
+        assert starts[0] == 0.0 and starts[-1] + 1.0 <= span
+        # A room as long as the clock leaves one start, at 0.
+        assert window_starts(traj, span, 16).tolist() == [0.0]
+        assert window_starts(traj, 2 * span, 16).tolist() == [0.0]
+        knots = start_knots(traj, np.concatenate([starts, [span + 3.0]]))
+        for t0, n0 in zip(starts, knots):
+            assert traj.t_slow[n0] >= t0 and (n0 == 0 or traj.t_slow[n0 - 1] < t0)
+        assert knots[-1] == traj.n_steps
 
     def test_start_times_off_knots(self):
         H1, H2, K = decay_pair()
@@ -263,7 +284,7 @@ class TestInterpolationGap:
         H1, H2, K = decay_pair()
         noise = NoiseModel(fast_scale=0.1, slow_scale=0.1)
         traj = run(H1, H2, K, K, SCHED, [1.0], [1.0], 0, 0, N=9000, seed=2, noise=noise)
-        sups = noise_partial_sup(traj, T=0.5, n_windows=48)
+        sups = noise_partial_sup(traj, 0.5, window_starts(traj, 0.5, 48))
         thirds = np.array_split(sups, 3)
         maxes = [t.max() for t in thirds]
         assert maxes[0] > maxes[1] > maxes[2]
@@ -337,7 +358,7 @@ class TestMoreRunPaths:
         H1, H2, K = decay_pair()
         traj = run(H1, H2, K, K, SCHED, [1.0], [1.0], 0, 0, N=10, seed=0)
         with pytest.raises(ValueError):
-            noise_partial_sup(traj, T=100.0)
+            noise_partial_sup(traj, 100.0, window_starts(traj, 100.0, 16))
 
 
 # -- the per-step loop of the parent change, kept as the reference ----------

@@ -7,7 +7,9 @@ Usage, from anywhere:
 The commands are every ``configs/*.json`` of the ``--after`` checkout, with
 ``--steps 2000`` where the config has steps, ``validate`` on each of those
 configs as shipped (its ``validation_report.txt`` covers the contract checks
-of the drift maps and fields), and each benchmark workload of
+of the drift maps and fields), ``saddle --replicas 2`` on
+``configs/canonical_saddle.json`` at ``--steps 2000`` (its ``replicas.csv``
+and the replica pool), and each benchmark workload of
 ``BENCHMARK.json`` on the config ``perfbench/workloads.py`` makes for each
 seed.  The subcommand follows the config's kind: ``saddle``, ``run`` or
 ``solve-di`` (with ``--envelope`` for a saddle dual field).  Both sides run
@@ -48,6 +50,8 @@ def jobs(checkout: Path, seeds: list[int]):
             argv += ["--steps", "2000"]
         yield path.stem, cfg, argv
         yield f"{path.stem}-validate", cfg, ["validate"]
+    cfg = json.loads((checkout / "configs" / "canonical_saddle.json").read_text())
+    yield "canonical_saddle-replicas", cfg, ["saddle", "--steps", "2000", "--replicas", "2"]
     sys.path.insert(0, str(checkout / "perfbench"))
     import workloads
 
