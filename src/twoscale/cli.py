@@ -446,8 +446,9 @@ def _run_steps(cfg: dict) -> int:
 
 def _diagnostics_settings(cfg: dict, schedule: StepSchedule, steps: int) -> dict:
     """The ``diagnostics`` settings with their defaults, and ``tail_fraction``,
-    each range-checked (NaN fails every check); ``window_T`` must also fit in
-    the slow clock of ``steps`` steps of ``schedule``.  A run reads them before
+    each range-checked (NaN fails every check); ``window_T`` and
+    ``apt_horizon`` must also fit in the slow clock of ``steps`` steps of
+    ``schedule``.  A run reads them before
     its recursion starts, so a refused run writes nothing."""
     path = "config.diagnostics"
     diag_cfg = cfg.get("diagnostics", {})
@@ -473,11 +474,11 @@ def _diagnostics_settings(cfg: dict, schedule: StepSchedule, steps: int) -> dict
         span = schedule.clock("slow", steps)[-1]
     except MemoryError:
         raise ConfigError(f"config.steps: {steps} steps do not fit in memory") from None
-    if d["window_T"] > span:
-        raise ConfigError(
-            f"{path}.window_T: {d['window_T']} exceeds the slow "
-            f"clock span {span} of the run"
-        )
+    for key in ("window_T", "apt_horizon"):
+        if d[key] > span:
+            raise ConfigError(
+                f"{path}.{key}: {d[key]} exceeds the slow clock span {span} of the run"
+            )
     return d
 
 
@@ -562,6 +563,9 @@ def _run_single(cfg: dict, seed: int, out_dir: Path) -> int:
         print(f"divergence at step {err.step}", file=sys.stderr)
         return EXIT_DIVERGENCE
     except SolverStallError as err:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        stall = {"residual": err.residual, "iterations": err.iterations}
+        _write_manifest(out_dir, cfg, seed, {"solver_stall": stall})
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     _write_manifest(out_dir, cfg, seed)

@@ -94,6 +94,12 @@ class SaddleProblem:
     solution is allowed versus the original problem.  Every number is
     finite, and ``epsilon``, ``radius`` and ``growth_K`` are positive.
 
+    ``minimizer_rows(P, CY) -> (R, d1)``, optional, gives the exact minimizer
+    of the frozen Lagrangian ``Jhat_mu(x) + <c, x>`` at each row c of CY,
+    where ``c = C_mu^T y``.  ``lambda_min`` takes it in place of its
+    iteration where it is given and certifies its rows all the same; it is
+    ``None`` for a problem whose minimizer has no closed form.
+
     A problem is not written to after construction: its stationary-law data
     and solver constants are cached from its fields.
     """
@@ -110,10 +116,12 @@ class SaddleProblem:
         feasible_points,
         objective_rows: Callable,
         subgrad_rows: Callable,
+        minimizer_rows: Optional[Callable] = None,
     ):
         self.subgrad = subgrad
         self.objective_rows = objective_rows
         self.subgrad_rows = subgrad_rows
+        self.minimizer_rows = minimizer_rows
         self.C = np.asarray(C, dtype=float)
         self.w = np.asarray(w, dtype=float)
         if self.C.ndim != 3 or self.w.ndim != 2:
@@ -249,7 +257,15 @@ def quadratic_problem(
     theta, C, w, kernel: FiniteKernel, epsilon: float, radius: float,
     growth_K: Optional[float] = None, feasible_points=None,
 ) -> SaddleProblem:
-    """Built-in family J(x, s) = 0.5 ||x - theta_s||^2 with affine constraints."""
+    """Built-in family J(x, s) = 0.5 ||x - theta_s||^2 with affine constraints.
+
+    Since mu sums to one, the frozen Lagrangian is
+    0.5 ||x - (theta_mu - C_mu^T y)||^2 plus the penalty terms plus a constant,
+    so its minimizer is the penalty's proximal map at unit step applied to
+    theta_mu - C_mu^T y (Parikh and Boyd 2014, *Proximal algorithms*, 6).
+    The problem carries it as ``minimizer_rows``; theta_mu sums
+    ``m * theta_s`` over the states of nonzero stationary weight, in order.
+    """
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
     C = np.asarray(C, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -265,6 +281,12 @@ def quadratic_problem(
 
     def subgrad_rows(X, s):
         return X - theta[s]
+
+    def minimizer_rows(P, CY):
+        theta_mu = 0
+        for s, m in P._solver.weighted:
+            theta_mu = theta_mu + m * theta[s]
+        return _prox_penalty_rows(P, theta_mu - CY, 1.0)
 
     if growth_K is None:
         # ||x - theta_s|| <= (1 + max||theta||)(1 + ||x||).
@@ -284,6 +306,7 @@ def quadratic_problem(
         feasible_points=feasible_points,
         objective_rows=objective_rows,
         subgrad_rows=subgrad_rows,
+        minimizer_rows=minimizer_rows,
     )
 
 
@@ -373,14 +396,17 @@ def lagrangian(P: SaddleProblem, x, y) -> float:
 def lambda_min(P: SaddleProblem, y, x0=None) -> np.ndarray:
     """Unique minimizer of the Lagrangian in x at the given multiplier.
 
-    Proximal-subgradient iteration: the objective part moves along its
+    A problem that carries its exact minimizer (``P.minimizer_rows``, which
+    ``quadratic_problem`` supplies) takes it, and ``x0`` is not read.  Any
+    other problem is solved by a proximal-subgradient iteration from ``x0``,
+    or from the reference point: the objective part moves along its
     least-norm subgradient with spectral (Barzilai-Borwein) steps under an
     Armijo safeguard, while the penalty terms, whose kink at the barrier
     sphere would make plain subgradient steps chatter, are folded in by
     their exact radial proximal map.  The strong-convexity term guarantees
-    a unique minimizer; convergence is declared on the prox-gradient
-    mapping residual and verified by support-function membership of the
-    origin in the full subdifferential.
+    a unique minimizer; the iteration stops on the prox-gradient mapping
+    residual.  Either way the result is verified by support-function
+    membership of the origin in the full subdifferential.
 
     The iteration reads the averaged subgradient from the row oracles
     (``_subgrad_mu_rows``); where its row is NaN, some state's subgradient
@@ -393,8 +419,9 @@ def lambda_min(P: SaddleProblem, y, x0=None) -> np.ndarray:
     shape ``(R, d1)``.  A 1-d ``y`` is solved as the block of its one row.
     One kernel serves both (``_lambda_min_rows``), and row r depends only on
     ``y[r]`` and ``x0[r]``, so it equals the 1-d call on them bit for bit.
-    A row that does not converge raises ``SolverStallError``; in a block,
-    that of the lowest such row, once every row has run.
+    A row that does not converge or is not certified raises
+    ``SolverStallError``; in a block, that of the lowest such row, once
+    every row has run.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
@@ -407,10 +434,10 @@ def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
 
 
-def _prox_penalty_rows(P: SaddleProblem, V: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+def _prox_penalty_rows(P: SaddleProblem, V: np.ndarray, gamma) -> np.ndarray:
     """Exact proximal map of the penalty terms (radial piecewise quadratic)
-    applied to each row of V with its own step; a zero row divides by zero,
-    under the caller's ``np.errstate``, and maps to zero."""
+    applied to each row of V with its own step, or one step for all; a zero
+    row divides by zero, under the caller's ``np.errstate``, and maps to zero."""
     nv = np.sqrt(_rowdot(V, V))
     a = gamma * P.epsilon / P.radius**2
     rho = nv / (1.0 + a)
@@ -422,32 +449,52 @@ def _prox_penalty_rows(P: SaddleProblem, V: np.ndarray, gamma: np.ndarray) -> np
 
 
 def _lambda_min_rows(P: SaddleProblem, Y: np.ndarray, X0) -> np.ndarray:
-    """``lambda_min`` on every row of Y at once, under masks.
+    """``lambda_min`` on every row of Y at once: the rows of
+    ``P.minimizer_rows`` where the problem has it, else those of
+    ``_descend_rows``, each then certified by ``_certificate_misses``.
 
-    Each row takes its own steps (spectral step, Armijo halving, radial
-    prox, residual test, support-function certificate) on plain arrays, with
-    every inner product formed as a 1-d ``@`` forms it, so a row does not
-    depend on the other rows of its block.  Every row is computed at every
-    pass and masks decide which results a row keeps, which on a few rows is
-    cheaper than gathering the live ones.
-
-    The set-valued rows are taken one at a time, over the rows the masks
-    flag: a NaN subgradient row steps along the projection of the set form,
-    and a row that ends on the barrier band or on a NaN row is certified on
-    the set form's cloud.  A row fails if its Armijo search stalls, if it
-    runs out of iterations or if its certificate fails; the others go on,
-    and after the block the lowest failed row raises its
-    ``SolverStallError``.
+    A row fails if its iteration stalls or runs out, with the residual and
+    iterations it reached, or if its certificate misses, with the miss and
+    the iterations it ran (0 for an exact minimizer).  The others go on, and
+    after the block the lowest failed row raises its ``SolverStallError``.
     """
     if Y.ndim != 2 or Y.shape[1] != P.d2:
         raise ValueError(f"multipliers have shape {Y.shape}, need (R, {P.d2})")
-    R = len(Y)
+    CY = np.matmul(P.C_mu.T, Y[:, :, None])[:, :, 0]
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        if P.minimizer_rows is None:
+            X, iterations, failed = _descend_rows(P, CY, X0)
+        else:
+            X, iterations, failed = P.minimizer_rows(P, CY), np.zeros(len(Y), int), {}
+        misses = _certificate_misses(P, X, CY, failed)
+    for r, miss in misses.items():
+        failed[r] = (miss, int(iterations[r]))
+    if failed:
+        raise SolverStallError(*failed[min(failed)])
+    return X
+
+
+def _descend_rows(P: SaddleProblem, CY: np.ndarray, X0):
+    """The proximal-subgradient iteration on every row of CY at once, under
+    masks: ``(X, iterations, failed)``, with the iterations each row ran and
+    ``failed`` mapping a row whose Armijo search stalled, or that ran out of
+    iterations, to the ``(residual, iterations)`` of its ``SolverStallError``.
+
+    Each row takes its own steps (spectral step, Armijo halving, radial
+    prox, residual test) on plain arrays, with every inner product formed as
+    a 1-d ``@`` forms it, so a row does not depend on the other rows of its
+    block.  Every row is computed at every pass and masks decide which
+    results a row keeps, which on a few rows is cheaper than gathering the
+    live ones.  A NaN subgradient row, one at a time over the rows the masks
+    flag, steps along the projection of the set form.
+    """
+    R = len(CY)
     if X0 is None:
         X0 = P.reference_point()
     X = np.array(np.broadcast_to(np.asarray(X0, dtype=float), (R, P.d1)))
-    k, pen = P._solver, P._penalty
-    CY = np.matmul(P.C_mu.T, Y[:, :, None])[:, :, 0]
+    k = P._solver
     failed = {}  # row -> (residual, iterations) of its SolverStallError
+    iterations = np.full(R, MAX_ITER)
 
     def value(Z):
         return _J_mu_rows(P, Z) + _penalty_rows(P, Z) + _rowdot(CY, Z)
@@ -467,69 +514,87 @@ def _lambda_min_rows(P: SaddleProblem, Y: np.ndarray, X0) -> np.ndarray:
     gamma = np.ones(R)
     residual = np.full(R, np.inf)
     prev_X, prev_G = X, G  # arrays here are replaced, never written in place
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        for it in range(MAX_ITER):
-            if not live.any():
-                break
-            if it > 0:
-                dX, dG = X - prev_X, G - prev_G
-                denom = _rowdot(dG, dG)
-                bb = np.minimum(np.maximum(_rowdot(dX, dG) / denom, 1e-12), 1e3)
-                gamma = np.where(live & (denom > 0), bb, gamma)
-            step = gamma
-            # Rounding slack keeps the sufficient-decrease test meaningful
-            # once the true decrease falls below float resolution of the value.
-            slack = k.eps8 * (1.0 + np.abs(F))
-            trying = live.copy()
-            for tries in range(60):
-                xn = _prox_penalty_rows(P, X - step[:, None] * G, step)
-                fn = value(xn)
-                dx = xn - X
-                ok = trying & (fn <= F - (0.25 / step) * (dx * dx).sum(axis=1) + slack)
-                if tries == 0:
-                    # Rows that fail here are overwritten when they pass.
-                    X_new, F_new, move = xn, fn, dx
-                else:
-                    X_new[ok], F_new[ok], move[ok] = xn[ok], fn[ok], dx[ok]
-                trying &= ~ok
-                if not trying.any():
-                    break
-                step = np.where(trying, step * 0.5, step)
+    for it in range(MAX_ITER):
+        if not live.any():
+            break
+        if it > 0:
+            dX, dG = X - prev_X, G - prev_G
+            denom = _rowdot(dG, dG)
+            bb = np.minimum(np.maximum(_rowdot(dX, dG) / denom, 1e-12), 1e3)
+            gamma = np.where(live & (denom > 0), bb, gamma)
+        step = gamma
+        # Rounding slack keeps the sufficient-decrease test meaningful
+        # once the true decrease falls below float resolution of the value.
+        slack = k.eps8 * (1.0 + np.abs(F))
+        trying = live.copy()
+        for tries in range(60):
+            xn = _prox_penalty_rows(P, X - step[:, None] * G, step)
+            fn = value(xn)
+            dx = xn - X
+            ok = trying & (fn <= F - (0.25 / step) * (dx * dx).sum(axis=1) + slack)
+            if tries == 0:
+                # Rows that fail here are overwritten when they pass.
+                X_new, F_new, move = xn, fn, dx
             else:
-                # The rows still trying stalled, with the last residual.
-                for r in np.flatnonzero(trying):
-                    failed[r] = (float(residual[r]), it)
-                live &= ~trying
-            residual = np.sqrt(_rowdot(move, move)) / step
-            moved = live[:, None]
-            prev_X, prev_G = np.where(moved, X, prev_X), np.where(moved, G, prev_G)
-            X, F = np.where(moved, X_new, X), np.where(live, F_new, F)
-            live &= ~(residual <= GRAD_TOL)
-            if live.any():
-                G = np.where(live[:, None], gradient(X, live), G)
-        for r in np.flatnonzero(live):
-            failed[r] = (float(residual[r]), MAX_ITER)
-        # 0 in d_x L(x, y) via support functions: every direction must see a
-        # nonnegative support value.
-        shift = pen.c_shift * X
-        nrm = np.sqrt(_rowdot(X, X))
-        outer = nrm > P.radius + pen.band
-        shift[outer] = shift[outer] + (P.growth_K + 1) * X[outer]
-        on_band = ~(nrm < P.radius - pen.band) & ~outer
-        G_mu = _subgrad_mu_rows(P, X)
-        worst = np.matmul(((G_mu + shift) + CY)[:, None, :], k.net_T)[:, 0, :].min(axis=1)
-        # On the barrier band or a NaN row the subdifferential is a set,
-        # read from the set forms.
-        set_valued = on_band | np.isnan(G_mu).any(axis=1)
-        for r in np.flatnonzero(set_valued):
-            if r not in failed:
-                full = _subgrad_mu(P, X[r]).points
-                worst[r] = ((full + CY[r]) @ k.net_T).max(axis=0).min()
-    for r in np.flatnonzero(worst < -MEMBERSHIP_TOL):
-        failed.setdefault(r, (float(abs(worst[r])), MAX_ITER))
-    if failed:
-        raise SolverStallError(*failed[min(failed)])
-    return X
+                X_new[ok], F_new[ok], move[ok] = xn[ok], fn[ok], dx[ok]
+            trying &= ~ok
+            if not trying.any():
+                break
+            step = np.where(trying, step * 0.5, step)
+        else:
+            # The rows still trying stalled, with the last residual.
+            for r in np.flatnonzero(trying):
+                failed[r] = (float(residual[r]), it)
+            live &= ~trying
+        residual = np.sqrt(_rowdot(move, move)) / step
+        moved = live[:, None]
+        prev_X, prev_G = np.where(moved, X, prev_X), np.where(moved, G, prev_G)
+        X, F = np.where(moved, X_new, X), np.where(live, F_new, F)
+        done = live & (residual <= GRAD_TOL)
+        iterations[done] = it + 1
+        live &= ~done
+        if live.any():
+            G = np.where(live[:, None], gradient(X, live), G)
+    for r in np.flatnonzero(live):
+        failed[r] = (float(residual[r]), MAX_ITER)
+    return X, iterations, failed
+
+
+def _certificate_misses(P: SaddleProblem, X: np.ndarray, CY: np.ndarray, skip) -> dict:
+    """Rows of X, other than those in ``skip``, where 0 is not certified in
+    the subdifferential of the Lagrangian at the multiplier of CY's row, each
+    with its miss: minus the least support value over the direction net.
+
+    0 is certified where every direction of the net sees a support value of
+    at least ``-MEMBERSHIP_TOL``.  On a point row (finite, its subgradient
+    row not NaN, off the barrier sphere band) the subdifferential is the one
+    point v = g + shift + C_mu^T y, whose support value u @ v is at least
+    -|v| for a unit u; so a point row with |v| <= MEMBERSHIP_TOL / 2 passes
+    every direction, with room for rounding, and only the other point rows
+    are swept over the net, in one product.  A row on the band or a NaN row
+    is swept on its set form's cloud.  A row that is not finite misses by
+    ``inf``.
+    """
+    net_T, pen = P._solver.net_T, P._penalty
+    shift = pen.c_shift * X
+    nrm = np.sqrt(_rowdot(X, X))
+    outer = nrm > P.radius + pen.band
+    shift[outer] = shift[outer] + (P.growth_K + 1) * X[outer]
+    G_mu = _subgrad_mu_rows(P, X)
+    V = (G_mu + shift) + CY
+    todo = np.ones(len(X), dtype=bool)
+    todo[list(skip)] = False
+    finite = np.isfinite(X).all(axis=1)
+    # On the barrier band or a NaN row the subdifferential is a set.
+    set_valued = (~(nrm < P.radius - pen.band) & ~outer) | np.isnan(G_mu).any(axis=1)
+    worst = np.zeros(len(X))
+    worst[todo & ~finite] = -math.inf
+    swept = todo & finite & ~set_valued & ~(np.sqrt(_rowdot(V, V)) <= 0.5 * MEMBERSHIP_TOL)
+    worst[swept] = np.matmul(V[swept][:, None, :], net_T)[:, 0, :].min(axis=1)
+    for r in np.flatnonzero(todo & finite & set_valued):
+        full = _subgrad_mu(P, X[r]).points
+        worst[r] = ((full + CY[r]) @ net_T).max(axis=0).min()
+    return {int(r): float(-worst[r]) for r in np.flatnonzero(worst < -MEMBERSHIP_TOL)}
 
 
 def dual_value(P: SaddleProblem, y, x0=None) -> float:

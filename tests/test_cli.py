@@ -258,9 +258,12 @@ class TestRun:
 
     @pytest.mark.parametrize("replicas", [1, 2])
     def test_solver_stall_exits_4(self, tmp_path, capfd, replicas):
-        # From y0 = 1e8 the first minimizer the diagnostics ask for stalls.
+        # From y0 = 1e11 the closed-form minimizers of the dual flows the
+        # diagnostics ask for miss the certificate by cancellation at that
+        # scale (by 1.1e-5), as from z0 = 1e12 in TestSolveDi.  A start at
+        # 1e12 would sit on the recursion's divergence bound.
         cfg = json.loads((CONFIGS / "canonical_saddle.json").read_text())
-        cfg["y0"] = [1e8]
+        cfg["y0"] = [1e11]
         cfg["out"] = str(tmp_path / "out")
         argv = ["saddle", "--config", str(write_config(tmp_path, cfg)), "--steps", "2000",
                 "--replicas", str(replicas)]
@@ -273,6 +276,29 @@ class TestRun:
         if replicas > 1:
             _, rows = read_csv(tmp_path / "out" / "replicas.csv")
             assert rows == [["0", "101", "4"], ["1", "102", "4"]]
+
+    def test_solver_stall_writes_manifest(self, tmp_path, capfd):
+        # Each stalled replica's folder names its seed and the stall, as a
+        # diverged run's names its divergence step.
+        cfg = json.loads((CONFIGS / "canonical_saddle.json").read_text())
+        cfg["y0"] = [1e11]
+        cfg["out"] = str(tmp_path / "out")
+        argv = ["saddle", "--config", str(write_config(tmp_path, cfg)), "--steps", "2000",
+                "--replicas", "2"]
+        assert main(argv) == 4
+        err = capfd.readouterr().err.splitlines()
+        for i, seed in enumerate((101, 102)):
+            manifest = json.loads(
+                (tmp_path / "out" / f"replica_{i:03d}" / "manifest.json").read_text()
+            )
+            assert manifest["seed"] == seed
+            assert manifest["config_sha256"] == cli._config_hash(
+                dict(cfg, steps=2000, seed=101)
+            )
+            stall = manifest["solver_stall"]
+            assert stall["iterations"] == 0 and stall["residual"] > 0
+            assert (f"numerical failure: inner solver stalled after 0 iterations, "
+                    f"subgradient residual {stall['residual']:.3e}") in err
 
     def test_replica_workers_capped_at_usable_cpus(self, tmp_path, monkeypatch):
         seen = []
@@ -857,6 +883,13 @@ class TestConfigErrors:
         pytest.param("validate", GENERIC_2D, "drift_fast.name", "negate_y",
                      "config.drift_fast.name",
                      id="validate-config.drift_fast.name-negate_y"),
+        # An APT horizon longer than the run's slow clock.
+        pytest.param("run", GENERIC, "diagnostics.apt_horizon", 1e3,
+                     "config.diagnostics.apt_horizon",
+                     id="run-config.diagnostics.apt_horizon-long"),
+        pytest.param("validate", GENERIC, "diagnostics.apt_horizon", 1e3,
+                     "config.diagnostics.apt_horizon",
+                     id="validate-config.diagnostics.apt_horizon-long"),
     ])
     def test_value_the_constructors_refuse_named(
         self, tmp_path, capsys, command, base, field, value, named

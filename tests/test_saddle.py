@@ -913,3 +913,151 @@ class TestLambdaMinClosedForm:
         tol = 1e-7 * (1 + np.abs(closed[inside]))
         assert np.all(np.abs(scalar[inside] - closed[inside]) <= tol)
         assert np.all(np.abs(batched[inside] - closed[inside]) <= tol)
+
+
+def without_minimizer(P):
+    """A copy of P without its exact minimizer, so ``lambda_min`` iterates."""
+    return SaddleProblem(
+        subgrad=P.subgrad, C=P.C, w=P.w, kernel=P.kernel,
+        epsilon=P.epsilon, radius=P.radius, growth_K=P.growth_K,
+        feasible_points=P.feasible_points,
+        objective_rows=P.objective_rows, subgrad_rows=P.subgrad_rows,
+    )
+
+
+# Multipliers of order 1e8 on the dual flows of a canonical saddle run from
+# y0 = 1e8 (2,000 steps, seed 101), at which the iteration from the reference
+# point runs out with a residual of a few 1e-9 against GRAD_TOL.
+ITERATION_STALLS = [99438990.5456353, 52393369.90952139, 51866885.98389893]
+
+
+def full_sweep_misses(P, X, CY):
+    """The certificate with every point row swept over the whole net and
+    every row on the barrier band or NaN on its set form's cloud: the
+    reference ``_certificate_misses`` is checked against."""
+    net_T = P._solver.net_T
+    shift = P._penalty.c_shift * X
+    nrm = np.linalg.norm(X, axis=1)
+    outer = nrm > P.radius + P._penalty.band
+    shift[outer] = shift[outer] + (P.growth_K + 1) * X[outer]
+    G_mu = saddle._subgrad_mu_rows(P, X)
+    worst = np.matmul(((G_mu + shift) + CY)[:, None, :], net_T)[:, 0, :].min(axis=1)
+    on_band = ~(nrm < P.radius - P._penalty.band) & ~outer
+    for r in np.flatnonzero(on_band | np.isnan(G_mu).any(axis=1)):
+        full = saddle._subgrad_mu(P, X[r]).points
+        worst[r] = ((full + CY[r]) @ net_T).max(axis=0).min()
+    return {r: float(abs(worst[r])) for r in np.flatnonzero(worst < -saddle.MEMBERSHIP_TOL)}
+
+
+class TestExactMinimizer:
+    def test_certified_where_the_iteration_stalls(self):
+        # Outside the radius ball the closed form is V / (4 + eps/r^2) for
+        # V = theta_mu - C_mu^T y = (1 - y) / 2 (1, 1).
+        P = canonical()
+        Y = np.array(ITERATION_STALLS)[:, None]
+        lam = lambda_min(P, Y)
+        expect = (0.5 - 0.5 * Y) / (4.0 + EPS / R**2) * np.ones(2)
+        np.testing.assert_allclose(lam, expect, rtol=1e-15)
+        for y in Y:
+            with pytest.raises(saddle.SolverStallError) as stall:
+                lambda_min(without_minimizer(P), y)
+            assert stall.value.iterations == saddle.MAX_ITER
+
+    def test_closed_form_ignores_the_start(self):
+        P = canonical()
+        Y = np.array([[-3.0], [0.3], [50.0]])
+        X0 = np.array([[5.0, -5.0], [0.0, 0.0], [100.0, 1.0]])
+        assert np.array_equal(lambda_min(P, Y, x0=X0), lambda_min(P, Y))
+
+    def test_certificate_still_runs_on_the_closed_form(self):
+        # At 1e12 the closed form loses the certificate to cancellation; it
+        # raises with the miss and the 0 iterations it ran.
+        P = canonical()
+        with pytest.raises(saddle.SolverStallError) as stall:
+            lambda_min(P, [1e12])
+        assert stall.value.iterations == 0
+        assert stall.value.residual > saddle.MEMBERSHIP_TOL
+
+    def test_certificate_failure_reports_the_iterations_run(self, monkeypatch):
+        # A loose residual target stops the row after k iterations, short of
+        # the certificate.  k is exact: with k - 1 iterations allowed, the row
+        # runs out instead.
+        P = anisotropic()
+        y = np.array([0.3, -0.2])
+        monkeypatch.setattr(saddle, "GRAD_TOL", 0.1)
+        with pytest.raises(saddle.SolverStallError) as stall:
+            lambda_min(P, y)
+        k = stall.value.iterations
+        assert 0 < k < saddle.MAX_ITER
+        monkeypatch.setattr(saddle, "MAX_ITER", k - 1)
+        with pytest.raises(saddle.SolverStallError) as short:
+            lambda_min(P, y)
+        assert short.value.iterations == k - 1
+        assert short.value.residual > 0.1
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_states=st.integers(1, 3),
+        d1=st.integers(1, 4),
+        d2=st.integers(1, 4),
+        stretch=st.floats(1.0, 4.0),
+        epsilon=st.floats(0.01, 0.5),
+    )
+    def test_closed_form_and_iteration_agree(self, seed, n_states, d1, d2, stretch, epsilon):
+        # Each path is an oracle for the other: random problems, radii
+        # stretched past the smallest admissible one, and multipliers from
+        # 0.1 to 1000 in size, whose minimizers fall on both sides of the
+        # barrier sphere (2,115 and 1,110 of them over 300 such problems).
+        # There the two differed by at most 5.2e-16 (1 + |lambda|), far
+        # inside the 1e-12 allowed here.
+        Q, theta, rng = random_quadratic(seed, n_states, d1, min(d1, d2))
+        P = quadratic_problem(
+            theta, Q.C, Q.w, Q.kernel, epsilon=epsilon, radius=stretch * Q.radius,
+            feasible_points=Q.feasible_points,
+        )
+        U = rng.standard_normal((12, P.d2))
+        Y = U / np.linalg.norm(U, axis=1, keepdims=True) * np.logspace(-1, 3, 12)[:, None]
+        closed = lambda_min(P, Y)
+        iterated = lambda_min(without_minimizer(P), Y)
+        scale = 1.0 + np.abs(closed).max(axis=1, keepdims=True)
+        assert np.all(np.abs(closed - iterated) <= 1e-12 * scale)
+
+
+class TestCertificateScreen:
+    def test_screen_keeps_every_verdict_and_miss(self):
+        # Point rows whose subgradient v lies near MEMBERSHIP_TOL / 2 and
+        # MEMBERSHIP_TOL, in random directions and against net directions;
+        # rows on the barrier band and NaN rows, inside their set and off it;
+        # against the full sweep.
+        P = abs_kink_problem()
+        tol, net = saddle.MEMBERSHIP_TOL, saddle.direction_net(P.d1)
+        rng = np.random.default_rng(6)
+        X, CY = [], []
+        for size in tol * np.array([0.499, 0.5, 0.501, 0.999, 1.0, 1.001, 2.0]):
+            for aim in ("random", "net"):
+                x = rng.uniform(0.5, 2.0, P.d1)
+                u = rng.standard_normal(P.d1) if aim == "random" else net[rng.integers(len(net))]
+                v0 = saddle._subgrad_mu_rows(P, x[None])[0] + P._penalty.c_shift * x
+                X.append(x)
+                CY.append(size * u / np.linalg.norm(u) - v0)
+        on_sphere = P.radius * np.array([0.6, 0.8])
+        kink = np.array([0.0, 0.5])
+        for x in (on_sphere, kink):
+            p0, p1 = saddle._subgrad_mu(P, x).points[:2]
+            for t in (0.5, 3.0):
+                X.append(x)
+                CY.append(-((1 - t) * p0 + t * p1) + 0.1 * tol * rng.standard_normal(P.d1))
+        X, CY = np.array(X), np.array(CY)
+        expect = full_sweep_misses(P, X, CY)
+        assert saddle._certificate_misses(P, X, CY, {}) == expect
+        # Both verdicts occur, and the screen skips some rows.
+        assert 0 < len(expect) < len(X)
+        V = saddle._subgrad_mu_rows(P, X) + P._penalty.c_shift * X + CY
+        assert (np.linalg.norm(V, axis=1) <= tol / 2).any()
+        # A skipped row is not reported, and a row that is not finite misses
+        # by inf.
+        failing = min(expect)
+        assert failing not in saddle._certificate_misses(P, X, CY, {failing: None})
+        X[0] = np.nan
+        assert saddle._certificate_misses(P, X, CY, {})[0] == math.inf
