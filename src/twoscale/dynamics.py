@@ -41,8 +41,9 @@ SWEEP_BUDGET = 32
 
 
 class ImpureFieldError(RuntimeError):
-    """``evaluate_rows`` gave two velocities for one state: a row's value
-    depended on the other rows of its call."""
+    """A row form (a field's ``evaluate_rows``, a drift's ``point_rows``)
+    gave two velocities for one state: a row's value depended on the other
+    rows of its call."""
 
 
 def _interp(clock: np.ndarray, values: np.ndarray, t) -> np.ndarray:
@@ -219,37 +220,60 @@ def _euler_blocks(rows, z0: np.ndarray, n: int, dt: float):
     m = max(1, ROWS // R)
     for a in range(0, n, m):
         b = min(a + m, n)
-        _sweep_block(rows, states[a:b + 1], sels[a:b], dt)
+        _sweep_block(
+            lambda Z, p: rows(Z.reshape(-1, k)), states[a:b + 1], sels[a:b], dt
+        )
     return states, sels
 
 
-def _sweep_block(rows, S: np.ndarray, V: np.ndarray, dt: float) -> None:
+def _sweep_block(rows, S: np.ndarray, V: np.ndarray, step, shift=None) -> None:
     """Fill the states ``S[1:]`` and velocities ``V`` of one block of m knots
     from its start ``S[0]`` by waveform relaxation.
+
+    Knot i steps by ``S[i + 1] = S[i] + step * (V[i] + shift[i])``.
+    ``step`` is one number (``di_solve``'s dt) or one row per knot that
+    broadcasts against ``V[i]`` (the recursion's a(n) on its x columns and
+    b(n) on its y columns); ``shift`` is an optional additive term of V's
+    shape (the recursion's noise), left out where it is ``None``.
+    ``rows(Z, p)`` gives the velocities at the states Z of the knots p,
+    p + 1, ... in one call, ``len(Z)`` entries of V's entry size; it is told
+    p so that it can read what else a knot carries (the recursion's chain
+    states).
 
     The first guess holds the start's velocity over the block.  A sweep then
     evaluates the velocities of knots p.. in one call, finds the first knot
     c whose velocity changed, and rebuilds the states after it as a
     cumulative sum from ``S[c]``; knots before c are final, and the next
-    sweep starts at p = c.  Knot p is evaluated again at the state it was
-    evaluated at before, so a pure field returns the same velocity there and
-    c > p: the block ends, no velocity changed bit for bit, after the guess
-    and at most m sweeps.  Past the row budget the block is finished one
-    knot at a time, as it is when a sweep raises (a guessed state may lie
-    outside the field's domain), so errors come from the path's own states.
-    Guessed states may also overflow where the path does not, so sweeps
-    ignore floating-point warnings.
+    sweep starts at p = c.  Each sum is the knot-by-knot update's, so the
+    states are that loop's bit for bit.  Knot p is evaluated again at the
+    state it was evaluated at before, so a pure field returns the same
+    velocity there and c > p; otherwise ``ImpureFieldError`` is raised.  The
+    block ends, no velocity changed bit for bit, after the guess and at most
+    m sweeps.  Past the row budget the block is finished one knot at a
+    time, as it is when a sweep raises (a guessed state may lie outside the
+    field's domain), so errors come from the path's own states.  Guessed
+    states may also overflow where the path does not, so sweeps ignore
+    floating-point warnings.
     """
-    m, _, k = V.shape
-    V[:] = rows(S[0])
+    m = len(V)
+    per_knot = np.ndim(step) > 0
+
+    def increments(lo, hi):
+        v = V[lo:hi] if shift is None else V[lo:hi] + shift[lo:hi]
+        return (step[lo:hi] if per_knot else step) * v
+
+    V[:] = np.reshape(rows(S[:1], 0), V.shape[1:])
     p, used = 0, 1
     with np.errstate(all="ignore"):
         while True:
-            np.cumsum(np.concatenate([S[p:p + 1], dt * V[p:]]), axis=0, out=S[p:])
+            np.cumsum(
+                np.concatenate([S[p:p + 1], increments(p, m)]), axis=0, out=S[p:]
+            )
             if used + (m - p) > SWEEP_BUDGET * m:
                 break
             try:
-                new = np.ascontiguousarray(rows(S[p:m].reshape(-1, k)), dtype=float)
+                new = np.ascontiguousarray(rows(S[p:m], p), dtype=float)
+                new = new.reshape(V[p:].shape)
             except Exception:
                 break
             used += m - p
@@ -262,15 +286,16 @@ def _sweep_block(rows, S: np.ndarray, V: np.ndarray, dt: float) -> None:
             c = p + int(changed[0])
             if c == p:
                 raise ImpureFieldError(
-                    f"evaluate_rows gave two velocities for the state of knot {p} "
-                    "of a block; each row's value must depend on that row alone"
+                    f"the row form gave two velocities for the state of knot {p} "
+                    "of a block; each row's value must depend on that row alone "
+                    "(and, for a drift, equal its point form)"
                 )
-            V[c:] = new.reshape(V[p:].shape)[c - p:]
+            V[c:] = new[c - p:]
             p = c
     # V[p] is the velocity at S[p], and S[p + 1] follows from it.
     for j in range(p + 1, m):
-        V[j] = rows(S[j])
-        S[j + 1] = S[j] + dt * V[j]
+        V[j] = np.reshape(rows(S[j:j + 1], j), V.shape[1:])
+        S[j + 1] = S[j] + increments(j, j + 1)[0]
 
 
 def _selection_field(H: MeanField, select) -> MeanField:

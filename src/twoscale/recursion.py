@@ -16,7 +16,7 @@ import numpy as np
 
 from .convex import distance
 from .csvtable import write_table
-from .dynamics import _interp, select_velocity
+from .dynamics import _interp, _sweep_block, select_velocity
 from .markov import FiniteKernel, SlowMeasure, constant_walk, next_state
 from .svmaps import SetValuedMap
 
@@ -211,10 +211,80 @@ class Trajectory:
 
 # Steps whose randomness is drawn together; a bound on the block buffers.
 BLOCK_STEPS = 1024
+# Steps solved together by one sweep of ``run``'s block path.
+SWEEP_STEPS = 512
 
 # A coordinate of either iterate whose magnitude reaches this bound (or that
 # is not finite) stops ``run`` with a ``DivergenceError``.
 DIVERGENCE_BOUND = 1e12
+
+
+def _divergence(n: int) -> DivergenceError:
+    return DivergenceError(
+        n, f"iterates diverged at step {n}: |X|, |Y| left the finite range"
+    )
+
+
+def _velocity(H: SetValuedMap, x, y, s: int) -> np.ndarray:
+    """The drift's velocity at one probe: its point form where that gives a
+    point (whose length is checked), else the least-norm element of its set."""
+    point = H.point
+    v = None if point is None else point(x, y, s)
+    if v is None:
+        return select_velocity(H(x, y, s))
+    if v.shape != (H.dims[2],):
+        raise H.dim_error(v.shape[0] if v.ndim == 1 else v.shape)
+    return v
+
+
+def _step_rows(H1: SetValuedMap, H2: SetValuedMap, s1, s2, n0: int):
+    """``rows(Z, p)`` for ``dynamics._sweep_block``: the velocities of both
+    drifts at the knots p, p + 1, ... of a block that starts at step n0,
+    whose rows of Z are ``[x | y]`` and whose chain states are s1[p:] and
+    s2[p:].
+
+    A state at or past ``DIVERGENCE_BOUND`` (the run's start excepted) raises
+    the ``DivergenceError`` of the step that made it, before any drift is
+    evaluated; so does a NaN state.  Several knots go through the row forms,
+    whose NaN rows are evaluated one at a time by ``_velocity``; one knot
+    (a block's first guess and its one-knot tail) goes through ``_velocity``
+    alone, which the row forms equal bit for bit and which costs less on
+    one row.
+    """
+    d1 = H1.dims[0]
+
+    def rows(Z, p):
+        n = len(Z)
+        # NaN compares false, so this also catches non-finite states.
+        if not np.abs(Z).max() < DIVERGENCE_BOUND:
+            far = ~(np.abs(Z) < DIVERGENCE_BOUND).all(axis=1)
+            far[0] &= n0 + p > 0
+            if far.any():
+                raise _divergence(n0 + p + int(np.argmax(far)) - 1)
+        X, Y = Z[:, :d1], Z[:, d1:]
+        if n == 1:
+            x, y = X[0], Y[0]
+            return np.concatenate([
+                _velocity(H1, x, y, int(s1[p])), _velocity(H2, x, y, int(s2[p]))
+            ])[None]
+        parts = []
+        for H, S in ((H1, s1[p:p + n]), (H2, s2[p:p + n])):
+            R = _checked_rows(H, H.point_rows(X, Y, S), n)
+            if np.isnan(R.sum()):
+                R = np.array(R, dtype=float)
+                for i in np.flatnonzero(np.isnan(R).any(axis=1)).tolist():
+                    R[i] = _velocity(H, X[i], Y[i], int(S[i]))
+            parts.append(R)
+        return np.concatenate(parts, axis=1)
+
+    return rows
+
+
+def _checked_rows(H: SetValuedMap, R: np.ndarray, n: int) -> np.ndarray:
+    """R, unless it is not n rows of the drift's declared length."""
+    if R.shape != (n, H.dims[2]):
+        raise H.dim_error(R.shape[1] if R.ndim == 2 else R.shape)
+    return R
 
 
 def run(
@@ -249,6 +319,16 @@ def run(
     shared chain).  A constant kernel's states for a block come from
     ``constant_walk``; an iterate-dependent kernel evaluates its row at the
     step-n iterates.
+
+    The steps are taken one of two ways, with the same result bit for bit.
+    Where both drifts have ``point_rows`` and every chain is a constant walk
+    (a shared chain needs only K1 constant), a block's chain states are
+    known before its iterates, so each ``SWEEP_STEPS`` steps are solved as
+    one block of ``dynamics._sweep_block``'s waveform relaxation: the sweeps
+    evaluate both row forms at guessed iterates and rebuild X and Y by
+    cumulative sums, each step ``x + a(n) (v1 + M1[n])`` and ``y + b(n) (v2 +
+    M2[n])`` as the loop adds it.  Every other run takes one step at a time:
+    an iterate-dependent kernel would read its rows again on every sweep.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -272,9 +352,13 @@ def run(
     V1 = np.zeros((N, d1))
     V2 = np.zeros((N, d2))
     X[0], Y[0], S1[0], S2[0] = x0, y0, s1_0, s2_0
+    traj = Trajectory(
+        X=X, Y=Y, S1=S1, S2=S2, M1=M1, M2=M2, V1=V1, V2=V2,
+        schedule=schedule, seed=seed,
+    )
     n_arr = np.arange(max(N, 1))
-    a = schedule.a(n_arr).tolist()
-    b = schedule.b(n_arr).tolist()
+    a = schedule.a(n_arr)
+    b = schedule.b(n_arr)
     s1, s2 = int(s1_0), int(s2_0)
     if N > 0:
         H1.check_probe(x0, y0, s1)
@@ -282,61 +366,86 @@ def run(
         K1.check_state(s1)
         if not share_noise_chain:
             K2.check_state(s2)
-    point1, point2 = H1.point, H2.point
-    k1, k2 = (H1.dims[2],), (H2.dims[2],)
     walk1 = K1.matrix is not None
     walk2 = K2.matrix is not None and not share_noise_chain
-    bound = DIVERGENCE_BOUND
-    start = end = 0
-    for n in range(N):
-        if n == end:
-            start, end = n, min(n + BLOCK_STEPS, N)
-            m1, m2, U = noise.draw_block(
-                rng, end - start, d1, d2, 1 if share_noise_chain else 2
-            )
-            if m1 is not None:
-                M1[start:end] = m1
-            if m2 is not None:
-                M2[start:end] = m2
-            u1 = U[:, 0]
-            next1 = constant_walk(K1, s1, u1) if walk1 else u1.tolist()
-            if not share_noise_chain:
-                u2 = U[:, 1]
-                next2 = constant_walk(K2, s2, u2) if walk2 else u2.tolist()
-        x, y = X[n], Y[n]
-        v1 = None if point1 is None else point1(x, y, s1)
-        if v1 is None:
-            v1 = select_velocity(H1(x, y, s1))
-        elif v1.shape != k1:
-            raise H1.dim_error(v1.shape[0] if v1.ndim == 1 else v1.shape)
-        v2 = None if point2 is None else point2(x, y, s2)
-        if v2 is None:
-            v2 = select_velocity(H2(x, y, s2))
-        elif v2.shape != k2:
-            raise H2.dim_error(v2.shape[0] if v2.ndim == 1 else v2.shape)
-        V1[n] = v1
-        V2[n] = v2
-        X[n + 1] = xn = x + a[n] * (v1 + M1[n])
-        Y[n + 1] = yn = y + b[n] * (v2 + M2[n])
-        # NaN compares false, so one comparison per coordinate also catches
-        # non-finite values.
-        for v in xn.tolist() + yn.tolist():
-            if not -bound < v < bound:
-                raise DivergenceError(
-                    n, f"iterates diverged at step {n}: |X|, |Y| left the finite range"
-                )
-        i = n - start
-        s1 = next1[i] if walk1 else next_state(K1, x, y, s1, next1[i])
-        if share_noise_chain:
-            s2 = s1
-        else:
-            s2 = next2[i] if walk2 else next_state(K2, x, y, s2, next2[i])
-        S1[n + 1] = s1
-        S2[n + 1] = s2
-    return Trajectory(
-        X=X, Y=Y, S1=S1, S2=S2, M1=M1, M2=M2, V1=V1, V2=V2,
-        schedule=schedule, seed=seed,
+    swept = (
+        H1.point_rows is not None and H2.point_rows is not None
+        and walk1 and (walk2 or share_noise_chain)
     )
+    if swept and N > 0:
+        # The sweeps ignore errors at guessed iterates; a row form of the
+        # wrong shape is named here instead.
+        for H, s in ((H1, s1), (H2, s2)):
+            _checked_rows(H, H.point_rows(x0[None], y0[None], np.array([s])), 1)
+    if not swept:  # the loop reads one step size at a time, faster from a list
+        a, b = a.tolist(), b.tolist()
+    bound = DIVERGENCE_BOUND
+    for start in range(0, N, BLOCK_STEPS):
+        end = min(start + BLOCK_STEPS, N)
+        m1, m2, U = noise.draw_block(
+            rng, end - start, d1, d2, 1 if share_noise_chain else 2
+        )
+        if m1 is not None:
+            M1[start:end] = m1
+        if m2 is not None:
+            M2[start:end] = m2
+        u1 = U[:, 0]
+        next1 = constant_walk(K1, s1, u1) if walk1 else u1.tolist()
+        if not share_noise_chain:
+            u2 = U[:, 1]
+            next2 = constant_walk(K2, s2, u2) if walk2 else u2.tolist()
+        if swept:
+            S1[start + 1:end + 1] = next1
+            S2[start + 1:end + 1] = next1 if share_noise_chain else next2
+            s1, s2 = int(S1[end]), int(S2[end])
+            for lo in range(start, end, SWEEP_STEPS):
+                _sweep_steps(H1, H2, traj, a, b, lo, min(lo + SWEEP_STEPS, end))
+            continue
+        for n in range(start, end):
+            x, y = X[n], Y[n]
+            V1[n] = v1 = _velocity(H1, x, y, s1)
+            V2[n] = v2 = _velocity(H2, x, y, s2)
+            X[n + 1] = xn = x + a[n] * (v1 + M1[n])
+            Y[n + 1] = yn = y + b[n] * (v2 + M2[n])
+            # NaN compares false, so one comparison per coordinate also
+            # catches non-finite values.
+            for v in xn.tolist() + yn.tolist():
+                if not -bound < v < bound:
+                    raise _divergence(n)
+            i = n - start
+            s1 = next1[i] if walk1 else next_state(K1, x, y, s1, next1[i])
+            if share_noise_chain:
+                s2 = s1
+            else:
+                s2 = next2[i] if walk2 else next_state(K2, x, y, s2, next2[i])
+            S1[n + 1] = s1
+            S2[n + 1] = s2
+    # The sweeps check every state they evaluate, which the last is not.
+    if swept and N > 0:
+        if not np.abs(np.concatenate([X[N], Y[N]])).max() < DIVERGENCE_BOUND:
+            raise _divergence(N - 1)
+    return traj
+
+
+def _sweep_steps(
+    H1: SetValuedMap, H2: SetValuedMap, t: Trajectory, a, b, lo: int, hi: int
+) -> None:
+    """Steps lo..hi-1 of ``run``'s block path, as one sweep block over
+    block-local buffers of ``[x | y]`` rows, copied into the arrays of the
+    trajectory t being filled, whose chain states and noise the block reads."""
+    d1 = t.X.shape[1]
+    Z = np.empty((hi - lo + 1, d1 + t.Y.shape[1]))
+    Z[0, :d1], Z[0, d1:] = t.X[lo], t.Y[lo]
+    V = np.empty((hi - lo, Z.shape[1]))
+    step = np.empty_like(V)
+    step[:, :d1] = a[lo:hi, None]
+    step[:, d1:] = b[lo:hi, None]
+    _sweep_block(
+        _step_rows(H1, H2, t.S1[lo:hi], t.S2[lo:hi], lo), Z, V, step,
+        np.hstack([t.M1[lo:hi], t.M2[lo:hi]]),
+    )
+    t.X[lo + 1:hi + 1], t.Y[lo + 1:hi + 1] = Z[1:, :d1], Z[1:, d1:]
+    t.V1[lo:hi], t.V2[lo:hi] = V[:, :d1], V[:, d1:]
 
 
 def interpolate(traj: Trajectory, scale: str, t) -> np.ndarray:

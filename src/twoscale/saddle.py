@@ -366,6 +366,19 @@ def _penalty_shift(P: SaddleProblem, x: np.ndarray) -> Optional[np.ndarray]:
     return None
 
 
+def _penalty_shift_rows(P: SaddleProblem, X: np.ndarray):
+    """``_penalty_shift`` at each row of X, bit for bit: the shifts, and the
+    mask of the rows on the barrier sphere band (or of NaN norm), where the
+    shift is a set and its row is to be ignored."""
+    pen = P._penalty
+    shift = pen.c_shift * X
+    nrm = np.sqrt(_rowdot(X, X))
+    outer = nrm > P.radius + pen.band
+    if outer.any():
+        shift[outer] = shift[outer] + (P.growth_K + 1) * X[outer]
+    return shift, ~((nrm < P.radius - pen.band) | outer)
+
+
 def _subgrad_mu_rows(P: SaddleProblem, Z: np.ndarray) -> np.ndarray:
     """Averaged subgradient row at each row of Z: ``m * g_s`` summed over the
     weighted states in the order ``minkowski_combine`` adds them.  A row is
@@ -575,18 +588,15 @@ def _certificate_misses(P: SaddleProblem, X: np.ndarray, CY: np.ndarray, skip) -
     is swept on its set form's cloud.  A row that is not finite misses by
     ``inf``.
     """
-    net_T, pen = P._solver.net_T, P._penalty
-    shift = pen.c_shift * X
-    nrm = np.sqrt(_rowdot(X, X))
-    outer = nrm > P.radius + pen.band
-    shift[outer] = shift[outer] + (P.growth_K + 1) * X[outer]
+    net_T = P._solver.net_T
+    shift, band = _penalty_shift_rows(P, X)
     G_mu = _subgrad_mu_rows(P, X)
     V = (G_mu + shift) + CY
     todo = np.ones(len(X), dtype=bool)
     todo[list(skip)] = False
     finite = np.isfinite(X).all(axis=1)
     # On the barrier band or a NaN row the subdifferential is a set.
-    set_valued = (~(nrm < P.radius - pen.band) & ~outer) | np.isnan(G_mu).any(axis=1)
+    set_valued = band | np.isnan(G_mu).any(axis=1)
     worst = np.zeros(len(X))
     worst[todo & ~finite] = -math.inf
     swept = todo & finite & ~set_valued & ~(np.sqrt(_rowdot(V, V)) <= 0.5 * MEMBERSHIP_TOL)
@@ -603,16 +613,27 @@ def dual_value(P: SaddleProblem, y, x0=None) -> float:
     return lagrangian(P, lam, y)
 
 
+def _state_matvec(A: np.ndarray, S: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Row r is ``A[S[r]] @ Z[r]``, bit for bit: one stacked product, whose
+    matrices keep the layout of ``A[s]`` (so the same BLAS kernel sums each
+    row's terms in the same order)."""
+    return np.matmul(A[S], Z[:, :, None])[:, :, 0]
+
+
 def primal_drift(P: SaddleProblem) -> SetValuedMap:
     """Fast drift -(penalized subdifferential + C(s)^T y).
 
     Its point form is -((g_s + shift) + C(s)^T y) for the row g_s of
     ``P.subgrad_rows`` at x and the penalty gradient ``shift``, the value's
     one generator in the set form's order; it is ``None`` on the barrier
-    sphere band and where that row is NaN.
+    sphere band and where that row is NaN.  Its row form computes each row
+    the same way, ``subgrad_rows`` once per state present, and is NaN on
+    those rows.
     """
     growth = max(2 * P.growth_K + 1 + P._penalty.c_shift, P._bounds.cmax)
     CT = [P.C[s].T for s in range(P.alphabet)]
+    # Views C[s].T, as in CT: F-ordered matrices.
+    CT_stack = P.C.transpose(0, 2, 1)
 
     def evaluate(x, y, s):
         G = penalized_subgrad(P, x, s)
@@ -627,15 +648,30 @@ def primal_drift(P: SaddleProblem) -> SetValuedMap:
             return None
         return -((g + shift) + CT[s] @ y)
 
+    def point_rows(X, Y, S):
+        shift, band = _penalty_shift_rows(P, X)
+        if band.any():
+            shift[band] = np.nan
+        states = np.flatnonzero(np.bincount(S)).tolist()
+        if len(states) == 1:
+            G = P.subgrad_rows(X, states[0])
+        else:
+            G = np.empty_like(shift)
+            for s in states:
+                at = S == s
+                G[at] = P.subgrad_rows(X[at], s)
+        return -((G + shift) + _state_matvec(CT_stack, S, Y))
+
     return SetValuedMap(
         dims=(P.d1, P.d2, P.d1), alphabet=P.alphabet,
-        evaluate=evaluate, growth_K=growth, point=point,
+        evaluate=evaluate, growth_K=growth, point=point, point_rows=point_rows,
     )
 
 
 def dual_drift(P: SaddleProblem) -> SetValuedMap:
     """Slow drift {C(s) x - w(s)}, the observed constraint residual; a
-    singleton everywhere, so its point form is C(s) x - w(s)."""
+    singleton everywhere, so its point form is C(s) x - w(s), and its row
+    form that at each row."""
     def point(x, y, s):
         return P.C[s] @ x - P.w[s]
 
@@ -643,6 +679,7 @@ def dual_drift(P: SaddleProblem) -> SetValuedMap:
         dims=(P.d1, P.d2, P.d2), alphabet=P.alphabet,
         evaluate=lambda x, y, s: ConvexSet.singleton(point(x, y, s)),
         growth_K=max(P._bounds.cmax, P._bounds.wmax, 1e-12), point=point,
+        point_rows=lambda X, Y, S: _state_matvec(P.C, S, X) - P.w[S],
     )
 
 

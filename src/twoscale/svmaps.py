@@ -48,13 +48,20 @@ class SetValuedMap:
     bit, as a float ``(k,)`` array; everywhere else it returns ``None``.  A
     single generator is the least-norm selection, so a driver may use the
     point in place of the set.  ``recursion.run`` calls the point form first
-    and evaluates the set only where it gives ``None``; ``validate_sam``
-    checks the contract at every probe.
+    and evaluates the set only where it gives ``None``.
+
+    ``point_rows``, optional and only beside ``point``, is the point form's
+    row form: ``point_rows(X, Y, S)`` takes R probes as the rows of X
+    ``(R, d1)`` and Y ``(R, d2)`` with the int states S ``(R,)`` and returns
+    ``(R, k)`` floats, each row ``point`` at that probe bit for bit, and a
+    NaN row where ``point`` gives ``None``.  A row's value depends on that
+    row alone.  ``recursion.run`` steps blocks of steps through it (see
+    there).  ``validate_sam`` checks both contracts at every probe.
     """
 
     def __init__(
         self, dims, alphabet: int, evaluate: Callable, growth_K: float,
-        point: Optional[Callable] = None,
+        point: Optional[Callable] = None, point_rows: Optional[Callable] = None,
     ):
         d1, d2, k = dims
         if min(d1, k) < 1 or d2 < 0:
@@ -63,10 +70,13 @@ class SetValuedMap:
             raise ValueError("alphabet size must be >= 1")
         if growth_K <= 0:
             raise ValueError("growth_K must be positive")
+        if point_rows is not None and point is None:
+            raise ValueError("point_rows needs the point form it batches")
         self.dims = (int(d1), int(d2), int(k))
         self.alphabet = int(alphabet)
         self._evaluate = evaluate
         self.point = point
+        self.point_rows = point_rows
         self.growth_K = float(growth_K)
         self._checked = False
 
@@ -220,7 +230,10 @@ def validate_sam(
     map and land its limit value inside the limit set.  A declared point
     form must return the single generator bit for bit wherever the value
     has one, and ``None`` wherever it has more, at every grid probe and
-    every sequence point and limit.
+    every sequence point and limit.  A declared ``point_rows``, called once
+    on all those probes, must give ``point`` at each of them bit for bit,
+    with a NaN row exactly where ``point`` gives ``None``; as the probes
+    differ, this also shows that no row depends on the others.
     """
     grid, seq_probes = list(grid), list(seq_probes)
     report = _check_contract(
@@ -232,9 +245,37 @@ def validate_sam(
         for p in probes:
             wrong = _point_mismatch(F, p)
             if wrong is not None:
-                report.point_ok = False
                 report.point_failures.append((tuple(p), wrong))
+        if F.point_rows is not None:
+            report.point_failures += _rows_mismatches(F, probes)
+        report.point_ok = not report.point_failures
     return report
+
+
+def _rows_mismatches(F: SetValuedMap, probes) -> list:
+    """(probe, what is wrong) wherever one ``point_rows`` call over all the
+    probes breaks the row-form contract."""
+    n, (d1, d2, k) = len(probes), F.dims
+    X = np.array([np.asarray(p[0], dtype=float) for p in probes]).reshape(n, d1)
+    Y = np.array([np.asarray(p[1], dtype=float) for p in probes]).reshape(n, d2)
+    S = np.array([int(p[2]) for p in probes], dtype=int)
+    R = F.point_rows(X, Y, S)
+    if not (isinstance(R, np.ndarray) and R.dtype == float and R.shape == (n, k)):
+        return [(tuple(probes[0]), f"point_rows gave {type(R).__name__} "
+                 f"{np.shape(R)}, not a float ({n}, {k}) array")]
+    out = []
+    for p, x, y, s, r in zip(probes, X, Y, S, R):
+        v = F.point(x, y, int(s))
+        if v is None:
+            if np.isnan(r).any():
+                continue
+            wrong = "no NaN where point gives None"
+        elif r.tobytes() != np.asarray(v, dtype=float).tobytes():
+            wrong = f"differs from point {np.asarray(v).tolist()}"
+        else:
+            continue
+        out.append((tuple(p), f"point_rows row {r.tolist()}: {wrong}"))
+    return out
 
 
 def _point_mismatch(F: SetValuedMap, p) -> Optional[str]:

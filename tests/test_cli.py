@@ -468,6 +468,33 @@ class TestSaddleCommand:
         report = (tmp_path / "out" / "report.txt").read_text()
         assert "feasibility gap" in report
 
+    def test_two_constraints_tail_means_at_the_optimum(self, tmp_path):
+        # d1 = 3, d2 = 2 and three states: every C(s) x and C(s)^T y sums
+        # several terms.  x* lies inside the barrier sphere, where
+        # lambda(y) = (theta_mu - C_mu^T y) / (1 + eps / r^2), so
+        # C_mu lambda(y*) = w_mu is linear in y*.
+        cfg = json.loads((CONFIGS / "saddle_two_constraints.json").read_text())
+        cfg["out"] = str(tmp_path / "out")
+        assert main(["saddle", "--config", str(write_config(tmp_path, cfg))]) == 0
+        P = build_problem(cfg["problem"])
+        assert (P.d1, P.d2, P.alphabet) == (3, 2, 3) and P.mu.min() > 0
+        k = 1 + P.epsilon / P.radius**2
+        theta_mu = P.mu @ np.array(cfg["problem"]["theta"])
+        y_star = np.linalg.solve(P.C_mu @ P.C_mu.T / k, P.C_mu @ theta_mu / k - P.w_mu)
+        x_star = lambda_min(P, y_star)
+        np.testing.assert_allclose(P.C_mu @ x_star, P.w_mu, atol=1e-12)
+        assert np.linalg.norm(x_star) < P.radius
+        header, rows = read_csv(tmp_path / "out" / "trajectory.csv")
+        data = np.array(rows, dtype=float)
+        assert len(data) == cfg["steps"] + 1
+        tail = data[int(len(data) * (1 - cfg["tail_fraction"])):]
+        cols = {name: i for i, name in enumerate(header)}
+        x_bar = tail[:, [cols[f"X{i}"] for i in range(3)]].mean(axis=0)
+        y_bar = tail[:, [cols[f"Y{i}"] for i in range(2)]].mean(axis=0)
+        np.testing.assert_allclose(x_bar, x_star, atol=0.03)
+        np.testing.assert_allclose(y_bar, y_star, atol=0.03)
+        assert main(["validate", "--config", str(write_config(tmp_path, cfg))]) == 0
+
 
 class TestNamedKernel:
     def test_x_threshold_kernel_runs(self, tmp_path):
@@ -1051,6 +1078,31 @@ class TestBuiltins:
         assert report.ok, report.point_failures
         kinked = name == "sign_fast"
         assert (H.point(zs[0], zs[0], 0) is None) == kinked
+
+    @pytest.mark.parametrize("name", sorted(DRIFT_FORMS))
+    def test_drift_row_forms(self, name):
+        # Every built-in drift but sign has a row form, which
+        # test_drift_point_form_contract validates with the point form.
+        H = cli.drift_map(name, 2, 3, 2)
+        assert (H.point_rows is None) == (name == "sign_fast")
+
+    def test_toy_run_same_with_and_without_row_forms(self, tmp_path, monkeypatch):
+        # The toy config's run takes the block sweeps; without row forms it
+        # steps one step at a time, to the same bytes.
+        cfg = json.loads((CONFIGS / "toy_two_timescale.json").read_text())
+        cfg["steps"] = 3000
+        cfg["noise"] = {"kind": "uniform", "fast_scale": 0.3, "slow_scale": 0.3}
+        outs = []
+        for rows in (True, False):
+            if not rows:
+                zmaps = {name: (lambda dim, f=f: f(dim)[:2] + (None,))
+                         for name, f in cli.ZMAPS.items()}
+                monkeypatch.setattr(cli, "ZMAPS", zmaps)
+            assert (cli.drift_map("negate_x", 1, 1, 1).point_rows is None) == (not rows)
+            cfg["out"] = str(tmp_path / f"out{rows}")
+            assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+            outs.append((tmp_path / f"out{rows}" / "trajectory.csv").read_bytes())
+        assert outs[0] == outs[1]
 
     def test_validate_covers_builtin_point_forms(self, tmp_path, monkeypatch):
         cfg = dict(GENERIC, d1=2, d2=2, alphabet=2, x0=[0.5, 1.0], y0=[1.0, -2.0],

@@ -7,10 +7,11 @@ import twoscale.convex as convex
 import twoscale.dynamics as dynamics
 from twoscale.cli import NAMED_KERNELS, drift_map
 from twoscale.convex import ConvexSet
-from twoscale.dynamics import select_velocity
+from twoscale.dynamics import ImpureFieldError, select_velocity
 from twoscale.markov import FiniteKernel
 from twoscale.recursion import (
     BLOCK_STEPS,
+    SWEEP_STEPS,
     DivergenceError,
     NoiseModel,
     StepSchedule,
@@ -430,20 +431,22 @@ def reference_run(
     return X, Y, S1, S2, M1, M2, V1, V2
 
 
-def pointed_map(fn, dims, alphabet, with_point=True, growth=1.0):
-    """A single-valued map whose set form is the singleton of ``fn``."""
+def pointed_map(fn, dims, alphabet, with_point=True, growth=1.0, rows=None):
+    """A single-valued map whose set form is the singleton of ``fn``, with
+    the row form ``rows``."""
     return SetValuedMap(
         dims=dims, alphabet=alphabet,
         evaluate=lambda x, y, s: ConvexSet.singleton(fn(x, y, s)),
-        growth_K=growth, point=fn if with_point else None,
+        growth_K=growth, point=fn if with_point else None, point_rows=rows,
     )
 
 
-def kink_map(dims, alphabet, with_point=True, calls=None, shared=False):
+def kink_map(dims, alphabet, with_point=True, calls=None, shared=False, rows=False):
     """-sign(x_0) in every coordinate, shifted by the state; the segment
     [-1, 1]^k for |x_0| < 1/4.  ``calls`` collects one entry per set
     evaluation.  ``shared`` returns one prebuilt segment at every kink
-    evaluation, as the ``sign`` z-map does."""
+    evaluation, as the ``sign`` z-map does.  ``rows`` adds the row form,
+    NaN on the rows with |x_0| < 1/4."""
     k = dims[2]
     segment = ConvexSet(np.vstack([-np.ones(k), np.ones(k)]))
 
@@ -451,6 +454,11 @@ def kink_map(dims, alphabet, with_point=True, calls=None, shared=False):
         if abs(x[0]) < 0.25:
             return None
         return -np.sign(x[0]) * np.ones(k) + 0.1 * s
+
+    def point_rows(X, Y, S):
+        x0 = X[:, :1]
+        sign = np.where(np.abs(x0) < 0.25, np.nan, -np.sign(x0))
+        return sign * np.ones(k) + (0.1 * S)[:, None]
 
     def evaluate(x, y, s):
         if calls is not None:
@@ -462,7 +470,7 @@ def kink_map(dims, alphabet, with_point=True, calls=None, shared=False):
 
     return SetValuedMap(
         dims=dims, alphabet=alphabet, evaluate=evaluate, growth_K=2.0,
-        point=point if with_point else None,
+        point=point if with_point else None, point_rows=point_rows if rows else None,
     )
 
 
@@ -503,18 +511,31 @@ EQUIVALENCE_CASES = {
     ),
     "no_point_forms": dict(noise=UNIFORM, with_point=False),
     "no_point_kink": dict(noise=UNIFORM, kink=True, with_point=False),
+    # Row forms on both drifts and constant chains: the block sweeps.
+    "rows_uniform": dict(noise=UNIFORM, rows=True),
+    "rows_gaussian": dict(noise=GAUSSIAN, rows=True),
+    "rows_shared_chain": dict(noise=UNIFORM, share_noise_chain=True, rows=True),
+    "rows_no_noise": dict(rows=True),
+    "rows_kink_with_noise": dict(noise=UNIFORM, kink=True, rows=True),
 }
+ROW_CASES = sorted(c for c in EQUIVALENCE_CASES if c.startswith("rows_"))
 
 
 def equivalence_setup(
-    kink=False, with_point=True, K1=CONST2, K2=CONST2, shared=False, **kw
+    kink=False, with_point=True, K1=CONST2, K2=CONST2, shared=False, rows=False, **kw
 ):
     dims1, dims2 = (2, 1, 2), (2, 1, 1)
     if kink:
-        H1 = kink_map(dims1, 2, with_point, shared=shared)
+        H1 = kink_map(dims1, 2, with_point, shared=shared, rows=rows)
     else:
-        H1 = pointed_map(lambda x, y, s: -x + (0.5 * s) * y[0], dims1, 2, with_point)
-    H2 = pointed_map(lambda x, y, s: x[:1] - y - 0.25 * s, dims2, 2, with_point)
+        H1 = pointed_map(
+            lambda x, y, s: -x + (0.5 * s) * y[0], dims1, 2, with_point,
+            rows=(lambda X, Y, S: -X + ((0.5 * S) * Y[:, 0])[:, None]) if rows else None,
+        )
+    H2 = pointed_map(
+        lambda x, y, s: x[:1] - y - 0.25 * s, dims2, 2, with_point,
+        rows=(lambda X, Y, S: X[:, :1] - Y - (0.25 * S)[:, None]) if rows else None,
+    )
     x0 = [0.3, 1.0] if kink else [1.0, -0.5]
     return (H1, H2, K1, K2, DAMPED, x0, [0.5], 1, 0), kw
 
@@ -657,3 +678,108 @@ class TestSetValuedStepCost:
         )
         assert not traj.X.any() and not traj.V1.any()
         assert calls == {"project": 1, "row": 5000}
+
+
+def grow_setup(x0, rows=True):
+    """A fast drift 1.2 x that leaves the finite range, with row forms."""
+    H1 = pointed_map(
+        lambda x, y, s: 1.2 * x, (2, 1, 2), 2,
+        rows=(lambda X, Y, S: 1.2 * X) if rows else None,
+    )
+    H2 = pointed_map(
+        lambda x, y, s: np.zeros(1), (2, 1, 1), 2,
+        rows=(lambda X, Y, S: np.zeros((len(X), 1))) if rows else None,
+    )
+    return (H1, H2, CONST2, CONST2, DAMPED, x0, [0.0], 0, 1)
+
+
+class TestBlockSweepsMatchReference:
+    """Runs whose drifts both have row forms and whose chains are constant
+    walks take ``run``'s block sweeps; they must still be the reference's."""
+
+    @pytest.mark.parametrize("N", [3 * SWEEP_STEPS + d for d in (-1, 0, 1)])
+    @pytest.mark.parametrize("case", ROW_CASES)
+    def test_bytes_equal_at_a_sweep_boundary(self, case, N):
+        args, kw = equivalence_setup(**EQUIVALENCE_CASES[case])
+        expect = reference_run(*args, N=N, seed=7, **kw)
+        traj = run(*args, N=N, seed=7, **kw)
+        for name, want in zip(FIELDS, expect):
+            assert getattr(traj, name).tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("case", ROW_CASES)
+    def test_row_cases_are_swept(self, case, monkeypatch):
+        # The row forms see many rows at once; on the kink, NaN rows go to
+        # the set form one at a time.
+        args, kw = equivalence_setup(**EQUIVALENCE_CASES[case])
+        sizes, sets = [], []
+        for H in args[:2]:
+            rows, evaluate = H.point_rows, H._evaluate
+            monkeypatch.setattr(
+                H, "point_rows", lambda X, Y, S, f=rows: sizes.append(len(X)) or f(X, Y, S)
+            )
+            monkeypatch.setattr(
+                H, "_evaluate", lambda x, y, s, f=evaluate: sets.append(1) or f(x, y, s)
+            )
+        run(*args, N=2000, seed=3, **kw)
+        assert max(sizes) > 100
+        assert bool(sets) == ("kink" in case)
+
+    @pytest.mark.parametrize("noise", [UNIFORM, GAUSSIAN], ids=["uniform", "gaussian"])
+    def test_divergence_mid_block_at_same_step(self, noise):
+        args = grow_setup([1.0, -1.0])
+        with pytest.raises(DivergenceError) as want:
+            reference_run(*args, N=5000, seed=8, noise=noise)
+        step = want.value.step
+        assert step % SWEEP_STEPS not in (0, SWEEP_STEPS - 1)
+        # Mid-block, then at the last step, whose state no sweep evaluates.
+        for N in (5000, step + 1):
+            with pytest.raises(DivergenceError) as got:
+                run(*args, N=N, seed=8, noise=noise)
+            assert got.value.step == step
+            assert str(got.value) == str(want.value)
+
+    def test_divergence_at_a_block_start(self):
+        # From this start the state that leaves the range is the first of the
+        # fourth sweep block, which no sweep of the third evaluates.
+        args = grow_setup([3.58, -1.0])
+        with pytest.raises(DivergenceError) as want:
+            reference_run(*args, N=5000, seed=1)
+        assert want.value.step == 3 * SWEEP_STEPS - 1
+        with pytest.raises(DivergenceError) as got:
+            run(*args, N=5000, seed=1)
+        assert got.value.step == want.value.step
+        assert str(got.value) == str(want.value)
+
+    def test_start_past_the_bound_is_not_checked(self):
+        # As in the loop, only the states the steps make are checked: a first
+        # step of a(0) = 1 along -x brings this start back.
+        H1 = pointed_map(lambda x, y, s: -x, (2, 1, 2), 2, rows=lambda X, Y, S: -X)
+        H2 = pointed_map(
+            lambda x, y, s: np.zeros(1), (2, 1, 1), 2,
+            rows=lambda X, Y, S: np.zeros((len(X), 1)),
+        )
+        args = (H1, H2, CONST2, CONST2, SCHED, [2e12, 0.0], [0.5], 1, 0)
+        expect = reference_run(*args, N=600, seed=4, noise=UNIFORM)
+        traj = run(*args, N=600, seed=4, noise=UNIFORM)
+        assert traj.X[0, 0] == 2e12 and np.abs(traj.X[1:]).max() < 1.0
+        for name, want in zip(FIELDS, expect):
+            assert getattr(traj, name).tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize(
+        "impure",
+        [lambda X: -X + 1e-3 * (len(X) - 1), lambda X: -X + 1e-3 * (X.mean(axis=0) - X)],
+        ids=["row_count", "row_mean"],
+    )
+    def test_impure_point_rows_raises(self, impure):
+        H1 = pointed_map(lambda x, y, s: -x, (2, 1, 2), 2, rows=lambda X, Y, S: impure(X))
+        (_, H2, *rest), kw = equivalence_setup(rows=True)
+        with pytest.raises(ImpureFieldError):
+            run(H1, H2, *rest, N=2000, seed=0, noise=UNIFORM)
+
+    def test_point_rows_dim_checked(self):
+        H1 = pointed_map(
+            lambda x, y, s: -x, (2, 1, 2), 2, rows=lambda X, Y, S: np.zeros((len(X), 3))
+        )
+        (_, H2, *rest), kw = equivalence_setup(rows=True)
+        with pytest.raises(ValueError, match=r"oracle returned dim 3, declared 2"):
+            run(H1, H2, *rest, N=2000, seed=0)

@@ -12,7 +12,7 @@ from twoscale.convex import ConvexSet, hausdorff
 from twoscale.dynamics import di_solve
 from twoscale.markov import FiniteKernel
 from twoscale.meanfield import MeanField, check_marchaud
-from twoscale.recursion import NoiseModel, StepSchedule, Trajectory
+from twoscale.recursion import NoiseModel, StepSchedule, Trajectory, run
 from twoscale.saddle import (
     SaddleProblem,
     averaged_slow_field,
@@ -429,6 +429,30 @@ class TestRunPrimalDual:
         )
         assert np.all(traj.M2 == 0.0)
         assert np.any(traj.M1 != 0.0)
+
+
+class TestRunPrimalDualSweeps:
+    """``run_primal_dual`` takes ``run``'s block sweeps through the drifts'
+    row forms; without them it steps one step at a time, to the same bytes."""
+
+    @pytest.mark.parametrize("make, x0, noise", [
+        (canonical, [100.0, 100.0], NoiseModel(fast_scale=0.1)),
+        (lambda: three_state(), None, NoiseModel(fast_scale=0.2, slow_scale=0.1)),
+        (abs_kink_problem, [0.0, 0.5], NoiseModel()),
+    ], ids=["outside_the_sphere", "three_state", "on_the_kink"])
+    def test_same_bytes_as_the_loop(self, make, x0, noise):
+        P = make()
+        sched = StepSchedule(alpha=0.6, beta=0.9, a0=0.5)
+        traj = run_primal_dual(P, sched, N=3000, seed=5, noise=noise, x0=x0)
+        H1, H2 = primal_drift(P), dual_drift(P)
+        H1.point_rows = H2.point_rows = None
+        x0 = np.zeros(P.d1) if x0 is None else x0
+        loop = run(
+            H1, H2, P.kernel, P.kernel, sched, x0, np.zeros(P.d2), 0, 0, 3000, 5,
+            noise=noise, share_noise_chain=True,
+        )
+        for name in ("X", "Y", "S1", "S2", "M1", "M2", "V1", "V2"):
+            assert getattr(traj, name).tobytes() == getattr(loop, name).tobytes(), name
 
 
 class TestOptimalityReport:

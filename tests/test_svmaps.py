@@ -131,9 +131,9 @@ class TestValidateSam:
             validate_sam(linear_map(), [])
 
 
-def pointed(point, evaluate=None, dims=(1, 1, 1)):
-    """A map with point form ``point``; its set form defaults to the
-    singleton of -x, or the segment [-1, 1] at x = 0."""
+def pointed(point, evaluate=None, dims=(1, 1, 1), point_rows=None):
+    """A map with point form ``point`` (and row form ``point_rows``); its set
+    form defaults to the singleton of -x, or the segment [-1, 1] at x = 0."""
 
     def default(x, y, s):
         if x[0] == 0.0:
@@ -142,7 +142,7 @@ def pointed(point, evaluate=None, dims=(1, 1, 1)):
 
     return SetValuedMap(
         dims=dims, alphabet=2, evaluate=evaluate or default, growth_K=2.0,
-        point=point,
+        point=point, point_rows=point_rows,
     )
 
 
@@ -418,3 +418,60 @@ class TestMultiStateApprox:
             lo = 1.0 + shift[s] - 4 * 2**-3
             hi = 1.0 + shift[s] + 4 * 2**-3
             assert hausdorff(K, ConvexSet.interval(lo, hi)) <= 1e-12
+
+
+def exact_rows(X, Y, S):
+    """``exact_point`` at each row: -x, and a NaN row at x = 0."""
+    R = -X
+    R[X[:, 0] == 0.0] = np.nan
+    return R
+
+
+class TestPointRowsContract:
+    def test_exact_row_form_passes(self):
+        F = pointed(exact_point, point_rows=exact_rows)
+        report = validate_sam(F, POINT_GRID)
+        assert report.ok and report.point_ok and report.point_failures == []
+
+    def test_row_form_needs_the_point_form(self):
+        with pytest.raises(ValueError, match="point_rows needs the point form"):
+            pointed(None, point_rows=exact_rows)
+
+    def test_wrong_on_one_probe_fails_by_name(self):
+        def rows(X, Y, S):
+            R = exact_rows(X, Y, S)
+            at = (X[:, 0] == 0.5) & (Y[:, 0] == 1.0) & (S == 1)
+            R[at] = np.nextafter(R[at], np.inf)
+            return R
+
+        report = validate_sam(pointed(exact_point, point_rows=rows), POINT_GRID)
+        assert not report.ok and not report.point_ok
+        assert report.growth_ok and report.closed_graph_ok
+        [(probe, why)] = report.point_failures
+        assert (probe[0][0], probe[1][0], probe[2]) == (0.5, 1.0, 1)
+        assert "point_rows row" in why and "differs from point [-0.5]" in why
+
+    def test_value_where_point_gives_none_fails(self):
+        F = pointed(exact_point, point_rows=lambda X, Y, S: -X)
+        report = validate_sam(F, POINT_GRID)
+        assert not report.point_ok
+        assert [p[0][0] for p, _ in report.point_failures] == [0.0] * 4
+        assert "no NaN where point gives None" in report.point_failures[0][1]
+
+    def test_impure_row_form_fails(self):
+        # Each row is right on a one-row call and shifted by the others.
+        def rows(X, Y, S):
+            R = exact_rows(X, Y, S)
+            return R + 1e-3 * (len(X) - 1)
+
+        F = pointed(exact_point, point_rows=rows)
+        assert all(validate_sam(F, [p]).ok for p in POINT_GRID)
+        report = validate_sam(F, POINT_GRID)
+        assert not report.point_ok
+        assert len(report.point_failures) == 8  # every probe off the kink
+
+    def test_wrong_shape_fails(self):
+        F = pointed(exact_point, point_rows=lambda X, Y, S: np.zeros((len(X), 2)))
+        report = validate_sam(F, POINT_GRID)
+        assert not report.point_ok
+        assert "not a float (12, 1) array" in report.point_failures[0][1]
