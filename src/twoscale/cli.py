@@ -21,8 +21,8 @@ import numpy as np
 
 from .convex import ConvexSet
 from .csvtable import write_table
-from .dynamics import apt_metric, di_solve
-from .markov import FiniteKernel
+from .dynamics import apt_metric, di_solve, select_velocity
+from .markov import FiniteKernel, rows_mismatches
 from .meanfield import MeanField, check_marchaud
 from .recursion import (
     DivergenceError,
@@ -112,8 +112,16 @@ def _zmap_sign(dim):
     neg, pos = -np.ones(dim), np.ones(dim)
     neg.flags.writeable = pos.flags.writeable = False
     both = ConvexSet(np.vstack([neg, pos]))
+    # The kink's least-norm element, kept on ``both``: every selection at the
+    # kink returns this array.
+    least = select_velocity(both)
+
+    def rows(Z):
+        z = Z[:, :1]
+        return np.where(z > 0, neg, np.where(z < 0, pos, least))
+
     return (
-        (lambda z: neg if z[0] > 0 else pos if z[0] < 0 else None), lambda z: both, None
+        (lambda z: neg if z[0] > 0 else pos if z[0] < 0 else None), lambda z: both, rows
     )
 
 
@@ -127,14 +135,13 @@ def _zmap_zero(dim):
 # single generator as a (dim,) array, or None where the value has more;
 # ``kink(z)`` is the value there (None for a map single-valued everywhere);
 # ``rows(Z)`` is ``point`` at each row of Z (the drifts' ``point_rows``), or
-# None.  Constant values are built once per map.  ``sign`` has no row form,
-# so ``recursion.run`` steps it one step at a time: its jump defeats the
-# block sweep.  A guessed iterate on the wrong side of the kink flips its
-# velocity, and on the kink every row is set-valued and is selected on its
-# own.  Given a row form, 15,000 steps of the ``setvalued_run`` shape with a
-# constant kernel took 0.22 s swept against 0.10 s per step where x crosses
-# the kink before landing on it, and 0.30 s against 0.10 s where x rests on
-# it from the start.
+# None.  Constant values are built once per map.  ``sign``'s row form gives
+# the kink's least-norm element, selected once when the map is built, on
+# the kink rows, so resting on the kink costs no per-row selection.  Its jump
+# can still defeat the block sweep: a guessed iterate on the wrong side of
+# the kink flips its velocity, so where x keeps crossing the kink the sweeps
+# of a block do not settle, and ``recursion.run`` backs off to stepping one
+# step at a time (configs/sign_chatter.json is such a run).
 ZMAPS = {
     "negate": lambda dim: ((lambda z: -z), None, lambda Z: -Z),
     "zero": _zmap_zero,
@@ -175,13 +182,19 @@ def _kernel_x_threshold(alphabet):
     # fast coordinate is nonnegative, state 1 elsewhere.
     if alphabet != 2:
         raise ConfigError("kernel.x_threshold: needs a 2-state alphabet")
+    both = np.array([[0.9, 0.1], [0.1, 0.9]])
 
     def row(x, y, s):
         if x[0] >= 0:
             return np.array([0.9, 0.1])
         return np.array([0.1, 0.9])
 
-    return FiniteKernel(2, row)
+    def rows(X, Y, S):
+        # Row 1 wherever x_0 >= 0 fails, NaN included, as in ``row``; a take
+        # costs less than np.where here.
+        return both.take(np.where(X[:, 0] >= 0, 0, 1), axis=0)
+
+    return FiniteKernel(2, row, rows)
 
 
 NAMED_KERNELS = {"x_threshold": _kernel_x_threshold}
@@ -360,6 +373,23 @@ def _build_generic(cfg: dict):
     return H1, H2, K1, K2, x0, y0, s0
 
 
+def _check_kernel_rows(kernels: dict, probes) -> None:
+    """``ConfigError`` naming the kernel and probe where a kernel's row form,
+    called once over the probes, differs from its row oracle; so a
+    construction line reports a row form that the block sweeps would read
+    wrong."""
+    for path, K in kernels.items():
+        if K.rows is None:
+            continue
+        wrong = rows_mismatches(K, probes)
+        if wrong:
+            (x, y, s), why = wrong[0]
+            raise ConfigError(
+                f"{path}: row form wrong at x={np.asarray(x).tolist()}, "
+                f"y={np.asarray(y).tolist()}, s={s}: {why}"
+            )
+
+
 # -- subcommands -----------------------------------------------------------
 
 def cmd_validate(cfg: dict, out_dir: Path) -> int:
@@ -389,13 +419,14 @@ def cmd_validate(cfg: dict, out_dir: Path) -> int:
         try:
             _build_noise(cfg.get("noise"))
             P, _, _ = _build_saddle(cfg)
-            checks.append(("problem construction", True, "ok"))
             grid = [
                 (x, np.zeros(P.d2) + yv, s)
                 for x in (np.zeros(P.d1), np.ones(P.d1), -2.0 * np.ones(P.d1))
                 for yv in (-1.0, 1.0)
                 for s in range(P.alphabet)
             ]
+            _check_kernel_rows({"problem.kernel": P.kernel}, grid)
+            checks.append(("problem construction", True, "ok"))
             contract("primal drift SAM", validate_sam(primal_drift(P), grid))
             contract("dual drift SAM", validate_sam(dual_drift(P), grid))
             zs = [np.full(P.d2, v) for v in (-1.0, 0.0, 1.0)]
@@ -406,6 +437,12 @@ def cmd_validate(cfg: dict, out_dir: Path) -> int:
         try:
             _build_noise(cfg.get("noise"))
             H1, H2, K1, K2, x0, y0, _ = _build_generic(cfg)
+            _check_kernel_rows(
+                {"config.kernel_fast": K1, "config.kernel_slow": K2},
+                [(x, y0, s) for x in (x0, np.zeros_like(x0), np.ones_like(x0),
+                                      -np.ones_like(x0))
+                 for s in range(K1.alphabet)],
+            )
             checks.append(("drift construction", True, "ok"))
             grid = [(x0, y0, s) for s in range(H1.alphabet)]
             contract("fast drift SAM", validate_sam(H1, grid))

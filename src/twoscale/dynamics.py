@@ -34,9 +34,9 @@ __all__ = [
 # ROWS knots at a time.  Whole-path temporaries would raise the peak memory
 # of a 20,001-knot envelope check by about 0.6 MB.
 ROWS = 1024
-# A block that has evaluated SWEEP_BUDGET times its rows finishes one knot at
-# a time, so a stiff field costs at most SWEEP_BUDGET + 1 times the rows of
-# the sequential loop.
+# A block that has evaluated SWEEP_BUDGET times its rows stops sweeping and
+# is finished one knot at a time, so a stiff field costs at most
+# SWEEP_BUDGET + 1 times the rows of the sequential loop.
 SWEEP_BUDGET = 32
 
 
@@ -226,9 +226,10 @@ def _euler_blocks(rows, z0: np.ndarray, n: int, dt: float):
     return states, sels
 
 
-def _sweep_block(rows, S: np.ndarray, V: np.ndarray, step, shift=None) -> None:
+def _sweep_block(rows, S: np.ndarray, V: np.ndarray, step, shift=None, finish=True) -> int:
     """Fill the states ``S[1:]`` and velocities ``V`` of one block of m knots
-    from its start ``S[0]`` by waveform relaxation.
+    from its start ``S[0]`` by waveform relaxation; return m where the
+    sweeps settle the block, else the knot p at which they stopped.
 
     Knot i steps by ``S[i + 1] = S[i] + step * (V[i] + shift[i])``.
     ``step`` is one number (``di_solve``'s dt) or one row per knot that
@@ -248,12 +249,15 @@ def _sweep_block(rows, S: np.ndarray, V: np.ndarray, step, shift=None) -> None:
     states are that loop's bit for bit.  Knot p is evaluated again at the
     state it was evaluated at before, so a pure field returns the same
     velocity there and c > p; otherwise ``ImpureFieldError`` is raised.  The
-    block ends, no velocity changed bit for bit, after the guess and at most
-    m sweeps.  Past the row budget the block is finished one knot at a
-    time, as it is when a sweep raises (a guessed state may lie outside the
-    field's domain), so errors come from the path's own states.  Guessed
-    states may also overflow where the path does not, so sweeps ignore
-    floating-point warnings.
+    block settles, no velocity changed bit for bit, after the guess and at
+    most m sweeps.  The sweeps stop unsettled at the row budget, or where a
+    sweep raises (a guessed state may lie outside the field's domain); the
+    returned p is then the knot the last sweep started at, whose state
+    ``S[p]`` is final and from which a caller may step on its own.  With
+    ``finish`` the block is then finished here one knot at a time, so
+    errors come from the path's own states.  Guessed states may also
+    overflow where the path does not, so sweeps ignore floating-point
+    warnings.
     """
     m = len(V)
     per_knot = np.ndim(step) > 0
@@ -282,7 +286,7 @@ def _sweep_block(rows, S: np.ndarray, V: np.ndarray, step, shift=None) -> None:
             moved = (bits != V[p:].reshape(m - p, -1).view(np.int64)).any(axis=1)
             changed = np.flatnonzero(moved)
             if not len(changed):
-                return
+                return m
             c = p + int(changed[0])
             if c == p:
                 raise ImpureFieldError(
@@ -292,10 +296,12 @@ def _sweep_block(rows, S: np.ndarray, V: np.ndarray, step, shift=None) -> None:
                 )
             V[c:] = new[c - p:]
             p = c
-    # V[p] is the velocity at S[p], and S[p + 1] follows from it.
-    for j in range(p + 1, m):
-        V[j] = np.reshape(rows(S[j:j + 1], j), V.shape[1:])
-        S[j + 1] = S[j] + increments(j, j + 1)[0]
+    if finish:
+        # V[p] is the velocity at S[p], and S[p + 1] follows from it.
+        for j in range(p + 1, m):
+            V[j] = np.reshape(rows(S[j:j + 1], j), V.shape[1:])
+            S[j + 1] = S[j] + increments(j, j + 1)[0]
+    return p
 
 
 def _selection_field(H: MeanField, select) -> MeanField:

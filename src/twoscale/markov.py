@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -24,6 +24,7 @@ __all__ = [
     "stationary_set",
     "sample_next",
     "next_state",
+    "next_state_table",
     "constant_walk",
     "slow_measure_family",
 ]
@@ -37,13 +38,23 @@ SUPPORT_TOL = 1e-9
 
 
 class FiniteKernel:
-    """Transition-row oracle (x, y, s) -> probability row over the alphabet."""
+    """Transition-row oracle (x, y, s) -> probability row over the alphabet.
 
-    def __init__(self, alphabet: int, row: Callable):
+    ``rows`` is an optional row form of the oracle: ``rows(X, Y, S)`` takes
+    R probes as the rows of X ``(R, d1)`` and Y ``(R, d2)`` with the int
+    states S ``(R,)`` and returns ``(R, alphabet)`` floats, each row the
+    oracle's row at that probe bit for bit; a row's value depends on that
+    row alone.  ``recursion.run`` reads an iterate-dependent chain through
+    it on its block sweeps (see ``next_state_table``), and ``rows_mismatches``
+    checks the contract.  A constant kernel's row form indexes its matrix.
+    """
+
+    def __init__(self, alphabet: int, row: Callable, rows: Optional[Callable] = None):
         if alphabet < 1:
             raise ValueError("alphabet size must be >= 1")
         self.alphabet = int(alphabet)
         self._row = row
+        self.rows = rows
         self.matrix = None  # set by ``constant``, with its cumulative rows
         self._cum = None
         self._stationary = None
@@ -53,7 +64,9 @@ class FiniteKernel:
         P = np.asarray(matrix, dtype=float)
         _check_stochastic(P)
         P.flags.writeable = False
-        kern = cls(P.shape[0], lambda x, y, s, _P=P: _P[s])
+        kern = cls(
+            P.shape[0], lambda x, y, s, _P=P: _P[s], lambda X, Y, S, _P=P: _P[S]
+        )
         kern.matrix = P
         kern._cum = np.cumsum(P, axis=1)
         return kern
@@ -87,15 +100,25 @@ class FiniteKernel:
 
 
 def _check_stochastic(P: np.ndarray, tol: float = ROW_TOL) -> None:
+    """Refuse a matrix that is not square row-stochastic, naming its first bad
+    row and, within that row, the first failed check: a non-finite entry, an
+    entry below ``-tol``, then a sum more than ``tol`` from 1."""
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError(f"transition matrix must be square, got {P.shape}")
-    for i, row in enumerate(P):
-        if not np.isfinite(row).all():
-            raise ValueError(f"row {i} has a non-finite entry: {row}")
-        if np.any(row < -tol):
-            raise ValueError(f"row {i} has a negative entry: {row}")
-        if abs(row.sum() - 1.0) > tol:
-            raise ValueError(f"row {i} sums to {row.sum()!r}, not 1")
+    finite = np.isfinite(P).all(axis=1)
+    negative = (P < -tol).any(axis=1)
+    # Each row of a C-ordered array sums as ``row.sum()`` does, bit for bit.
+    far = np.abs(np.ascontiguousarray(P).sum(axis=1) - 1.0) > tol
+    bad = ~finite | negative | far
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    row = P[i]
+    if not finite[i]:
+        raise ValueError(f"row {i} has a non-finite entry: {row}")
+    if negative[i]:
+        raise ValueError(f"row {i} has a negative entry: {row}")
+    raise ValueError(f"row {i} sums to {row.sum()!r}, not 1")
 
 
 @dataclass(frozen=True)
@@ -124,7 +147,8 @@ def stationary_set(P) -> StationarySet:
     state it reaches reaches it back, and its reach row is then its closed
     class.  Classes are taken in order of their lowest state; each
     contributes the unique stationary row of its restricted chain, solved by
-    LU with partial pivoting.
+    LU with partial pivoting; a one-state class is absorbing, and its row is
+    the unit row e_i, which that solve returns exactly.
     """
     P = np.asarray(P, dtype=float)
     _check_stochastic(P)
@@ -137,6 +161,11 @@ def stationary_set(P) -> StationarySet:
     for i in np.flatnonzero(recurrent):
         idx = np.flatnonzero(reach[i])
         if idx[0] != i:  # the class was taken at its lowest state
+            continue
+        if len(idx) == 1:
+            mu = np.zeros(n)
+            mu[i] = 1.0
+            vertices.append(mu)
             continue
         Q = P[np.ix_(idx, idx)]
         m = len(idx)
@@ -167,27 +196,76 @@ def sample_next(K: FiniteKernel, x, y, s: int, rng: np.random.Generator) -> int:
 def next_state(K: FiniteKernel, x, y, s: int, u: float) -> int:
     """The state whose cumulative-row interval holds the uniform ``u``.
 
-    The row ``K.row(x, y, s)`` is summed left to right on Python floats and
-    searched by ``bisect_left``; the index is clipped to the last state.
-    Both steps match numpy's, so this is ``min(np.searchsorted(
-    np.cumsum(row), u), n - 1)`` on every row, but without numpy's per-call
-    overhead, which dominates on rows this short.  A row whose last partial
-    sum is not within ``ROW_TOL`` of 1 (also caught: NaN and inf), or with
-    an entry below ``-ROW_TOL``, is refused.
+    The row ``K.row(x, y, s)`` is summed left to right on Python floats; the
+    state is the count of partial sums below ``u``, clipped to the last
+    state.  Without a negative entry the sums are sorted and the count is
+    ``bisect_left``'s index, which is ``min(np.searchsorted(np.cumsum(row),
+    u), n - 1)``, but without numpy's per-call overhead, which dominates on
+    rows this short.  A row whose last partial sum is not within ``ROW_TOL``
+    of 1 (also caught: NaN and inf), or with an entry below ``-ROW_TOL``, is
+    refused.  ``next_state_table`` and ``constant_walk`` apply the same rule
+    to many rows at once.
     """
     row = K.row(x, y, s).tolist()
     cum = list(accumulate(row))
-    if not (abs(cum[-1] - 1.0) <= ROW_TOL and min(row) >= -ROW_TOL):
+    low = min(row)
+    if not (abs(cum[-1] - 1.0) <= ROW_TOL and low >= -ROW_TOL):
         raise ValueError(f"kernel row for state {s} is not a probability row: {row}")
-    return min(bisect_left(cum, u), len(row) - 1)
+    i = bisect_left(cum, u) if low >= 0.0 else sum(c < u for c in cum)
+    return min(i, len(row) - 1)
+
+
+def next_state_table(K: FiniteKernel, X: np.ndarray, Y: np.ndarray, u: np.ndarray):
+    """Entry ``[r, c]`` is ``next_state(K, X[r], Y[r], c, u[r])``, for every
+    candidate state c, from one call of ``K.rows`` on the R * alphabet probes;
+    it is -1 where ``next_state`` would refuse the row.  The partial sums run
+    left to right, one column at a time, as ``next_state``'s do, so the
+    entries are its bit for bit wherever the row form is the oracle's."""
+    R, k = len(X), K.alphabet
+    P = K.rows(X.repeat(k, axis=0), Y.repeat(k, axis=0), np.arange(R * k) % k)
+    if np.shape(P) != (R * k, k):
+        raise ValueError(f"kernel row form returned shape {np.shape(P)}, "
+                         f"not ({R * k}, {k})")
+    P = np.asarray(P, dtype=float).reshape(R, k, k)
+    # Column by column: numpy reduces a short last axis slowly.
+    u = np.reshape(u, (R, 1))
+    total = low = P[..., 0]
+    below = (total < u).astype(np.intp)
+    for c in range(1, k):
+        total = total + P[..., c]
+        below += total < u
+        low = np.minimum(low, P[..., c])
+    np.minimum(below, k - 1, out=below)
+    below[~((np.abs(total - 1.0) <= ROW_TOL) & (low >= -ROW_TOL))] = -1
+    return below
+
+
+def rows_mismatches(K: FiniteKernel, probes) -> list:
+    """(probe, what is wrong) wherever one ``K.rows`` call over all the
+    (x, y, s) probes differs from ``K.row`` at a probe bit for bit; as the
+    probes differ, this also shows a row that depends on the others."""
+    n = len(probes)
+    X = np.array([np.asarray(p[0], dtype=float) for p in probes]).reshape(n, -1)
+    Y = np.array([np.asarray(p[1], dtype=float) for p in probes]).reshape(n, -1)
+    S = np.array([int(p[2]) for p in probes], dtype=int)
+    R = K.rows(X, Y, S)
+    if not (isinstance(R, np.ndarray) and R.dtype == float and R.shape == (n, K.alphabet)):
+        return [(tuple(probes[0]), f"rows gave {type(R).__name__} {np.shape(R)}, "
+                 f"not a float ({n}, {K.alphabet}) array")]
+    out = []
+    for p, x, y, s, r in zip(probes, X, Y, S, R):
+        want = K.row(x, y, int(s))
+        if r.tobytes() != want.tobytes():
+            out.append((tuple(p), f"rows row {r.tolist()} differs from row {want.tolist()}"))
+    return out
 
 
 def constant_walk(K: FiniteKernel, s: int, u: np.ndarray) -> list:
     """States s_1..s_B of a constant kernel's chain from s_0 = ``s``, where
-    s_{i+1} = ``next_state(K, ., ., s_i, u[i])``: one vectorized search per
+    s_{i+1} = ``next_state(K, ., ., s_i, u[i])``: one vectorized count per
     state over the cumulative rows, then a walk over plain lists."""
     last = K.alphabet - 1
-    table = [np.minimum(np.searchsorted(c, u), last).tolist() for c in K._cum]
+    table = [np.minimum((c < u[:, None]).sum(axis=1), last).tolist() for c in K._cum]
     states = []
     for row in zip(*table):
         s = row[s]

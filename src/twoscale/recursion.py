@@ -17,7 +17,9 @@ import numpy as np
 from .convex import distance
 from .csvtable import write_table
 from .dynamics import _interp, _sweep_block, select_velocity
-from .markov import FiniteKernel, SlowMeasure, constant_walk, next_state
+from .markov import (
+    FiniteKernel, SlowMeasure, constant_walk, next_state, next_state_table,
+)
 from .svmaps import SetValuedMap
 
 __all__ = [
@@ -237,36 +239,45 @@ def _velocity(H: SetValuedMap, x, y, s: int) -> np.ndarray:
     return v
 
 
-def _step_rows(H1: SetValuedMap, H2: SetValuedMap, s1, s2, n0: int):
+def _step_rows(H1: SetValuedMap, H2: SetValuedMap, s1, s2, n0: int, chains=()):
     """``rows(Z, p)`` for ``dynamics._sweep_block``: the velocities of both
     drifts at the knots p, p + 1, ... of a block that starts at step n0,
     whose rows of Z are ``[x | y]`` and whose chain states are s1[p:] and
     s2[p:].
 
-    A state at or past ``DIVERGENCE_BOUND`` (the run's start excepted) raises
+    ``chains`` holds each iterate-dependent chain as ``(K, states, u,
+    mirror)``: its kernel, the view of its states from knot 0 (s1 or s2,
+    which it fills), its uniforms from step n0, and None or a second view
+    that gets the same states (S2 of a shared chain).  A call on several
+    knots first brings their states up to date with Z by ``_walk_chain``;
+    the state of knot p is final by then.
+
+    A state of knot p + 1 or later at or past ``DIVERGENCE_BOUND`` raises
     the ``DivergenceError`` of the step that made it, before any drift is
-    evaluated; so does a NaN state.  Several knots go through the row forms,
-    whose NaN rows are evaluated one at a time by ``_velocity``; one knot
-    (a block's first guess and its one-knot tail) goes through ``_velocity``
-    alone, which the row forms equal bit for bit and which costs less on
-    one row.
+    evaluated; so does a NaN state.  Knot p's state was checked by an
+    earlier call or is the block's start, which its caller checked.
+    Several knots go through the row forms, whose NaN rows are evaluated one
+    at a time by ``_velocity``; one knot (a block's first guess, or a sweep
+    of its last knot) goes through ``_velocity`` alone, which the row forms
+    equal bit for bit and which costs less on one row.
     """
     d1 = H1.dims[0]
+    tables = [np.full((len(u), K.alphabet), -2) for K, _, u, _ in chains]
 
     def rows(Z, p):
         n = len(Z)
-        # NaN compares false, so this also catches non-finite states.
-        if not np.abs(Z).max() < DIVERGENCE_BOUND:
-            far = ~(np.abs(Z) < DIVERGENCE_BOUND).all(axis=1)
-            far[0] &= n0 + p > 0
-            if far.any():
-                raise _divergence(n0 + p + int(np.argmax(far)) - 1)
         X, Y = Z[:, :d1], Z[:, d1:]
         if n == 1:
             x, y = X[0], Y[0]
             return np.concatenate([
                 _velocity(H1, x, y, int(s1[p])), _velocity(H2, x, y, int(s2[p]))
             ])[None]
+        # NaN compares false, so this also catches non-finite states.
+        if not np.abs(Z[1:]).max() < DIVERGENCE_BOUND:
+            far = ~(np.abs(Z[1:]) < DIVERGENCE_BOUND).all(axis=1)
+            raise _divergence(n0 + p + int(np.argmax(far)))
+        for (K, states, u, mirror), table in zip(chains, tables):
+            _walk_chain(K, states, u, mirror, table, X[:-1], Y[:-1], p)
         parts = []
         for H, S in ((H1, s1[p:p + n]), (H2, s2[p:p + n])):
             R = _checked_rows(H, H.point_rows(X, Y, S), n)
@@ -278,6 +289,47 @@ def _step_rows(H1: SetValuedMap, H2: SetValuedMap, s1, s2, n0: int):
         return np.concatenate(parts, axis=1)
 
     return rows
+
+
+class _OffPath(Exception):
+    """A chain's row at a state of the walked path is not a probability row."""
+
+
+def _walk_chain(K: FiniteKernel, states, u, mirror, table, X, Y, p: int) -> None:
+    """States p + 1 .. p + R of a chain whose state at knot p is final, from
+    the iterates X, Y of knots p .. p + R - 1.
+
+    One ``next_state_table`` call gives every candidate state's next state
+    at each knot; ``table`` keeps the last walk's entries.  The walk starts
+    at the first knot whose entries changed (the states before it are the
+    last walk's).  A knot whose entries all agree sends every state to that
+    one, so only the other knots are walked one by one.  A row that
+    ``next_state`` would refuse on the walked path raises ``_OffPath``,
+    which ends the sweep: the loop then meets it, or not, on the path's own
+    iterates.
+    """
+    R = len(X)
+    new = next_state_table(K, X, Y, u[p:p + R])
+    moved = np.flatnonzero(new != table[p:p + R])
+    if not len(moved):
+        return
+    table[p:p + R] = new
+    q = p + int(moved[0]) // K.alphabet
+    new = new[q - p:]
+    walked = new[:, 0].copy()
+    free = new[:, 1:] != walked[:, None]
+    free = np.flatnonzero(free.any(axis=1) if K.alphabet > 2 else free)
+    if len(free):
+        out = walked.tolist()
+        s = int(states[q])
+        for j, row in zip(free.tolist(), new[free].tolist()):
+            out[j] = row[out[j - 1] if j else s]
+        walked = np.array(out)
+    if walked.min() < 0:
+        raise _OffPath
+    states[q + 1:p + R + 1] = walked
+    if mirror is not None:
+        mirror[q + 1:p + R + 1] = walked
 
 
 def _checked_rows(H: SetValuedMap, R: np.ndarray, n: int) -> np.ndarray:
@@ -317,18 +369,28 @@ def run(
     to ``BLOCK_STEPS`` steps, in a fixed per-step order: the fast noise, the
     slow noise, the chain-1 uniform, then the chain-2 uniform (none for a
     shared chain).  A constant kernel's states for a block come from
-    ``constant_walk``; an iterate-dependent kernel evaluates its row at the
-    step-n iterates.
+    ``constant_walk``; an iterate-dependent kernel's row at the step-n
+    iterates gives state n + 1 by ``next_state``.
 
     The steps are taken one of two ways, with the same result bit for bit.
-    Where both drifts have ``point_rows`` and every chain is a constant walk
-    (a shared chain needs only K1 constant), a block's chain states are
-    known before its iterates, so each ``SWEEP_STEPS`` steps are solved as
-    one block of ``dynamics._sweep_block``'s waveform relaxation: the sweeps
-    evaluate both row forms at guessed iterates and rebuild X and Y by
-    cumulative sums, each step ``x + a(n) (v1 + M1[n])`` and ``y + b(n) (v2 +
-    M2[n])`` as the loop adds it.  Every other run takes one step at a time:
-    an iterate-dependent kernel would read its rows again on every sweep.
+    Where both drifts have ``point_rows`` and every chain's kernel has a row
+    form (a shared chain needs only K1's), each ``SWEEP_STEPS`` steps are
+    tried as one block of ``dynamics._sweep_block``'s waveform relaxation:
+    the sweeps evaluate both row forms at guessed iterates and rebuild X and
+    Y by cumulative sums, each step ``x + a(n) (v1 + M1[n])`` and ``y + b(n)
+    (v2 + M2[n])`` as the loop adds it.  A constant chain's states are known
+    before the iterates; an iterate-dependent chain's are walked again on
+    each sweep from the guessed iterates (``_walk_chain``).  Every other run
+    takes one step at a time, on the per-step loop.
+
+    A block whose sweeps do not settle (the row budget ran out, or a sweep
+    raised at a guessed state) is finished on the per-step loop from the
+    first knot they left unsettled.  Sweeps that fail cost more than the
+    loop, as where a drift's jump keeps flipping the guessed velocities, so
+    after the f-th failure in a row the next 8^(f-1) - 1 blocks are stepped
+    on the loop before a sweep is tried again, and a block that settles
+    ends the run of failures.  The rule reads only what the sweeps did, so
+    the path, which either way is the loop's, does not depend on it.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -368,18 +430,21 @@ def run(
             K2.check_state(s2)
     walk1 = K1.matrix is not None
     walk2 = K2.matrix is not None and not share_noise_chain
+    kernels = (K1,) if share_noise_chain else (K1, K2)
     swept = (
         H1.point_rows is not None and H2.point_rows is not None
-        and walk1 and (walk2 or share_noise_chain)
+        and all(K.rows is not None for K in kernels)
     )
     if swept and N > 0:
         # The sweeps ignore errors at guessed iterates; a row form of the
         # wrong shape is named here instead.
         for H, s in ((H1, s1), (H2, s2)):
             _checked_rows(H, H.point_rows(x0[None], y0[None], np.array([s])), 1)
-    if not swept:  # the loop reads one step size at a time, faster from a list
-        a, b = a.tolist(), b.tolist()
-    bound = DIVERGENCE_BOUND
+        for K in kernels:
+            if K.matrix is None:
+                next_state_table(K, x0[None], y0[None], np.zeros(1))
+    loop = (traj, H1, H2, K1, K2, a.tolist(), b.tolist(), share_noise_chain)
+    fails = wait = 0
     for start in range(0, N, BLOCK_STEPS):
         end = min(start + BLOCK_STEPS, N)
         m1, m2, U = noise.draw_block(
@@ -391,61 +456,127 @@ def run(
             M2[start:end] = m2
         u1 = U[:, 0]
         next1 = constant_walk(K1, s1, u1) if walk1 else u1.tolist()
+        next2 = u2 = None
         if not share_noise_chain:
             u2 = U[:, 1]
             next2 = constant_walk(K2, s2, u2) if walk2 else u2.tolist()
         if swept:
-            S1[start + 1:end + 1] = next1
-            S2[start + 1:end + 1] = next1 if share_noise_chain else next2
-            s1, s2 = int(S1[end]), int(S2[end])
-            for lo in range(start, end, SWEEP_STEPS):
-                _sweep_steps(H1, H2, traj, a, b, lo, min(lo + SWEEP_STEPS, end))
-            continue
-        for n in range(start, end):
-            x, y = X[n], Y[n]
-            V1[n] = v1 = _velocity(H1, x, y, s1)
-            V2[n] = v2 = _velocity(H2, x, y, s2)
-            X[n + 1] = xn = x + a[n] * (v1 + M1[n])
-            Y[n + 1] = yn = y + b[n] * (v2 + M2[n])
-            # NaN compares false, so one comparison per coordinate also
-            # catches non-finite values.
-            for v in xn.tolist() + yn.tolist():
-                if not -bound < v < bound:
-                    raise _divergence(n)
-            i = n - start
-            s1 = next1[i] if walk1 else next_state(K1, x, y, s1, next1[i])
-            if share_noise_chain:
-                s2 = s1
-            else:
-                s2 = next2[i] if walk2 else next_state(K2, x, y, s2, next2[i])
-            S1[n + 1] = s1
-            S2[n + 1] = s2
-    # The sweeps check every state they evaluate, which the last is not.
-    if swept and N > 0:
-        if not np.abs(np.concatenate([X[N], Y[N]])).max() < DIVERGENCE_BOUND:
-            raise _divergence(N - 1)
+            if walk1:
+                S1[start + 1:end + 1] = next1
+                if share_noise_chain:
+                    S2[start + 1:end + 1] = next1
+            if walk2:
+                S2[start + 1:end + 1] = next2
+        for lo in range(start, end, SWEEP_STEPS):
+            hi = min(lo + SWEEP_STEPS, end)
+            n = lo
+            if swept and wait:
+                wait -= 1
+            elif swept:
+                # A shared chain's states are copied to S2 as they are walked.
+                chains = [
+                    (K, S[lo:hi + 1], u[lo - start:hi - start], mirror)
+                    for K, S, u, walk, mirror in (
+                        (K1, S1, u1, walk1, S2[lo:hi + 1] if share_noise_chain else None),
+                        (K2, S2, u2, walk2, None),
+                    )
+                    if u is not None and not walk
+                ]
+                n = lo + _sweep_steps(H1, H2, traj, a, b, lo, hi, chains)
+                if n == hi:
+                    fails = 0
+                else:
+                    fails += 1
+                    wait = 8 ** (fails - 1) - 1
+                s1, s2 = int(S1[n]), int(S2[n])
+            s1, s2 = _loop_steps(*loop, n, hi, start, s1, s2, next1, next2)
     return traj
 
 
+def _loop_steps(
+    t: Trajectory, H1, H2, K1, K2, a: list, b: list, share: bool,
+    lo: int, hi: int, start: int, s1: int, s2: int, next1, next2,
+):
+    """``run``'s per-step loop over steps lo..hi-1 of the trajectory t being
+    filled, from the chain states s1, s2 at step lo: one velocity per drift,
+    the update, the divergence check, then the chain states.  next1 and
+    next2 hold the block's constant-walk states or its chain uniforms from
+    step ``start``.  Returns the chain states at step hi."""
+    X, Y, S1, S2, M1, M2, V1, V2 = t.X, t.Y, t.S1, t.S2, t.M1, t.M2, t.V1, t.V2
+    walk1 = K1.matrix is not None
+    walk2 = K2.matrix is not None and not share
+    bound = DIVERGENCE_BOUND
+    for n in range(lo, hi):
+        x, y = X[n], Y[n]
+        V1[n] = v1 = _velocity(H1, x, y, s1)
+        V2[n] = v2 = _velocity(H2, x, y, s2)
+        X[n + 1] = xn = x + a[n] * (v1 + M1[n])
+        Y[n + 1] = yn = y + b[n] * (v2 + M2[n])
+        # NaN compares false, so one comparison per coordinate also
+        # catches non-finite values.
+        for v in xn.tolist() + yn.tolist():
+            if not -bound < v < bound:
+                raise _divergence(n)
+        i = n - start
+        s1 = next1[i] if walk1 else next_state(K1, x, y, s1, next1[i])
+        if share:
+            s2 = s1
+        else:
+            s2 = next2[i] if walk2 else next_state(K2, x, y, s2, next2[i])
+        S1[n + 1] = s1
+        S2[n + 1] = s2
+    return s1, s2
+
+
 def _sweep_steps(
-    H1: SetValuedMap, H2: SetValuedMap, t: Trajectory, a, b, lo: int, hi: int
-) -> None:
+    H1: SetValuedMap, H2: SetValuedMap, t: Trajectory, a, b, lo: int, hi: int,
+    chains,
+) -> int:
     """Steps lo..hi-1 of ``run``'s block path, as one sweep block over
     block-local buffers of ``[x | y]`` rows, copied into the arrays of the
-    trajectory t being filled, whose chain states and noise the block reads."""
+    trajectory t being filled, whose noise the block reads; ``chains`` are
+    the iterate-dependent chains (see ``_step_rows``), whose states the
+    block fills, and the other chains' states are already in t.  Returns the
+    ``_sweep_block`` knot count from lo: hi - lo where the sweeps settled
+    the block, which then also holds the chain states and the checked
+    iterates at step hi; else the knot from which the loop must go on, whose
+    iterates and chain states are final.
+    """
     d1 = t.X.shape[1]
-    Z = np.empty((hi - lo + 1, d1 + t.Y.shape[1]))
+    m = hi - lo
+    Z = np.empty((m + 1, d1 + t.Y.shape[1]))
     Z[0, :d1], Z[0, d1:] = t.X[lo], t.Y[lo]
-    V = np.empty((hi - lo, Z.shape[1]))
+    V = np.empty((m, Z.shape[1]))
     step = np.empty_like(V)
     step[:, :d1] = a[lo:hi, None]
     step[:, d1:] = b[lo:hi, None]
-    _sweep_block(
-        _step_rows(H1, H2, t.S1[lo:hi], t.S2[lo:hi], lo), Z, V, step,
-        np.hstack([t.M1[lo:hi], t.M2[lo:hi]]),
+    p = _sweep_block(
+        _step_rows(H1, H2, t.S1[lo:hi], t.S2[lo:hi], lo, chains), Z, V, step,
+        np.hstack([t.M1[lo:hi], t.M2[lo:hi]]), finish=False,
     )
-    t.X[lo + 1:hi + 1], t.Y[lo + 1:hi + 1] = Z[1:, :d1], Z[1:, d1:]
-    t.V1[lo:hi], t.V2[lo:hi] = V[:, :d1], V[:, d1:]
+    t.X[lo + 1:lo + p + 1], t.Y[lo + 1:lo + p + 1] = Z[1:p + 1, :d1], Z[1:p + 1, d1:]
+    t.V1[lo:lo + p], t.V2[lo:lo + p] = V[:p, :d1], V[:p, d1:]
+    if p == m:
+        # The sweeps check every state they evaluate, which the last is not;
+        # then the chains step from the last knot, as the loop's would.
+        if not np.abs(Z[m]).max() < DIVERGENCE_BOUND:
+            raise _divergence(hi - 1)
+        x, y = t.X[hi - 1], t.Y[hi - 1]
+        for K, states, u, mirror in chains:
+            states[m] = _last_state(K, x, y, int(states[m - 1]), u[m - 1])
+            if mirror is not None:
+                mirror[m] = states[m]
+    return p
+
+
+def _last_state(K: FiniteKernel, x, y, s: int, u: float) -> int:
+    """``next_state(K, x, y, s, u)`` through the row form, which the oracle
+    checks again wherever the form fails or gives a row it would refuse."""
+    try:
+        nxt = int(next_state_table(K, x[None], y[None], np.array([u]))[0, s])
+    except Exception:
+        nxt = -1
+    return nxt if nxt >= 0 else next_state(K, x, y, s, u)
 
 
 def interpolate(traj: Trajectory, scale: str, t) -> np.ndarray:

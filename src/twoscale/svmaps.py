@@ -53,10 +53,13 @@ class SetValuedMap:
     ``point_rows``, optional and only beside ``point``, is the point form's
     row form: ``point_rows(X, Y, S)`` takes R probes as the rows of X
     ``(R, d1)`` and Y ``(R, d2)`` with the int states S ``(R,)`` and returns
-    ``(R, k)`` floats, each row ``point`` at that probe bit for bit, and a
-    NaN row where ``point`` gives ``None``.  A row's value depends on that
-    row alone.  ``recursion.run`` steps blocks of steps through it (see
-    there).  ``validate_sam`` checks both contracts at every probe.
+    ``(R, k)`` floats, each row ``point`` at that probe bit for bit.  Where
+    ``point`` gives ``None`` a row is either NaN, and a driver selects that
+    row from the set on its own, or the value's least-norm element
+    (``dynamics.select_velocity``) bit for bit, which a driver takes as it
+    is.  A row's value depends on that row alone.  ``recursion.run`` steps
+    blocks of steps through it (see there).  ``validate_sam`` checks both
+    contracts at every probe.
     """
 
     def __init__(
@@ -232,8 +235,9 @@ def validate_sam(
     has one, and ``None`` wherever it has more, at every grid probe and
     every sequence point and limit.  A declared ``point_rows``, called once
     on all those probes, must give ``point`` at each of them bit for bit,
-    with a NaN row exactly where ``point`` gives ``None``; as the probes
-    differ, this also shows that no row depends on the others.
+    and where ``point`` gives ``None`` a NaN row or exactly the value's
+    least-norm element; as the probes differ, this also shows that no row
+    depends on the others.
     """
     grid, seq_probes = list(grid), list(seq_probes)
     report = _check_contract(
@@ -263,13 +267,22 @@ def _rows_mismatches(F: SetValuedMap, probes) -> list:
     if not (isinstance(R, np.ndarray) and R.dtype == float and R.shape == (n, k)):
         return [(tuple(probes[0]), f"point_rows gave {type(R).__name__} "
                  f"{np.shape(R)}, not a float ({n}, {k}) array")]
+    # A module-level import would be circular: dynamics imports svmaps.
+    from .dynamics import select_velocity
+
     out = []
     for p, x, y, s, r in zip(probes, X, Y, S, R):
         v = F.point(x, y, int(s))
         if v is None:
             if np.isnan(r).any():
                 continue
-            wrong = "no NaN where point gives None"
+            least = select_velocity(F(x, y, int(s)))
+            if r.tobytes() == least.tobytes():
+                continue
+            wrong = (
+                "no NaN where point gives None, and not the least-norm "
+                f"element {least.tolist()}"
+            )
         elif r.tobytes() != np.asarray(v, dtype=float).tobytes():
             wrong = f"differs from point {np.asarray(v).tolist()}"
         else:

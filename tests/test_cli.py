@@ -1081,10 +1081,10 @@ class TestBuiltins:
 
     @pytest.mark.parametrize("name", sorted(DRIFT_FORMS))
     def test_drift_row_forms(self, name):
-        # Every built-in drift but sign has a row form, which
+        # Every built-in drift has a row form, which
         # test_drift_point_form_contract validates with the point form.
         H = cli.drift_map(name, 2, 3, 2)
-        assert (H.point_rows is None) == (name == "sign_fast")
+        assert H.point_rows is not None
 
     def test_toy_run_same_with_and_without_row_forms(self, tmp_path, monkeypatch):
         # The toy config's run takes the block sweeps; without row forms it
@@ -1103,6 +1103,41 @@ class TestBuiltins:
             assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
             outs.append((tmp_path / f"out{rows}" / "trajectory.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_sign_chatter_same_with_and_without_row_forms(self, tmp_path, monkeypatch):
+        # x keeps crossing sign's kink, so the sweeps fail and the run backs
+        # off to the loop; without row forms it steps one step at a time.
+        cfg = json.loads((CONFIGS / "sign_chatter.json").read_text())
+        outs = []
+        for rows in (True, False):
+            if not rows:
+                zmaps = {name: (lambda dim, f=f: f(dim)[:2] + (None,))
+                         for name, f in cli.ZMAPS.items()}
+                monkeypatch.setattr(cli, "ZMAPS", zmaps)
+            assert (cli.drift_map("sign_fast", 1, 1, 2).point_rows is None) == (not rows)
+            cfg["out"] = str(tmp_path / f"out{rows}")
+            assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+            outs.append((tmp_path / f"out{rows}" / "trajectory.csv").read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_validate_names_a_wrong_kernel_row_form(self, tmp_path, monkeypatch, capsys):
+        cfg = json.loads((CONFIGS / "sign_chatter.json").read_text())
+        cfg["out"] = str(tmp_path / "out")
+        path = str(write_config(tmp_path, cfg))
+        assert main(["validate", "--config", path]) == 0
+        built = cli.NAMED_KERNELS["x_threshold"]
+
+        def off_by_one_ulp(alphabet):
+            K = built(alphabet)
+            rows = K.rows
+            K.rows = lambda X, Y, S: np.where(X[:, :1] < 0, np.nextafter(rows(X, Y, S), 1.0),
+                                              rows(X, Y, S))
+            return K
+
+        monkeypatch.setitem(cli.NAMED_KERNELS, "x_threshold", off_by_one_ulp)
+        assert main(["validate", "--config", path]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] drift construction: config.kernel_fast: row form wrong at x=[-1.0]" in out
 
     def test_validate_covers_builtin_point_forms(self, tmp_path, monkeypatch):
         cfg = dict(GENERIC, d1=2, d2=2, alphabet=2, x0=[0.5, 1.0], y0=[1.0, -2.0],

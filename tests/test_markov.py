@@ -9,6 +9,8 @@ from twoscale.markov import (
     FiniteKernel,
     SlowMeasure,
     next_state,
+    next_state_table,
+    rows_mismatches,
     sample_next,
     slow_measure_family,
     stationary_set,
@@ -351,3 +353,83 @@ class TestStationarySetProperties:
         supports = [frozenset(np.flatnonzero(v > 0.0).tolist()) for v in stat.vertices]
         assert len(supports) == len(set(supports))
         assert set(supports) == closed_classes(P)
+
+
+def threshold_kernel_with_rows(rows=None):
+    both = np.array([[0.8, 0.2], [0.3, 0.7]])
+
+    def row(x, y, s):
+        return both[0].copy() if x[0] + 0.1 * s >= 0 else both[1].copy()
+
+    def exact(X, Y, S):
+        return both[np.where(X[:, 0] + 0.1 * S >= 0, 0, 1)]
+
+    return FiniteKernel(2, row, rows or exact), exact
+
+
+KERNEL_PROBES = [
+    (np.array([v]), Y, s) for v in (-1.0, -0.05, 0.0, 0.5) for s in (0, 1)
+]
+
+
+class TestKernelRowForm:
+    def test_constant_row_form_indexes_the_matrix(self):
+        K = FiniteKernel.constant([[0.7, 0.3], [0.2, 0.8]])
+        assert rows_mismatches(K, KERNEL_PROBES) == []
+
+    def test_exact_row_form_passes(self):
+        K, _ = threshold_kernel_with_rows()
+        assert rows_mismatches(K, KERNEL_PROBES) == []
+
+    def test_one_ulp_on_one_probe_fails_by_name(self):
+        def rows(X, Y, S):
+            R = exact(X, Y, S)
+            at = (X[:, 0] == 0.5) & (S == 1)
+            R[at] = np.nextafter(R[at], np.inf)
+            return R
+
+        K, exact = threshold_kernel_with_rows(rows)
+        [(probe, why)] = rows_mismatches(K, KERNEL_PROBES)
+        assert (probe[0][0], probe[2]) == (0.5, 1)
+        assert "differs from row [0.8, 0.2]" in why
+
+    def test_impure_row_form_fails(self):
+        # Right on every one-row call, shifted by the other rows.
+        def rows(X, Y, S):
+            R = exact(X, Y, S)
+            return R + 1e-3 * (len(X) - 1) * np.array([1.0, -1.0])
+
+        K, exact = threshold_kernel_with_rows(rows)
+        assert all(rows_mismatches(K, [p]) == [] for p in KERNEL_PROBES)
+        assert len(rows_mismatches(K, KERNEL_PROBES)) == len(KERNEL_PROBES)
+
+    def test_table_is_next_state_on_every_candidate(self):
+        K, _ = threshold_kernel_with_rows()
+        X = np.array([[-1.0], [-0.05], [0.0], [0.5]])
+        u = np.array([0.1, 0.75, 0.8, 0.99])
+        table = next_state_table(K, X, np.zeros((4, 1)), u)
+        for r in range(4):
+            for s in (0, 1):
+                assert table[r, s] == next_state(K, X[r], Y, s, u[r])
+
+    def test_table_marks_refused_rows(self):
+        K = FiniteKernel(
+            2, lambda x, y, s: np.array([np.nan, -3.0]),
+            lambda X, Y, S: np.tile([np.nan, -3.0], (len(X), 1)),
+        )
+        assert (next_state_table(K, np.zeros((3, 1)), np.zeros((3, 1)), np.full(3, 0.5)) == -1).all()
+
+    def test_one_state_class_is_its_unit_row(self):
+        P = np.array([[1.0, 0.0, 0.0], [0.3, 0.4, 0.3], [0.0, 0.0, 1.0]])
+        stat = stationary_set(P)
+        assert stat.vertices.tolist() == [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+
+    @pytest.mark.parametrize("P, message", [
+        ([[0.5, 0.5], [np.nan, 1.0]], "row 1 has a non-finite entry"),
+        ([[1.5, -0.5], [np.inf, 0.0]], "row 0 has a negative entry"),
+        ([[0.5, 0.6], [-1.0, 2.0]], r"row 0 sums to np.float64\(1.1\), not 1"),
+        ([[0.5, 0.5], [-1.0, 2.0]], "row 1 has a negative entry"),
+    ])
+    def test_first_bad_row_named(self, P, message):
+        with pytest.raises(ValueError, match=message):
+            FiniteKernel.constant(P)

@@ -1,14 +1,17 @@
 from collections import Counter
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 import twoscale.convex as convex
 import twoscale.dynamics as dynamics
+import twoscale.recursion as recursion
 from twoscale.cli import NAMED_KERNELS, drift_map
 from twoscale.convex import ConvexSet
-from twoscale.dynamics import ImpureFieldError, select_velocity
-from twoscale.markov import FiniteKernel
+from twoscale.dynamics import ImpureFieldError, _sweep_block, select_velocity
+from twoscale.markov import FiniteKernel, next_state
 from twoscale.recursion import (
     BLOCK_STEPS,
     SWEEP_STEPS,
@@ -650,21 +653,17 @@ class TestBlockRunMatchesReference:
 
 
 class TestSetValuedStepCost:
-    def test_shared_kink_projected_once(self, monkeypatch):
-        # The set-valued benchmark's shape: sign_fast held at its kink, whose
-        # value is one set, and the x_threshold chain on the fast scale.  The
-        # set is projected once; the chain's row is read once per step.
-        H1 = drift_map("sign_fast", 1, 1, 2)
-        H2 = drift_map("negate_y", 1, 1, 2)
-        K1 = NAMED_KERNELS["x_threshold"](2)
-        K2 = FiniteKernel.constant([[0.5, 0.5], [0.5, 0.5]])
+    """The set-valued benchmark's shape: sign_fast held at its kink, whose
+    value is one set, and the x_threshold chain on the fast scale."""
+
+    def run_counted(self, monkeypatch, rows):
         calls = Counter()
 
-        def count(owner, name):
+        def count(owner, name, key=None):
             orig = getattr(owner, name)
 
             def counted(*args):
-                calls[name] += 1
+                calls[key or name] += 1
                 return orig(*args)
 
             monkeypatch.setattr(owner, name, counted)
@@ -672,12 +671,50 @@ class TestSetValuedStepCost:
         count(convex, "project")
         count(dynamics, "project")
         count(FiniteKernel, "row")
+        H1 = drift_map("sign_fast", 1, 1, 2)
+        H2 = drift_map("negate_y", 1, 1, 2)
+        K1 = NAMED_KERNELS["x_threshold"](2)
+        K2 = FiniteKernel.constant([[0.5, 0.5], [0.5, 0.5]])
+        if rows:
+            count(H1, "point_rows", "sweep")
+            count(K1, "rows", "kernel_rows")
+        else:
+            H1.point_rows = H2.point_rows = None
+        blocks = []  # (knots, the knot the sweeps stopped at) per swept block
+
+        def sweep_block(rows, S, V, *args, **kw):
+            blocks.append((len(V), _sweep_block(rows, S, V, *args, **kw)))
+            return blocks[-1][1]
+
+        monkeypatch.setattr(recursion, "_sweep_block", sweep_block)
         traj = run(
             H1, H2, K1, K2, StepSchedule(alpha=0.6, beta=0.9), [0.0], [0.7], 0, 0,
             N=5000, seed=11, noise=NoiseModel(fast_scale=0.0, slow_scale=0.5),
         )
         assert not traj.X.any() and not traj.V1.any()
+        return calls, blocks
+
+    def test_shared_kink_projected_once(self, monkeypatch):
+        # Without row forms every step is taken on the loop: the set is
+        # projected once (when the map is built); the chain's row is read
+        # once per step.
+        calls, blocks = self.run_counted(monkeypatch, rows=False)
+        assert blocks == []
         assert calls == {"project": 1, "row": 5000}
+
+    def test_shared_kink_swept(self, monkeypatch):
+        # With row forms the blocks are swept: the set is still projected
+        # once; the chain's row is read only on the steps the loop takes
+        # (the rest of block 0, whose sweeps run out of their row budget);
+        # its row form is read once per sweep of several knots, and once
+        # more where a block settles, for the state after its last step.
+        calls, blocks = self.run_counted(monkeypatch, rows=True)
+        assert len(blocks) == 10 and sum(m for m, _ in blocks) == 5000
+        settled = sum(p == m for m, p in blocks)
+        looped = sum(m - p for m, p in blocks)
+        assert settled == 9 and 0 < looped < SWEEP_STEPS
+        assert calls["project"] == 1 and calls["row"] == looped
+        assert calls["kernel_rows"] == calls["sweep"] + settled
 
 
 def grow_setup(x0, rows=True):
@@ -783,3 +820,149 @@ class TestBlockSweepsMatchReference:
         (_, H2, *rest), kw = equivalence_setup(rows=True)
         with pytest.raises(ValueError, match=r"oracle returned dim 3, declared 2"):
             run(H1, H2, *rest, N=2000, seed=0)
+
+
+def switching_kernel(k, w, t, A, B):
+    """A kernel on k states whose row for state s is ``A[s]`` where
+    w0 x_0 + w1 y_0 + w2 s >= t and ``B[s]`` elsewhere, with its row form."""
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+
+    def row(x, y, s):
+        return (A if w[0] * x[0] + w[1] * y[0] + w[2] * s >= t else B)[s]
+
+    def rows(X, Y, S):
+        up = w[0] * X[:, 0] + w[1] * Y[:, 0] + w[2] * S >= t
+        return np.where(up[:, None], A[S], B[S])
+
+    return FiniteKernel(k, row, rows)
+
+
+def stochastic(draw, k):
+    M = np.array(draw(st.lists(
+        st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k), min_size=k, max_size=k
+    )))
+    return M / M.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def iterate_chain_runs(draw):
+    k = draw(st.integers(1, 3))
+    kernels = [
+        switching_kernel(
+            k, draw(st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.3)])),
+            draw(st.floats(-0.5, 0.5)), stochastic(draw, k), stochastic(draw, k),
+        )
+        for _ in range(2)
+    ]
+    shared = draw(st.booleans())
+    kind = draw(st.sampled_from(["uniform", "gaussian"]))
+    N = draw(st.sampled_from([SWEEP_STEPS + d for d in (-1, 1)]
+                             + [3 * SWEEP_STEPS + d for d in (-1, 1)]))
+    return k, kernels, shared, NoiseModel(kind, 0.3, 0.2), N, draw(st.integers(0, 2**32))
+
+
+class TestIterateChainSweeps:
+    """Runs with iterate-dependent chains whose kernels have row forms take
+    the block sweeps; they must still be the reference's."""
+
+    def setup_for(self, k, K1, K2):
+        H1 = pointed_map(
+            lambda x, y, s: -x + (0.5 * s) * y[0], (2, 1, 2), k,
+            rows=lambda X, Y, S: -X + ((0.5 * S) * Y[:, 0])[:, None],
+        )
+        H2 = pointed_map(
+            lambda x, y, s: x[:1] - y - 0.25 * s, (2, 1, 1), k,
+            rows=lambda X, Y, S: X[:, :1] - Y - (0.25 * S)[:, None],
+        )
+        return (H1, H2, K1, K2, DAMPED, [1.0, -0.5], [0.5], k - 1, 0)
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(iterate_chain_runs())
+    def test_bytes_equal(self, case):
+        k, (K1, K2), shared, noise, N, seed = case
+        args = self.setup_for(k, K1, K2)
+        expect = reference_run(*args, N=N, seed=seed, noise=noise, share_noise_chain=shared)
+        sweeps = []
+        rows = K1.rows
+        K1.rows = lambda X, Y, S: sweeps.append(len(X)) or rows(X, Y, S)
+        traj = run(*args, N=N, seed=seed, noise=noise, share_noise_chain=shared)
+        assert max(sweeps) > 100
+        for name, want in zip(FIELDS, expect):
+            assert getattr(traj, name).tobytes() == want.tobytes(), name
+
+    def bad_row_kernel(self, at):
+        """The threshold kernel, whose row is [nan, -3] where x_0 < at."""
+        good = threshold_kernel()
+
+        def row(x, y, s):
+            return np.array([np.nan, -3.0]) if x[0] < at else good.row(x, y, s)
+
+        def rows(X, Y, S):
+            R = np.where((X[:, 0] + 0.1 * S >= 0)[:, None], [0.8, 0.2], [0.3, 0.7])
+            R[X[:, 0] < at] = [np.nan, -3.0]
+            return R
+
+        return FiniteKernel(2, row, rows)
+
+    def test_bad_path_row_raises_at_the_loops_step(self, monkeypatch):
+        # From x = 1 the fast drift turns away below 0.25 and leaves the
+        # finite range; on the way the chain's row is refused where x_0 <
+        # 0.05, which the loop meets first.
+        def drift(K):
+            args = self.setup_for(2, K, CONST2)
+            fall = lambda x, y, s: -x if x[0] > 0.25 else 1.2 * x - 2.0
+            H1 = pointed_map(
+                fall, (2, 1, 2), 2,
+                rows=lambda X, Y, S: np.where(X[:, :1] > 0.25, -X, 1.2 * X - 2.0),
+            )
+            return (H1,) + args[1:]
+
+        good = threshold_kernel()
+        good.rows = self.bad_row_kernel(-np.inf).rows
+        with pytest.raises(DivergenceError) as diverged:
+            run(*drift(good), N=3000, seed=5, noise=UNIFORM)
+        traj = run(*drift(good), N=diverged.value.step, seed=5, noise=UNIFORM)
+        step = int(np.argmax(traj.X[:, 0] < 0.05))
+        assert 0 < step < diverged.value.step
+        seen = []
+        monkeypatch.setattr(
+            recursion, "next_state",
+            lambda K, x, y, s, u: seen.append(x.copy()) or next_state(K, x, y, s, u),
+        )
+        for strip in (False, True):
+            args = drift(self.bad_row_kernel(0.05))
+            if strip:
+                args[0].point_rows = None
+            with pytest.raises(ValueError) as got:
+                run(*args, N=3000, seed=5, noise=UNIFORM)
+            assert str(got.value) == (
+                "kernel row for state 1 is not a probability row: [nan, -3.0]"
+            )
+            assert seen[-1].tobytes() == traj.X[step].tobytes()
+
+    def test_bad_row_at_a_guessed_iterate_does_not_raise(self):
+        # Guessed iterates of the first blocks overshoot below -0.6; the path
+        # from x = 1 stays above it.
+        K = self.bad_row_kernel(-0.6)
+        args = self.setup_for(2, K, K)
+        expect = reference_run(*args, N=2000, seed=3, noise=UNIFORM)
+        visited = []
+        rows = K.rows
+        K.rows = lambda X, Y, S: visited.append(X[:, 0].min()) or rows(X, Y, S)
+        traj = run(*args, N=2000, seed=3, noise=UNIFORM)
+        assert min(visited) < -0.6 < traj.X[:, 0].min()
+        for name, want in zip(FIELDS, expect):
+            assert getattr(traj, name).tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("noise", [UNIFORM, GAUSSIAN], ids=["uniform", "gaussian"])
+    def test_divergence_mid_block_at_same_step(self, noise):
+        H1, H2, *_, x0, y0, s1, s2 = grow_setup([1.0, -1.0])
+        args = (H1, H2, threshold_kernel(), self.bad_row_kernel(-np.inf), DAMPED,
+                x0, y0, s1, s2)
+        args[2].rows = self.bad_row_kernel(-np.inf).rows
+        with pytest.raises(DivergenceError) as want:
+            reference_run(*args, N=5000, seed=8, noise=noise)
+        with pytest.raises(DivergenceError) as got:
+            run(*args, N=5000, seed=8, noise=noise)
+        assert got.value.step == want.value.step
+        assert str(got.value) == str(want.value)

@@ -475,3 +475,32 @@ class TestPointRowsContract:
         report = validate_sam(F, POINT_GRID)
         assert not report.point_ok
         assert "not a float (12, 1) array" in report.point_failures[0][1]
+
+
+class TestLeastNormRows:
+    """Where ``point`` gives ``None`` a row may be the value's least-norm
+    element bit for bit, as the ``sign`` drift's row form gives at its kink."""
+
+    def test_sign_rows_pass(self):
+        from twoscale.cli import drift_map
+
+        H = drift_map("sign_fast", 1, 1, 2)
+        report = validate_sam(H, POINT_GRID)
+        assert report.ok, report.point_failures
+
+    def test_sign_row_one_ulp_off_at_the_kink_fails(self):
+        from twoscale.cli import drift_map
+
+        H = drift_map("sign_fast", 1, 1, 2)
+        rows = H.point_rows
+
+        def off(X, Y, S):
+            R = rows(X, Y, S)
+            R[X[:, 0] == 0.0] = np.nextafter(R[X[:, 0] == 0.0], np.inf)
+            return R
+
+        H.point_rows = off
+        report = validate_sam(H, POINT_GRID)
+        assert not report.point_ok
+        assert [p[0][0] for p, _ in report.point_failures] == [0.0] * 4
+        assert "not the least-norm element [0.0]" in report.point_failures[0][1]
