@@ -17,6 +17,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .svmaps import row_form_mismatches
+
 __all__ = [
     "FiniteKernel",
     "StationarySet",
@@ -242,22 +244,13 @@ def next_state_table(K: FiniteKernel, X: np.ndarray, Y: np.ndarray, u: np.ndarra
 
 def rows_mismatches(K: FiniteKernel, probes) -> list:
     """(probe, what is wrong) wherever one ``K.rows`` call over all the
-    (x, y, s) probes differs from ``K.row`` at a probe bit for bit; as the
-    probes differ, this also shows a row that depends on the others."""
-    n = len(probes)
-    X = np.array([np.asarray(p[0], dtype=float) for p in probes]).reshape(n, -1)
-    Y = np.array([np.asarray(p[1], dtype=float) for p in probes]).reshape(n, -1)
-    S = np.array([int(p[2]) for p in probes], dtype=int)
-    R = K.rows(X, Y, S)
-    if not (isinstance(R, np.ndarray) and R.dtype == float and R.shape == (n, K.alphabet)):
-        return [(tuple(probes[0]), f"rows gave {type(R).__name__} {np.shape(R)}, "
-                 f"not a float ({n}, {K.alphabet}) array")]
-    out = []
-    for p, x, y, s, r in zip(probes, X, Y, S, R):
-        want = K.row(x, y, int(s))
-        if r.tobytes() != want.tobytes():
-            out.append((tuple(p), f"rows row {r.tolist()} differs from row {want.tolist()}"))
-    return out
+    (x, y, s) probes differs from ``K.row`` at a probe bit for bit."""
+
+    def wrong_at(x, y, s, r):
+        want = K.row(x, y, s)
+        return None if r.tobytes() == want.tobytes() else f"differs from row {want.tolist()}"
+
+    return row_form_mismatches("rows", K.rows, probes, K.alphabet, wrong_at)
 
 
 def constant_walk(K: FiniteKernel, s: int, u: np.ndarray) -> list:

@@ -262,7 +262,6 @@ def _step_rows(H1: SetValuedMap, H2: SetValuedMap, s1, s2, n0: int, chains=()):
     equal bit for bit and which costs less on one row.
     """
     d1 = H1.dims[0]
-    tables = [np.full((len(u), K.alphabet), -2) for K, _, u, _ in chains]
 
     def rows(Z, p):
         n = len(Z)
@@ -276,8 +275,8 @@ def _step_rows(H1: SetValuedMap, H2: SetValuedMap, s1, s2, n0: int, chains=()):
         if not np.abs(Z[1:]).max() < DIVERGENCE_BOUND:
             far = ~(np.abs(Z[1:]) < DIVERGENCE_BOUND).all(axis=1)
             raise _divergence(n0 + p + int(np.argmax(far)))
-        for (K, states, u, mirror), table in zip(chains, tables):
-            _walk_chain(K, states, u, mirror, table, X[:-1], Y[:-1], p)
+        for K, states, u, mirror in chains:
+            _walk_chain(K, states, u, mirror, X[:-1], Y[:-1], p)
         parts = []
         for H, S in ((H1, s1[p:p + n]), (H2, s2[p:p + n])):
             R = _checked_rows(H, H.point_rows(X, Y, S), n)
@@ -295,41 +294,33 @@ class _OffPath(Exception):
     """A chain's row at a state of the walked path is not a probability row."""
 
 
-def _walk_chain(K: FiniteKernel, states, u, mirror, table, X, Y, p: int) -> None:
+def _walk_chain(K: FiniteKernel, states, u, mirror, X, Y, p: int) -> None:
     """States p + 1 .. p + R of a chain whose state at knot p is final, from
     the iterates X, Y of knots p .. p + R - 1.
 
     One ``next_state_table`` call gives every candidate state's next state
-    at each knot; ``table`` keeps the last walk's entries.  The walk starts
-    at the first knot whose entries changed (the states before it are the
-    last walk's).  A knot whose entries all agree sends every state to that
-    one, so only the other knots are walked one by one.  A row that
-    ``next_state`` would refuse on the walked path raises ``_OffPath``,
+    at each knot.  A knot whose entries all agree sends every state to that
+    one, so only the other knots are walked one by one, from knot p.  A row
+    that ``next_state`` would refuse on the walked path raises ``_OffPath``,
     which ends the sweep: the loop then meets it, or not, on the path's own
     iterates.
     """
     R = len(X)
-    new = next_state_table(K, X, Y, u[p:p + R])
-    moved = np.flatnonzero(new != table[p:p + R])
-    if not len(moved):
-        return
-    table[p:p + R] = new
-    q = p + int(moved[0]) // K.alphabet
-    new = new[q - p:]
-    walked = new[:, 0].copy()
-    free = new[:, 1:] != walked[:, None]
+    table = next_state_table(K, X, Y, u[p:p + R])
+    walked = table[:, 0].copy()
+    free = table[:, 1:] != walked[:, None]
     free = np.flatnonzero(free.any(axis=1) if K.alphabet > 2 else free)
     if len(free):
         out = walked.tolist()
-        s = int(states[q])
-        for j, row in zip(free.tolist(), new[free].tolist()):
+        s = int(states[p])
+        for j, row in zip(free.tolist(), table[free].tolist()):
             out[j] = row[out[j - 1] if j else s]
         walked = np.array(out)
     if walked.min() < 0:
         raise _OffPath
-    states[q + 1:p + R + 1] = walked
+    states[p + 1:p + R + 1] = walked
     if mirror is not None:
-        mirror[q + 1:p + R + 1] = walked
+        mirror[p + 1:p + R + 1] = walked
 
 
 def _checked_rows(H: SetValuedMap, R: np.ndarray, n: int) -> np.ndarray:
@@ -443,7 +434,7 @@ def run(
         for K in kernels:
             if K.matrix is None:
                 next_state_table(K, x0[None], y0[None], np.zeros(1))
-    loop = (traj, H1, H2, K1, K2, a.tolist(), b.tolist(), share_noise_chain)
+    loop = (traj, H1, H2, K1, K2, a, b, share_noise_chain)
     fails = wait = 0
     for start in range(0, N, BLOCK_STEPS):
         end = min(start + BLOCK_STEPS, N)
@@ -494,24 +485,27 @@ def run(
 
 
 def _loop_steps(
-    t: Trajectory, H1, H2, K1, K2, a: list, b: list, share: bool,
+    t: Trajectory, H1, H2, K1, K2, a, b, share: bool,
     lo: int, hi: int, start: int, s1: int, s2: int, next1, next2,
 ):
     """``run``'s per-step loop over steps lo..hi-1 of the trajectory t being
     filled, from the chain states s1, s2 at step lo: one velocity per drift,
-    the update, the divergence check, then the chain states.  next1 and
-    next2 hold the block's constant-walk states or its chain uniforms from
-    step ``start``.  Returns the chain states at step hi."""
+    the update, the divergence check, then the chain states.  a and b are
+    the run's step sizes; next1 and next2 hold the block's constant-walk
+    states or its chain uniforms from step ``start``.  Returns the chain
+    states at step hi."""
     X, Y, S1, S2, M1, M2, V1, V2 = t.X, t.Y, t.S1, t.S2, t.M1, t.M2, t.V1, t.V2
     walk1 = K1.matrix is not None
     walk2 = K2.matrix is not None and not share
     bound = DIVERGENCE_BOUND
-    for n in range(lo, hi):
+    # One step size at a time is read faster from a list, made per call so
+    # that it stays as short as the block.
+    for n, an, bn in zip(range(lo, hi), a[lo:hi].tolist(), b[lo:hi].tolist()):
         x, y = X[n], Y[n]
         V1[n] = v1 = _velocity(H1, x, y, s1)
         V2[n] = v2 = _velocity(H2, x, y, s2)
-        X[n + 1] = xn = x + a[n] * (v1 + M1[n])
-        Y[n + 1] = yn = y + b[n] * (v2 + M2[n])
+        X[n + 1] = xn = x + an * (v1 + M1[n])
+        Y[n + 1] = yn = y + bn * (v2 + M2[n])
         # NaN compares false, so one comparison per coordinate also
         # catches non-finite values.
         for v in xn.tolist() + yn.tolist():

@@ -259,35 +259,45 @@ def validate_sam(
 def _rows_mismatches(F: SetValuedMap, probes) -> list:
     """(probe, what is wrong) wherever one ``point_rows`` call over all the
     probes breaks the row-form contract."""
-    n, (d1, d2, k) = len(probes), F.dims
-    X = np.array([np.asarray(p[0], dtype=float) for p in probes]).reshape(n, d1)
-    Y = np.array([np.asarray(p[1], dtype=float) for p in probes]).reshape(n, d2)
-    S = np.array([int(p[2]) for p in probes], dtype=int)
-    R = F.point_rows(X, Y, S)
-    if not (isinstance(R, np.ndarray) and R.dtype == float and R.shape == (n, k)):
-        return [(tuple(probes[0]), f"point_rows gave {type(R).__name__} "
-                 f"{np.shape(R)}, not a float ({n}, {k}) array")]
     # A module-level import would be circular: dynamics imports svmaps.
     from .dynamics import select_velocity
 
+    def wrong_at(x, y, s, r):
+        v = F.point(x, y, s)
+        if v is not None:
+            if r.tobytes() == np.asarray(v, dtype=float).tobytes():
+                return None
+            return f"differs from point {np.asarray(v).tolist()}"
+        if np.isnan(r).any():
+            return None
+        least = select_velocity(F(x, y, s))
+        if r.tobytes() == least.tobytes():
+            return None
+        return ("no NaN where point gives None, and not the least-norm "
+                f"element {least.tolist()}")
+
+    return row_form_mismatches("point_rows", F.point_rows, probes, F.dims[2], wrong_at)
+
+
+def row_form_mismatches(name: str, form: Callable, probes, width: int, wrong_at) -> list:
+    """(probe, what is wrong) wherever one call ``form(X, Y, S)`` over all
+    the (x, y, s) probes breaks a row form's contract: it must give a float
+    ``(len(probes), width)`` array, and ``wrong_at(x, y, s, r)`` names what
+    is wrong with the row r it gives at a probe, or returns None.  As the
+    probes differ, this also shows a row that depends on the others."""
+    n = len(probes)
+    X = np.array([np.asarray(p[0], dtype=float) for p in probes]).reshape(n, -1)
+    Y = np.array([np.asarray(p[1], dtype=float) for p in probes]).reshape(n, -1)
+    S = np.array([int(p[2]) for p in probes], dtype=int)
+    R = form(X, Y, S)
+    if not (isinstance(R, np.ndarray) and R.dtype == float and R.shape == (n, width)):
+        return [(tuple(probes[0]), f"{name} gave {type(R).__name__} {np.shape(R)}, "
+                 f"not a float ({n}, {width}) array")]
     out = []
     for p, x, y, s, r in zip(probes, X, Y, S, R):
-        v = F.point(x, y, int(s))
-        if v is None:
-            if np.isnan(r).any():
-                continue
-            least = select_velocity(F(x, y, int(s)))
-            if r.tobytes() == least.tobytes():
-                continue
-            wrong = (
-                "no NaN where point gives None, and not the least-norm "
-                f"element {least.tolist()}"
-            )
-        elif r.tobytes() != np.asarray(v, dtype=float).tobytes():
-            wrong = f"differs from point {np.asarray(v).tolist()}"
-        else:
-            continue
-        out.append((tuple(p), f"point_rows row {r.tolist()}: {wrong}"))
+        wrong = wrong_at(x, y, int(s), r)
+        if wrong is not None:
+            out.append((tuple(p), f"{name} row {r.tolist()}: {wrong}"))
     return out
 
 
