@@ -174,7 +174,11 @@ def di_solve(H: MeanField, z0, T: float, dt: float) -> DIPath:
     one more knot, and a block ends when a sweep changes no velocity bit for
     bit.  As each row's velocity is a pure function of that row (see
     ``MeanField``), the path is then the knot-by-knot Euler path bit for
-    bit, with no tolerance to choose.
+    bit, with no tolerance to choose.  A field with ``check_rows`` is
+    checked once per finished block, on that block's knots, before the next
+    block starts: each knot of the path is checked exactly once, the states
+    the sweeps guess are not, and the first failing knot of the path raises
+    as it would in the knot-by-knot loop.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -185,7 +189,9 @@ def di_solve(H: MeanField, z0, T: float, dt: float) -> DIPath:
         raise ValueError(f"start has shape {z0.shape}, field has dim {H.dim}")
     n = int(round(T / dt))
     if H.evaluate_rows is not None:
-        states, sels = _euler_blocks(H.evaluate_rows, np.atleast_2d(z0), n, dt)
+        states, sels = _euler_blocks(
+            H.evaluate_rows, np.atleast_2d(z0), n, dt, H.check_rows
+        )
         if z0.ndim == 1:
             states, sels = states[:, 0], sels[:, 0]
     elif z0.ndim == 2:
@@ -209,10 +215,12 @@ def di_solve(H: MeanField, z0, T: float, dt: float) -> DIPath:
     return DIPath(times=times, states=states, selections=sels)
 
 
-def _euler_blocks(rows, z0: np.ndarray, n: int, dt: float):
+def _euler_blocks(rows, z0: np.ndarray, n: int, dt: float, check=None):
     """States ``(n + 1, R, k)`` and velocities ``(n, R, k)`` of the Euler path
     of the row field ``rows`` from the starts ``z0`` of shape ``(R, k)``,
-    equal bit for bit to the knot-by-knot loop."""
+    equal bit for bit to the knot-by-knot loop.  ``check``, where given (a
+    field's ``check_rows``), runs once on each finished block's knots, in
+    the order ``rows`` takes them, before the next block starts."""
     R, k = z0.shape
     states = np.empty((n + 1, R, k))
     sels = np.empty((n, R, k))
@@ -223,6 +231,8 @@ def _euler_blocks(rows, z0: np.ndarray, n: int, dt: float):
         _sweep_block(
             lambda Z, p: rows(Z.reshape(-1, k)), states[a:b + 1], sels[a:b], dt
         )
+        if check is not None:
+            check(states[a:b].reshape(-1, k))
     return states, sels
 
 

@@ -46,12 +46,22 @@ class MeanField:
     calls.  ``di_solve`` evaluates rows at guessed states and relies on this
     to return the knot-by-knot Euler path exactly; a row it sees change at
     one state raises ``ImpureFieldError``.
+
+    Such a field may also give ``check_rows``, taking a block of states
+    ``(R, dim)`` and raising on any state whose ``evaluate_rows`` value the
+    field cannot vouch for (and returning otherwise).  Where it is given,
+    ``evaluate_rows`` may leave that check to it: ``di_solve`` then calls
+    ``check_rows`` once on each finished block of path knots, before it
+    steps past the block, and never on the states its sweeps guess.  Blocks
+    are checked in path order, so the error raised should be that of the
+    block's lowest failing row, as a knot-by-knot loop would meet it first.
     """
 
     evaluate: Callable
     dim: int
     growth_K: float
     evaluate_rows: Optional[Callable] = None
+    check_rows: Optional[Callable] = None
 
     def __call__(self, z) -> ConvexSet:
         z = np.asarray(z, dtype=float)

@@ -552,25 +552,16 @@ def _sweep_steps(
     t.V1[lo:lo + p], t.V2[lo:lo + p] = V[:p, :d1], V[:p, d1:]
     if p == m:
         # The sweeps check every state they evaluate, which the last is not;
-        # then the chains step from the last knot, as the loop's would.
+        # then the chains step from the last knot by ``next_state``, as the
+        # loop's would.
         if not np.abs(Z[m]).max() < DIVERGENCE_BOUND:
             raise _divergence(hi - 1)
         x, y = t.X[hi - 1], t.Y[hi - 1]
         for K, states, u, mirror in chains:
-            states[m] = _last_state(K, x, y, int(states[m - 1]), u[m - 1])
+            states[m] = next_state(K, x, y, int(states[m - 1]), u[m - 1])
             if mirror is not None:
                 mirror[m] = states[m]
     return p
-
-
-def _last_state(K: FiniteKernel, x, y, s: int, u: float) -> int:
-    """``next_state(K, x, y, s, u)`` through the row form, which the oracle
-    checks again wherever the form fails or gives a row it would refuse."""
-    try:
-        nxt = int(next_state_table(K, x[None], y[None], np.array([u]))[0, s])
-    except Exception:
-        nxt = -1
-    return nxt if nxt >= 0 else next_state(K, x, y, s, u)
 
 
 def interpolate(traj: Trajectory, scale: str, t) -> np.ndarray:

@@ -462,29 +462,49 @@ def _prox_penalty_rows(P: SaddleProblem, V: np.ndarray, gamma) -> np.ndarray:
 
 
 def _lambda_min_rows(P: SaddleProblem, Y: np.ndarray, X0) -> np.ndarray:
-    """``lambda_min`` on every row of Y at once: the rows of
-    ``P.minimizer_rows`` where the problem has it, else those of
-    ``_descend_rows``, each then certified by ``_certificate_misses``.
+    """``lambda_min`` on every row of Y at once, in two parts: the solve
+    (``_solve_rows``), then its certificate (``_certify_rows``).  The
+    certificate reads the rows and changes none of them, so a caller that
+    only needs the values may take the solve alone and certify later."""
+    CY = _multiplier_rows(P, Y)
+    X, iterations, failed = _solve_rows(P, CY, X0)
+    _certify_rows(P, X, CY, iterations, failed)
+    return X
 
-    A row fails if its iteration stalls or runs out, with the residual and
-    iterations it reached, or if its certificate misses, with the miss and
-    the iterations it ran (0 for an exact minimizer).  The others go on, and
-    after the block the lowest failed row raises its ``SolverStallError``.
-    """
+
+def _multiplier_rows(P: SaddleProblem, Y: np.ndarray) -> np.ndarray:
+    """``C_mu^T y`` of each row of the multipliers Y ``(R, d2)``."""
     if Y.ndim != 2 or Y.shape[1] != P.d2:
         raise ValueError(f"multipliers have shape {Y.shape}, need (R, {P.d2})")
-    CY = np.matmul(P.C_mu.T, Y[:, :, None])[:, :, 0]
+    return np.matmul(P.C_mu.T, Y[:, :, None])[:, :, 0]
+
+
+def _solve_rows(P: SaddleProblem, CY: np.ndarray, X0):
+    """The solve part of ``lambda_min``, uncertified: ``(X, iterations,
+    failed)`` with the rows of ``P.minimizer_rows`` where the problem has it
+    (0 iterations, none failed), else those of ``_descend_rows``.  It never
+    raises ``SolverStallError``: a row that stalls or runs out keeps its last
+    iterate in X and is listed in ``failed``."""
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         if P.minimizer_rows is None:
-            X, iterations, failed = _descend_rows(P, CY, X0)
-        else:
-            X, iterations, failed = P.minimizer_rows(P, CY), np.zeros(len(Y), int), {}
+            return _descend_rows(P, CY, X0)
+        return P.minimizer_rows(P, CY), np.zeros(len(CY), int), {}
+
+
+def _certify_rows(P: SaddleProblem, X: np.ndarray, CY: np.ndarray, iterations, failed) -> None:
+    """The certify part of ``lambda_min`` on the solve's ``(X, iterations,
+    failed)``.  A row fails if its iteration stalled or ran out, with the
+    residual and iterations it reached, or if its certificate
+    (``_certificate_misses``) misses, with the miss and the iterations it ran
+    (0 for an exact minimizer).  Every row is checked, and then the lowest
+    failed row raises its ``SolverStallError``.
+    """
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         misses = _certificate_misses(P, X, CY, failed)
     for r, miss in misses.items():
         failed[r] = (miss, int(iterations[r]))
     if failed:
         raise SolverStallError(*failed[min(failed)])
-    return X
 
 
 def _descend_rows(P: SaddleProblem, CY: np.ndarray, X0):
@@ -686,23 +706,38 @@ def dual_drift(P: SaddleProblem) -> SetValuedMap:
 def dual_ode_field(P: SaddleProblem) -> MeanField:
     """Singleton dual flow field y -> {C_mu lambda(y) - w_mu}.
 
-    One velocity serves as ``evaluate_rows`` for a state ``(d2,)`` or a block
-    ``(R, d2)``; ``evaluate`` is its singleton.  Every minimizer is solved
-    cold by ``lambda_min``, where no row of a block depends on another, so
-    each row's velocity is a pure function of that row.
+    ``evaluate`` is the singleton of the velocity at ``lambda_min(P, y)``,
+    certified.  ``evaluate_rows`` gives the velocities of a block ``(R, d2)``
+    with every minimizer solved by the row kernel (``_solve_rows``, cold,
+    where no row of a block depends on another, so each row's velocity is a
+    pure function of that row) and not certified; ``check_rows`` certifies a
+    block by ``lambda_min``, so ``di_solve`` certifies each knot of a path
+    once, per finished block, and never the states its sweeps guess.  A row
+    value is the same either way: the certificate changes none.
     """
     C_mu, w_mu = P.C_mu, P.w_mu
     growth = float(np.linalg.norm(C_mu, 2)) * P.K_prime() + float(
         np.linalg.norm(w_mu)
     ) + 1e-12
 
-    def velocity(y):
+    def velocity(lam):
         # Stacked matrix-vector products, so each row equals C_mu @ lam[r].
-        return np.matmul(C_mu, lambda_min(P, y)[..., None])[..., 0] - w_mu
+        return np.matmul(C_mu, lam[..., None])[..., 0] - w_mu
+
+    def velocity_rows(Y):
+        # An uncertified row may be far off or not finite; check_rows
+        # raises for it, so its arithmetic here stays quiet.
+        with np.errstate(invalid="ignore", over="ignore"):
+            return velocity(_solve_rows(P, _multiplier_rows(P, Y), None)[0])
+
+    def check_rows(Y):
+        # lambda_min is looked up when called, so a wrapper put on the
+        # module's name sees every certificate.
+        lambda_min(P, Y)
 
     return MeanField(
-        evaluate=lambda y: ConvexSet.singleton(velocity(y)),
-        dim=P.d2, growth_K=growth, evaluate_rows=velocity,
+        evaluate=lambda y: ConvexSet.singleton(velocity(lambda_min(P, y))),
+        dim=P.d2, growth_K=growth, evaluate_rows=velocity_rows, check_rows=check_rows,
     )
 
 

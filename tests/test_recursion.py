@@ -704,17 +704,17 @@ class TestSetValuedStepCost:
 
     def test_shared_kink_swept(self, monkeypatch):
         # With row forms the blocks are swept: the set is still projected
-        # once; the chain's row is read only on the steps the loop takes
-        # (the rest of block 0, whose sweeps run out of their row budget);
-        # its row form is read once per sweep of several knots, and once
-        # more where a block settles, for the state after its last step.
+        # once; the chain's row is read on the steps the loop takes (the
+        # rest of block 0, whose sweeps run out of their row budget) and
+        # once where a block settles, for the state after its last step; its
+        # row form is read once per sweep of several knots.
         calls, blocks = self.run_counted(monkeypatch, rows=True)
         assert len(blocks) == 10 and sum(m for m, _ in blocks) == 5000
         settled = sum(p == m for m, p in blocks)
         looped = sum(m - p for m, p in blocks)
         assert settled == 9 and 0 < looped < SWEEP_STEPS
-        assert calls["project"] == 1 and calls["row"] == looped
-        assert calls["kernel_rows"] == calls["sweep"] + settled
+        assert calls["project"] == 1 and calls["row"] == looped + settled
+        assert calls["kernel_rows"] == calls["sweep"]
 
 
 def grow_setup(x0, rows=True):

@@ -786,12 +786,15 @@ class TestWarmChain:
 
     @CHAIN_PROBLEMS
     @pytest.mark.parametrize("rows", [1, 7, dynamics.ROWS])
-    def test_block_sweep_equals_set_form(self, make, rows, monkeypatch):
+    @pytest.mark.parametrize("kernel", ["closed_form", "iteration"])
+    def test_block_sweep_equals_set_form(self, make, rows, kernel, monkeypatch):
         # One start and a block of starts, each against the knot-by-knot loop
         # over the set form, with blocks of one knot, of a few knots and a
-        # short last block, and of more knots than the path has.
-        P = make()
-        set_form = MeanField(evaluate=dual_ode_field(make()).evaluate,
+        # short last block, and of more knots than the path has; on the
+        # problem's own minimizer and on the iteration.
+        build = make if kernel == "closed_form" else lambda: without_minimizer(make())
+        P = build()
+        set_form = MeanField(evaluate=dual_ode_field(build()).evaluate,
                              dim=P.d2, growth_K=1.0)
         Y0 = np.array([np.full(P.d2, v) for v in (0.4, -1.0, 2.0)])
         monkeypatch.setattr(dynamics, "ROWS", rows)
@@ -804,6 +807,116 @@ class TestWarmChain:
             if r == 0:
                 assert np.array_equal(single.states, sets.states)
                 assert np.array_equal(single.selections, sets.selections)
+
+
+def off_on_band(P, inside):
+    """A copy of P whose minimizer is 1e-3 off, which its certificate misses,
+    at each row c of CY with ``inside(c[0])``, and a list of how many rows of
+    each call were."""
+    hits = []
+
+    def minimizer_rows(Q, CY):
+        X = P.minimizer_rows(Q, CY)
+        band = inside(CY[:, 0])
+        hits.append(int(band.sum()))
+        X[band] += 1e-3
+        return X
+
+    Q = SaddleProblem(
+        subgrad=P.subgrad, C=P.C, w=P.w, kernel=P.kernel,
+        epsilon=P.epsilon, radius=P.radius, growth_K=P.growth_K,
+        feasible_points=P.feasible_points,
+        objective_rows=P.objective_rows, subgrad_rows=P.subgrad_rows,
+        minimizer_rows=minimizer_rows,
+    )
+    return Q, hits
+
+
+def set_form_of(P):
+    """The knot-by-knot loop's field: the set form of P's dual flow."""
+    return MeanField(evaluate=dual_ode_field(P).evaluate, dim=P.d2, growth_K=1.0)
+
+
+# A dual flow of the canonical problem in blocks of 64 knots: y falls from
+# 0.4 toward y* = -1.00125 over 300 knots, and each block's first guess,
+# which holds its start's velocity, overshoots the path.
+BAND_FLOW = dict(T=3.0, dt=1e-2)
+BAND_ROWS = 64
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestPathCertificate:
+    """``di_solve`` certifies the dual flow's minimizers once per finished
+    block (``check_rows``), not on the states its sweeps guess."""
+
+    def flow_cy(self):
+        """C_mu^T y at the knots of the unpatched flow, first column."""
+        P = canonical()
+        path = di_solve(dual_ode_field(P), [0.4], **BAND_FLOW)
+        cy = (path.states @ P.C_mu)[:, 0]
+        assert (np.diff(cy) < 0).all()
+        return cy
+
+    def test_mid_block_failure_raises_the_loops_error(self, monkeypatch):
+        # The band starts between knots k - 1 and k, in the middle of a later
+        # block, so knot k is the first path knot that misses.
+        cy = self.flow_cy()
+        k = 2 * BAND_ROWS + 21
+        edge = 0.5 * (cy[k - 1] + cy[k])
+        monkeypatch.setattr(dynamics, "ROWS", BAND_ROWS)
+        with pytest.raises(saddle.SolverStallError) as loop:
+            di_solve(set_form_of(off_on_band(canonical(), lambda c: c < edge)[0]),
+                     [0.4], **BAND_FLOW)
+        Q, hits = off_on_band(canonical(), lambda c: c < edge)
+        field = dual_ode_field(Q)
+        checked = []
+        check = field.check_rows
+        field.check_rows = lambda Y: checked.append(len(Y)) or check(Y)
+        with pytest.raises(saddle.SolverStallError) as rows:
+            di_solve(field, [0.4], **BAND_FLOW)
+        assert (rows.value.residual, rows.value.iterations) == (
+            loop.value.residual, loop.value.iterations
+        )
+        assert rows.value.residual > saddle.MEMBERSHIP_TOL
+        # It is block 2's check that raises, after the two blocks before it.
+        assert checked == [BAND_ROWS] * 3
+
+    def test_miss_off_the_path_does_not_raise(self, monkeypatch):
+        # The band lies past every knot of the path, where only the
+        # overshooting guesses go: the sweeps meet it, and the path is the
+        # loop's bit for bit.  Only the five blocks' checks certify.
+        cy = self.flow_cy()
+        edge = cy.min() - 1e-6
+        sets = di_solve(set_form_of(off_on_band(canonical(), lambda c: c < edge)[0]),
+                        [0.4], **BAND_FLOW)
+        monkeypatch.setattr(dynamics, "ROWS", BAND_ROWS)
+        certified = []
+        real = saddle.lambda_min
+        monkeypatch.setattr(
+            saddle, "lambda_min", lambda P, Y: certified.append(len(Y)) or real(P, Y)
+        )
+        Q, hits = off_on_band(canonical(), lambda c: c < edge)
+        rows = di_solve(dual_ode_field(Q), [0.4], **BAND_FLOW)
+        assert sum(hits) > 0
+        assert certified == [BAND_ROWS] * 4 + [300 - 4 * BAND_ROWS]
+        assert np.array_equal(rows.states, sets.states)
+        assert np.array_equal(rows.selections, sets.selections)
+
+    @pytest.mark.parametrize("starts", [1, 3])
+    def test_check_runs_once_per_block_on_its_knots(self, starts, monkeypatch):
+        # Blocks of 4 knots of every start (12 rows), the last one short.
+        P = canonical()
+        Y0 = np.linspace(-1.0, 2.0, starts)[:, None]
+        monkeypatch.setattr(dynamics, "ROWS", 4 * starts)
+        field = dual_ode_field(P)
+        checked = []
+        check = field.check_rows
+        field.check_rows = lambda Y: checked.append(Y.copy()) or check(Y)
+        path = di_solve(field, Y0, T=0.3, dt=1e-2)
+        blocks = [path.states[a:a + 4][:30 - a] for a in range(0, 30, 4)]
+        assert len(checked) == len(blocks) == 8
+        for Y, knots in zip(checked, blocks):
+            assert np.array_equal(Y, knots.reshape(-1, 1))
 
 
 def lagrangian_reference(P, x, y):

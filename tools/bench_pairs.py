@@ -13,8 +13,12 @@ the ``--after`` checkout: every result line, the seeds, the round settings
 and round walls, each side's commit (``-dirty`` when tracked files other than
 ``BENCH_*.json`` differ from it), the Python and numpy versions and the CPU count, and per
 end-to-end metric each side's median and quartiles and the number of pairs
-the after side wins.  The file keeps a list of rounds per workload; each run
-of the tool appends one, so earlier rounds stay in the record.
+the after side wins.  A pair counts only where both runs passed their checks;
+a run that printed a result with ``correct: false`` or ``failed > 0`` is
+listed under ``failed_checks`` instead, and the tool then exits 1, as it
+does when a run exits non-zero.  The file keeps a list of rounds per
+workload; each run of the tool appends one, so earlier rounds stay in the
+record.
 """
 
 from __future__ import annotations
@@ -70,14 +74,34 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
+def passed(rec: dict) -> bool:
+    """Whether a run printed a result whose checks all passed."""
+    result = rec["result"]
+    return bool(result) and result.get("correct") is True and not result.get("failed")
+
+
+def failed_checks(before: list[dict], after: list[dict]) -> list[dict]:
+    """The runs that printed a result whose checks failed, with their side,
+    seed, check counts and the round line, where the worker names the check."""
+    return [
+        {"side": side, "seed": rec["seed"], "correct": rec["result"].get("correct"),
+         "failed": rec["result"].get("failed"), "rounds": rec["rounds"]}
+        for side, runs in (("before", before), ("after", after))
+        for rec in runs
+        if rec["result"] and not passed(rec)
+    ]
+
+
 def summarize(before: list[dict], after: list[dict], metrics: list[dict]) -> dict:
+    """Per metric, the pairs in which both runs passed their checks, the
+    after side's wins among them, and each side's quartiles over them."""
     out = {}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         pairs = [
             (b["result"]["metrics"][name]["value"], a["result"]["metrics"][name]["value"])
             for b, a in zip(before, after)
-            if b["result"] and a["result"]
+            if passed(b) and passed(a)
         ]
         if not pairs:
             continue
@@ -138,11 +162,12 @@ def main(argv=None) -> int:
         "settings": {"seconds": args.seconds, "trace": 0,
                      "order": "alternating, before first on even pairs"},
         "summary": summarize(before, after, metrics),
+        "failed_checks": failed_checks(before, after),
         "runs": {"before": before, "after": after},
     })
     path.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {path}", file=sys.stderr)
-    failed = [r for r in before + after if r["exit_code"] != 0]
+    failed = [r for r in before + after if r["exit_code"] != 0 or not passed(r)]
     return 1 if failed else 0
 
 
