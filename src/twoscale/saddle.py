@@ -491,7 +491,7 @@ def _solve_rows(P: SaddleProblem, CY: np.ndarray, X0):
         return P.minimizer_rows(P, CY), np.zeros(len(CY), int), {}
 
 
-def _certify_rows(P: SaddleProblem, X: np.ndarray, CY: np.ndarray, iterations, failed) -> None:
+def _certify_rows(P: SaddleProblem, X: np.ndarray, CY: np.ndarray, iterations, failed):
     """The certify part of ``lambda_min`` on the solve's ``(X, iterations,
     failed)``.  A row fails if its iteration stalled or ran out, with the
     residual and iterations it reached, or if its certificate
@@ -706,14 +706,14 @@ def dual_drift(P: SaddleProblem) -> SetValuedMap:
 def dual_ode_field(P: SaddleProblem) -> MeanField:
     """Singleton dual flow field y -> {C_mu lambda(y) - w_mu}.
 
-    ``evaluate`` is the singleton of the velocity at ``lambda_min(P, y)``,
-    certified.  ``evaluate_rows`` gives the velocities of a block ``(R, d2)``
-    with every minimizer solved by the row kernel (``_solve_rows``, cold,
-    where no row of a block depends on another, so each row's velocity is a
-    pure function of that row) and not certified; ``check_rows`` certifies a
-    block by ``lambda_min``, so ``di_solve`` certifies each knot of a path
-    once, per finished block, and never the states its sweeps guess.  A row
-    value is the same either way: the certificate changes none.
+    ``evaluate`` is the singleton of the velocity at ``lambda_min(P, y)``.
+    ``evaluate_rows`` gives the velocities of a block ``(R, d2)``: every
+    minimizer is solved cold by the row kernel (``_solve_rows``), where no
+    row of a block depends on another, so each row's velocity is a pure
+    function of that row; it is certified per finished block by
+    ``check_rows``, which runs ``lambda_min`` on the block.  So ``di_solve``
+    certifies each knot of its path once, and never the states its sweeps
+    guess; the certificate changes no value.
     """
     C_mu, w_mu = P.C_mu, P.w_mu
     growth = float(np.linalg.norm(C_mu, 2)) * P.K_prime() + float(
@@ -724,12 +724,6 @@ def dual_ode_field(P: SaddleProblem) -> MeanField:
         # Stacked matrix-vector products, so each row equals C_mu @ lam[r].
         return np.matmul(C_mu, lam[..., None])[..., 0] - w_mu
 
-    def velocity_rows(Y):
-        # An uncertified row may be far off or not finite; check_rows
-        # raises for it, so its arithmetic here stays quiet.
-        with np.errstate(invalid="ignore", over="ignore"):
-            return velocity(_solve_rows(P, _multiplier_rows(P, Y), None)[0])
-
     def check_rows(Y):
         # lambda_min is looked up when called, so a wrapper put on the
         # module's name sees every certificate.
@@ -737,7 +731,10 @@ def dual_ode_field(P: SaddleProblem) -> MeanField:
 
     return MeanField(
         evaluate=lambda y: ConvexSet.singleton(velocity(lambda_min(P, y))),
-        dim=P.d2, growth_K=growth, evaluate_rows=velocity_rows, check_rows=check_rows,
+        dim=P.d2, growth_K=growth, check_rows=check_rows,
+        evaluate_rows=lambda Y: velocity(
+            _solve_rows(P, _multiplier_rows(P, Y), None)[0]
+        ),
     )
 
 
