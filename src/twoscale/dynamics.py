@@ -215,7 +215,7 @@ def di_solve(H: MeanField, z0, T: float, dt: float) -> DIPath:
     return DIPath(times=times, states=states, selections=sels)
 
 
-def _euler_blocks(rows, z0: np.ndarray, n: int, dt: float, check=None):
+def _euler_blocks(rows, z0: np.ndarray, n: int, dt: float, check):
     """States ``(n + 1, R, k)`` and velocities ``(n, R, k)`` of the Euler path
     of the row field ``rows`` from the starts ``z0`` of shape ``(R, k)``,
     equal bit for bit to the knot-by-knot loop.  ``check``, where given (a

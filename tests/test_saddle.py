@@ -812,7 +812,7 @@ class TestWarmChain:
 def off_on_band(P, inside):
     """A copy of P whose minimizer is 1e-3 off, which its certificate misses,
     at each row c of CY with ``inside(c[0])``, and a list of how many rows of
-    each call were."""
+    each call lay in that band."""
     hits = []
 
     def minimizer_rows(Q, CY):
@@ -867,8 +867,7 @@ class TestPathCertificate:
         with pytest.raises(saddle.SolverStallError) as loop:
             di_solve(set_form_of(off_on_band(canonical(), lambda c: c < edge)[0]),
                      [0.4], **BAND_FLOW)
-        Q, hits = off_on_band(canonical(), lambda c: c < edge)
-        field = dual_ode_field(Q)
+        field = dual_ode_field(off_on_band(canonical(), lambda c: c < edge)[0])
         checked = []
         check = field.check_rows
         field.check_rows = lambda Y: checked.append(len(Y)) or check(Y)
